@@ -11,6 +11,11 @@ Two schemes:
 * "rk4": method-of-lines classical RK4 on (u, v=u_t) with 4th-order
   spatial stencils, dt = 0.5 dx -- used where 2nd-order dispersion on
   the h-carrier would swamp the O(h^2) quantities being measured.
+
+Potentials are compactly supported: q must vanish wherever some
+|x_j - center_j| >= R (its declared `center` and `R`).  solve_semilinear
+relies on this and evaluates the gradient and the null form only on that
+box plus a stencil halo; the Laplacian stays full-grid.
 """
 
 from __future__ import annotations
@@ -88,15 +93,6 @@ class Trajectory:
             v *= d
         return v
 
-    def space_coords(self):
-        shape = self.u.shape[1:]
-        out = []
-        for j, (o, d, m) in enumerate(zip(self.x0, self.dx, shape)):
-            sl = [1] * len(shape)
-            sl[j] = m
-            out.append((o + d * np.arange(m)).reshape(sl))
-        return tuple(out)
-
 
 def null_form_grid(q: Potential, t, xs, u, ut, grad_u):
     """Q = q(x,u) (ut^2 - |grad' u|^2) on grid arrays."""
@@ -115,6 +111,25 @@ def _space_coords(shape, x0, dx):
     return tuple(out)
 
 
+def _support_window(q: Potential, xs, halo=2):
+    """Per-axis slices of the box |x_j - center_j| < q.R, widened by `halo`
+    stencil cells and clipped to the grid, with the coordinates on them.
+
+    Stencils of half-width <= halo evaluated on the window are exact on
+    the box itself.  None when the box holds no grid point (Q == 0).
+    """
+    win = []
+    for c, x in zip(q.center, xs):
+        inside = np.flatnonzero(np.abs(x.ravel() - c) < q.R)
+        if inside.size == 0:
+            return None
+        win.append(slice(max(inside[0] - halo, 0),
+                         min(inside[-1] + 1 + halo, x.size)))
+    xw = tuple(x[(slice(None),) * j + (s,)]
+               for j, (x, s) in enumerate(zip(xs, win)))
+    return tuple(win), xw
+
+
 def solve_semilinear(q: Potential, u0, v0, x0, dx, t0, t_end,
                      scheme="leapfrog", sample_every=1,
                      dt=None) -> Trajectory:
@@ -123,11 +138,21 @@ def solve_semilinear(q: Potential, u0, v0, x0, dx, t0, t_end,
     Initial data (u0, v0) at t0; the box must be sized so supports never
     reach the boundary (zero-padding stencils).  With q == 0 and the
     leapfrog scheme this reproduces step_linear_wave bit-for-bit.
+
+    q must vanish wherever some |x_j - q.center_j| >= q.R: the gradient
+    and Q are evaluated only on that box (plus a stencil halo), and Q is
+    taken as zero elsewhere.  Non-finite u0 or v0 raise ConfigError; a
+    solution that leaves BLOWUP_FACTOR * max|u0| or turns non-finite
+    raises BlowUpError.
     """
     u0 = np.asarray(u0, dtype=float)
     v0 = np.asarray(v0, dtype=float)
+    for name, arr in (("u0", u0), ("v0", v0)):
+        if not np.all(np.isfinite(arr)):
+            raise ConfigError(f"solve_semilinear: {name} is not finite")
     n = len(dx)
     xs = _space_coords(u0.shape, x0, dx)
+    win, xw = _support_window(q, xs) or (None, None)
     span = t_end - t0
     if span <= 0:
         raise ConfigError("solve_semilinear: empty time window")
@@ -141,6 +166,10 @@ def solve_semilinear(q: Potential, u0, v0, x0, dx, t0, t_end,
     dtv = span / nsteps
     guard = BLOWUP_FACTOR * (np.max(np.abs(u0)) + 1e-30)
 
+    def windowed_null_form(t, u, ut, grad):
+        uw = u[win]
+        return null_form_grid(q, t, xw, uw, ut[win], grad(uw, dx))
+
     keep = list(range(0, nsteps + 1, sample_every))
     if keep[-1] != nsteps:
         keep.append(nsteps)
@@ -151,9 +180,10 @@ def solve_semilinear(q: Potential, u0, v0, x0, dx, t0, t_end,
         u, v = u0.copy(), v0.copy()
 
         def rhs(t, u, v):
-            du = v
-            dv = laplacian4(u, dx) - null_form_grid(q, t, xs, u, v, grad1_4(u, dx))
-            return du, dv
+            dv = laplacian4(u, dx)
+            if win is not None:
+                dv[win] -= windowed_null_form(t, u, v, grad1_4)
+            return v, dv
 
         for k in range(nsteps + 1):
             t = t0 + k * dtv
@@ -169,7 +199,7 @@ def solve_semilinear(q: Potential, u0, v0, x0, dx, t0, t_end,
             k4u, k4v = rhs(t + dtv, u + dtv * k3u, v + dtv * k3v)
             u = u + dtv / 6 * (k1u + 2 * k2u + 2 * k3u + k4u)
             v = v + dtv / 6 * (k1v + 2 * k2v + 2 * k3v + k4v)
-            if np.max(np.abs(u)) > guard:
+            if not np.max(np.abs(u)) <= guard:
                 raise BlowUpError(f"blow-up guard tripped at t={t + dtv:.4f}")
         return Trajectory(np.array(times), np.array(us), np.array(uts), x0, dx)
 
@@ -177,21 +207,23 @@ def solve_semilinear(q: Potential, u0, v0, x0, dx, t0, t_end,
     if dtv * np.sqrt(n) / min(dx) > CFL_LIMIT:
         raise CFLError("leapfrog time step violates CFL")
 
-    def source(t, u, ut_est):
-        return -null_form_grid(q, t, xs, u, ut_est, grad1_2(u, dx))
-
     uts_by_level = {}
     u_prev = u0
-    f0 = source(t0, u0, v0)
+    f0 = None
+    if win is not None:
+        f0 = np.zeros_like(u0)
+        f0[win] = -windowed_null_form(t0, u0, v0, grad1_2)
     u_cur = leapfrog_first_step(u0, v0, dtv, dx, f0)
     level_fields = {0: u0, 1: u_cur}
     for k in range(1, nsteps):
         t = t0 + k * dtv
-        # 2nd-order time-derivative estimate at level k without u^{k+1}
-        ut_est = (u_cur - u_prev) / dtv + 0.5 * dtv * laplacian2(u_cur, dx)
-        f = source(t, u_cur, ut_est)
-        u_next = 2.0 * u_cur - u_prev + dtv**2 * (laplacian2(u_cur, dx) + f)
-        if np.max(np.abs(u_next)) > guard:
+        acc = laplacian2(u_cur, dx)
+        if win is not None:
+            # 2nd-order time-derivative estimate at level k without u^{k+1}
+            ut_est = (u_cur - u_prev) / dtv + 0.5 * dtv * acc
+            acc[win] -= windowed_null_form(t, u_cur, ut_est, grad1_2)
+        u_next = 2.0 * u_cur - u_prev + dtv**2 * acc
+        if not np.max(np.abs(u_next)) <= guard:
             raise BlowUpError(f"blow-up guard tripped at t={t + dtv:.4f}")
         if k in keep_set:
             uts_by_level[k] = (u_next - u_prev) / (2 * dtv)

@@ -71,16 +71,6 @@ class SpacetimeGrid:
             arrs.append(self.axis(j).reshape(shape))
         return tuple(arrs)
 
-    def space_coords(self):
-        """Broadcastable (X1, ..., Xn) arrays covering one time level."""
-        n = self.n
-        arrs = []
-        for j in range(n):
-            shape = [1] * n
-            shape[j] = self.nx[j]
-            arrs.append(self.axis(j).reshape(shape))
-        return tuple(arrs)
-
     def cell_volume(self) -> float:
         v = 1.0
         for d in self.dx:

@@ -7,8 +7,7 @@ Analytic catalog potentials are separable,
 with S a radial factor given as a function of w = |x'-c|^2 (so partials
 are smooth through the origin), τ an optional time profile (absent for
 time-independent potentials) and U a polynomial in u.  All partials are
-hand-coded.  Gridded potentials (reconstruction output) carry sampled
-values with multilinear interpolation.
+hand-coded.
 
 The induced objects of the inverse problem live here too: the vector
 field  F(V,x) = q(x, φ_V) φ'_V Vt, the scalar F(V,W,x) = <F, Wt>_M, the
@@ -94,7 +93,10 @@ def gaussian_cut_factor(sigma=0.25, radius=0.8, amplitude=1.0) -> RadialFactor:
 
 
 class Potential:
-    """Interface: q(t, xs, u) with explicit partials; xs = list of space arrays."""
+    """Interface: q(t, xs, u) with explicit partials; xs = list of space arrays.
+
+    q vanishes wherever some |x_j - center_j| >= R; solvers rely on it.
+    """
 
     key: str = "abstract"
     R: float = 0.0
@@ -205,39 +207,6 @@ class SeparablePotential(Potential):
         for c, xj in zip(self.center, xs):
             out.append(dS * 2.0 * (xj - c) * tau * U)
         return out
-
-
-class GriddedPotential(Potential):
-    """u-independent potential sampled on a spatial grid (recovery output)."""
-
-    def __init__(self, axes, values, key="gridded", support_radius=None):
-        from scipy.interpolate import RegularGridInterpolator
-
-        self.key = key
-        self.axes = [np.asarray(a, dtype=float) for a in axes]
-        self.values = np.asarray(values, dtype=float)
-        self.n = len(self.axes)
-        self.center = (0.0,) * self.n
-        self.R = float(support_radius) if support_radius is not None else float(
-            max(abs(a[0]) for a in self.axes)
-        )
-        self.time_independent = True
-        self.u_degree = 0
-        self._interp = RegularGridInterpolator(
-            self.axes, self.values, bounds_error=False, fill_value=0.0
-        )
-
-    def q(self, t, xs, u):
-        pts = np.broadcast_arrays(*xs)
-        stack = np.stack([p.ravel() for p in pts], axis=-1)
-        out = self._interp(stack).reshape(pts[0].shape)
-        return out * np.ones(np.broadcast(t, np.asarray(u)).shape) \
-            if np.broadcast(t, np.asarray(u)).shape not in ((), out.shape) else out
-
-    def q_u(self, t, xs, u):
-        return np.zeros(np.broadcast(t, *xs, np.asarray(u)).shape)
-
-    q_uu = q_u
 
 
 # ----------------------------------------------------------------------

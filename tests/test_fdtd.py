@@ -3,13 +3,13 @@
 import numpy as np
 import pytest
 
-from nullform.errors import CFLError, ConfigError
+from nullform.errors import BlowUpError, CFLError, ConfigError
 from nullform.fdtd import (
     IterationTrace, Trajectory, WaveState, WeightedNormSpec,
     check_energy_estimate, leapfrog_first_step, picard_iterate,
     solve_semilinear, spacetime_norm, step_linear_wave, weighted_norm,
 )
-from nullform.potential import get_potential
+from nullform.potential import Potential, get_potential
 from nullform.profiles import bump
 
 
@@ -121,6 +121,76 @@ def test_semilinear_nonlinearity_changes_solution():
     a = solve_semilinear(q0, u0, v0, (-3.0,), (dx,), 0.0, 1.5, scheme="rk4")
     b = solve_semilinear(qb, u0, v0, (-3.0,), (dx,), 0.0, 1.5, scheme="rk4")
     assert np.max(np.abs(a.u[-1] - b.u[-1])) > 1e-4
+
+
+class _WholeBox(Potential):
+    """`inner` re-declared with a support box that covers any test grid."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.center = inner.center
+        self.R = 1e9
+
+    def q(self, t, xs, u):
+        return self.inner.q(t, xs, u)
+
+
+@pytest.mark.parametrize("key, x1_lo, t0, scheme", [
+    ("offset_bump", -1.5, 0.0, "rk4"),     # support box off-centre
+    ("bump_linear_u", -1.5, 0.0, "rk4"),   # q depends on u
+    ("bump_t_xy", -1.5, -0.3, "rk4"),      # q depends on t
+    ("radial_bump", 0.2, 0.0, "rk4"),      # box clipped at the x1 edge
+    ("radial_bump", -1.5, 0.0, "leapfrog"),
+])
+def test_semilinear_support_window_is_exact(key, x1_lo, t0, scheme):
+    # Q evaluated on supp q's box only must match the whole-grid evaluation
+    # bit for bit; the zero-potential solve shows Q is not negligible
+    prof = bump(0.6, 1.0)
+    d = 0.05
+    x1 = x1_lo + d * np.arange(61)
+    if scheme == "rk4":
+        x2 = -1.5 + d * np.arange(61)
+        u0 = 0.5 * prof.f(x1[:, None] - 0.3) * prof.f(x2[None, :])
+        x0, dx = (x1_lo, -1.5), (d, d)
+    else:
+        u0 = 0.5 * prof.f(x1 - 0.3)
+        x0, dx = (x1_lo,), (d,)
+    n = len(dx)
+    v0 = np.zeros_like(u0)
+    q = get_potential(key, n)
+
+    def solve(pot):
+        return solve_semilinear(pot, u0, v0, x0, dx, t0, t0 + 0.6,
+                                scheme=scheme, sample_every=4)
+
+    win, full = solve(q), solve(_WholeBox(q))
+    assert np.array_equal(win.u, full.u)
+    assert np.array_equal(win.ut, full.ut)
+    free = solve(get_potential("zero", n))
+    assert np.max(np.abs(win.u[-1] - free.u[-1])) > 1e-3
+
+
+@pytest.mark.parametrize("name", ["u0", "v0"])
+def test_semilinear_rejects_nonfinite_data(name):
+    data = {"u0": np.zeros(41), "v0": np.zeros(41)}
+    data[name][20] = np.nan
+    with pytest.raises(ConfigError, match=name):
+        solve_semilinear(get_potential("zero", 1), data["u0"], data["v0"],
+                         (-1.0,), (0.05,), 0.0, 0.1)
+
+
+@pytest.mark.parametrize("scheme", ["rk4", "leapfrog"])
+def test_semilinear_blowup_guard(scheme):
+    # standing data (v0 = 0) is no null solution: Q = -q u_x^2 overflows
+    # within a few steps and the field turns NaN, which must not pass
+    prof = bump(0.5, 1.0)
+    dx = 0.02
+    x = -1.5 + dx * np.arange(151)
+    q = get_potential("radial_bump", 1, amplitude=1e300)
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(BlowUpError):
+        solve_semilinear(q, prof.f(x), np.zeros_like(x), (x[0],), (dx,),
+                         0.0, 0.5, scheme=scheme)
 
 
 def test_weighted_norm_examples():

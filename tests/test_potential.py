@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from nullform.errors import ConfigError
 from nullform.minkowski import LightVector, SpacetimePoint, eval_background
@@ -17,6 +19,28 @@ def test_potential_support_invariant():
         p = get_potential(key, 2)
         far = [np.array(p.center[0] + p.R + 0.5), np.array(p.center[1])]
         assert np.all(p.q(0.0, far, 0.3) == 0.0)
+
+
+_KEYS = [(key, n) for n in (1, 2) for key in list_potentials(n)]
+_coord = st.floats(-3.0, 3.0, allow_nan=False)
+
+
+@given(case=st.sampled_from(_KEYS),
+       amplitude=st.none() | st.floats(-100.0, 100.0, allow_nan=False),
+       t=_coord, u=st.floats(-10.0, 10.0, allow_nan=False),
+       xs=st.lists(_coord, min_size=2, max_size=2),
+       axis=st.integers(0, 1), gap=st.floats(0.0, 2.0),
+       side=st.sampled_from((-1, 1)))
+def test_potential_vanishes_off_support_box(case, amplitude, t, u, xs, axis,
+                                            gap, side):
+    # the solvers' contract: q == 0 wherever some |x_j - c_j| >= R
+    key, n = case
+    p = get_potential(key, n, amplitude=amplitude)
+    x = xs[:n]
+    j = axis % n
+    x[j] = p.center[j] + side * (p.R + gap)
+    assume(abs(x[j] - p.center[j]) >= p.R)
+    assert p.q(t, [np.array(v) for v in x], u) == 0.0
 
 
 def test_potential_partial_consistency():
