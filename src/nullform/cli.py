@@ -36,6 +36,7 @@ from .fdtd import (WeightedNormSpec, check_energy_estimate, picard_iterate,
 from .geoptics import (AnsatzSpec, assemble_uN, build_hierarchy,
                        dt_u_incident, measure_residual_order, u_incident)
 from .gridio import read_bundle, write_bundle, write_pgm
+from .grids import l2_norm
 from .minkowski import LightVector
 from .potential import (VectorFieldF, get_potential, list_potentials,
                         uniqueness_certificate)
@@ -249,12 +250,6 @@ def _ansatz_spec(cfg: ScenarioConfig, n: int, N: int, h_list=None):
         raise ConfigError(f"[grid]/[time]/[probe]: {exc}") from None
 
 
-def _l2(arr, cell):
-    """Fixed-order grid L2 norm (C-contiguous summation)."""
-    a = np.ascontiguousarray(arr, dtype=float)
-    return float(np.sqrt(np.sum(a * a) * cell))
-
-
 # ----------------------------------------------------------------------
 # pipelines: each returns (summary dict, artifact writer)
 
@@ -273,7 +268,7 @@ def run_forward(cfg, n, outdir, jobs):
     return {
         "n_offsets": int(len(offsets)),
         "n_angles": int(len(angles)),
-        "sinogram_l2": _l2(sino.samples, cell / max(1, len(angles))),
+        "sinogram_l2": l2_norm(sino.samples, cell / max(1, len(angles))),
         "sinogram_max": float(np.max(np.abs(sino.samples))),
     }
 
@@ -293,7 +288,7 @@ def run_ansatz(cfg, n, outdir, jobs):
     for h in spec.h_list:
         uN = assemble_uN(table, h)
         hs.append(float(h))
-        l2s.append(_l2(uN, cell))
+        l2s.append(l2_norm(uN, cell))
         linfs.append(float(np.max(np.abs(uN))))
     table.save(outdir / "hierarchy.nfg")
     u_fine = assemble_uN(table, spec.h_list[-1])
@@ -453,7 +448,13 @@ def run_recover(cfg, n, outdir, jobs):
     offsets = cfg.linspace("recover", "offsets")
     angles = cfg.angles("recover", "angles")
     method = cfg.str("recover", "method", "fbp")
+    if method not in ("fbp", "rls"):
+        raise ConfigError(f"[recover] method: unknown '{method}' "
+                          "(have fbp, rls)")
     reg = cfg.float("recover", "reg", 1e-8)
+    if not (np.isfinite(reg) and reg >= 0):
+        raise ConfigError(f"[recover] reg: must be finite and >= 0, "
+                          f"got {reg!r}")
     richardson = cfg.bool("recover", "richardson", False)
     Tp = cfg.float("time", "tprime")
     if provider == "ansatz":
@@ -485,7 +486,7 @@ def run_recover(cfg, n, outdir, jobs):
     write_bundle(outdir / "reconstruction.nfg",
                  {"values": rec.values, "axis": ax, "truth": truth},
                  {"provider": provider, "h": h, "method": report["method"]})
-    write_pgm(outdir / "reconstruction.pgm", rec.values)
+    write_pgm(outdir / "reconstruction.pgm", rec.values.T[::-1])  # x2 up
     return {
         "provider": provider,
         "h": float(h),

@@ -12,9 +12,7 @@ NULL_PAIRING_TOL = 1e-12       # <V,V>_M == 0 check
 # finite-difference consistency probes (O(delta^2) checks)
 FD_DELTAS = (1e-3, 5e-4)
 
-# centered-difference step for exterior_derivative fallback:
-# delta = sqrt(grid spacing) * 1e-2 capped at 1e-3
-FD_STEP_SCALE = 1e-2
+# centered-difference step for the exterior_derivative fallback
 FD_STEP_CAP = 1e-3
 
 # FDTD

@@ -14,7 +14,11 @@ class CFLError(NullformError):
 
 
 class QuadratureError(NullformError):
-    """Adaptive quadrature failed to converge; message reports worst point."""
+    """Adaptive quadrature failed to converge; `ray` indexes the worst line."""
+
+    def __init__(self, message, ray=None):
+        super().__init__(message)
+        self.ray = ray
 
 
 class UnresolvedCarrierError(NullformError):

@@ -31,14 +31,14 @@ from typing import Dict, Optional, Tuple
 import numpy as np
 from scipy.interpolate import CubicSpline
 
-from .constants import (CFL_LIMIT, NULL_PAIRING_TOL, PPW_MIN,
-                        RAY_QUAD_ABS_TOL, RAY_QUAD_MAX_DOUBLINGS)
+from .constants import CFL_LIMIT, NULL_PAIRING_TOL, PPW_MIN, RAY_QUAD_ABS_TOL
 from .errors import CFLError, ConfigError, QuadratureError, \
     UnresolvedCarrierError
 from .grids import SpacetimeGrid, diff1, diff2, grad1_2, l2_norm, laplacian2
 from .minkowski import LightVector
 from .potential import Potential
 from .profiles import Profile
+from .raytransform import _adaptive_line_integral, _line_bounds
 
 
 # ----------------------------------------------------------------------
@@ -130,15 +130,7 @@ class AnsatzSpec:
 
 def _ray_sigma_bounds(q: Potential, t, xp, omega):
     """sigma range where (t - sigma, xp + sigma omega) can meet supp q."""
-    c = np.array(q.center)
-    d = xp - c  # (..., n)
-    b = d @ omega
-    cc = np.sum(d * d, axis=-1) - q.R**2
-    disc = b * b - cc
-    ok = disc > 0
-    root = np.sqrt(np.maximum(disc, 0.0))
-    lo = np.where(ok, -b - root, 0.0)
-    hi = np.where(ok, -b + root, 0.0)
+    lo, hi = _line_bounds(np.array(q.center), q.R, xp, omega)
     lo = np.maximum(lo, 0.0)
     if q.time_radius is not None:
         # q vanishes for |t - sigma| > time support radius
@@ -146,15 +138,6 @@ def _ray_sigma_bounds(q: Potential, t, xp, omega):
         hi = np.minimum(hi, t + q.time_radius)
     hi = np.maximum(hi, lo)
     return lo, hi
-
-
-def _scalar_F_points(q: Potential, phi: Profile, V: LightVector,
-                     pairing: float, t, xp):
-    """F = q(x, phi_V) phi'(<x,V>_M) <Vt,Wt>_M at points xp (..., n)."""
-    th = np.array(V.direction)
-    s = -t * V.sign + xp @ th
-    xs = [xp[..., j] for j in range(xp.shape[-1])]
-    return q.q(t, xs, phi.f(s)) * phi.df(s) * pairing
 
 
 def ray_exponent(q: Potential, phi: Profile, V: LightVector,
@@ -166,41 +149,23 @@ def ray_exponent(q: Potential, phi: Profile, V: LightVector,
     the ray meets supp q; doubles the node count until the update is
     below abs_tol.  t is a scalar; xp has shape (npts, n).
     """
+    th = np.array(V.direction)
     omega = np.array(W.direction)
-    pairing = float(V.sign + np.array(V.direction) @ omega)
+    pairing = float(V.sign + th @ omega)
     lo, hi = _ray_sigma_bounds(q, t, xp, omega)
-    length = hi - lo
-    out = np.zeros(xp.shape[0])
-    act = length > 0
-    if not np.any(act):
-        return out
-    loa, lena, xpa = lo[act], length[act], xp[act]
 
-    def simpson(nseg):
-        xi = np.linspace(0.0, 1.0, nseg + 1)
-        wts = np.ones(nseg + 1)
-        wts[1:-1:2] = 4.0
-        wts[2:-1:2] = 2.0
-        sig = loa[:, None] + lena[:, None] * xi[None, :]
-        pts = xpa[:, None, :] + sig[..., None] * omega[None, None, :]
-        Fv = _scalar_F_points(q, phi, V, pairing,
-                              (t - sig), pts)
-        return (lena / (3.0 * nseg)) * (Fv @ wts)
+    def fvals(sig, pts):
+        """F = q(x, phi_V) phi'(<x,V>_M) <Vt,Wt>_M at x = (t - sig, pts)."""
+        tt = t - sig
+        s = -tt * V.sign + pts @ th
+        xs = [pts[..., j] for j in range(pts.shape[-1])]
+        return q.q(tt, xs, phi.f(s)) * phi.df(s) * pairing
 
-    nseg = 16
-    prev = simpson(nseg)
-    for _ in range(RAY_QUAD_MAX_DOUBLINGS):
-        nseg *= 2
-        cur = simpson(nseg)
-        delta = np.max(np.abs(cur - prev))
-        if delta < abs_tol:
-            out[act] = cur
-            return out
-        prev = cur
-    worst = int(np.argmax(np.abs(cur - prev)))
-    raise QuadratureError(
-        f"ray quadrature not converged at x'={xpa[worst]} (t={t}, "
-        f"last update {np.max(np.abs(cur - prev)):.2e})")
+    try:
+        return _adaptive_line_integral(fvals, xp, omega, lo, hi - lo, abs_tol)
+    except QuadratureError as exc:
+        raise QuadratureError(f"ray quadrature at x'={xp[exc.ray]} "
+                              f"(t={t}): {exc}", exc.ray) from None
 
 
 def a10_points(q: Potential, phi: Profile, chi: Profile, V: LightVector,

@@ -1,4 +1,4 @@
-"""Binary grid files with a JSON header, plus CSV/PGM helpers.
+"""Binary grid files with a JSON header, plus a PGM preview writer.
 
 Layout of a .nfg file:
 
@@ -8,8 +8,7 @@ Layout of a .nfg file:
     raw little-endian array payloads, C order, concatenated
 
 The header carries {"arrays": [{name, dtype, shape, offset}...],
-"meta": {...}} where meta holds grid spec, (V, W), N, etc.  A single
-array is stored under the name "data".
+"meta": {...}} where meta holds grid spec, (V, W), N, etc.
 """
 
 from __future__ import annotations
@@ -76,15 +75,6 @@ def read_bundle(path):
         ).reshape(ent["shape"])
         arrays[ent["name"]] = arr
     return arrays, header["meta"]
-
-
-def write_grid(path, array, meta: dict | None = None):
-    write_bundle(path, {"data": array}, meta)
-
-
-def read_grid(path):
-    arrays, meta = read_bundle(path)
-    return arrays["data"], meta
 
 
 def write_pgm(path, array2d, levels: int = 255):

@@ -221,7 +221,3 @@ def grad1_2(u, dx):
 def l2_norm(f, cell_volume: float) -> float:
     """Discrete L^2 norm with fixed (C-order) summation for determinism."""
     return float(np.sqrt(np.sum(np.abs(np.asarray(f)) ** 2) * cell_volume))
-
-
-def linf_norm(f) -> float:
-    return float(np.max(np.abs(f))) if np.asarray(f).size else 0.0

@@ -23,7 +23,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .constants import FD_STEP_CAP, FD_STEP_SCALE
+from .constants import FD_STEP_CAP
 from .errors import ConfigError
 from .minkowski import LightVector, as_point, mdot_vec, phase_arg
 from .profiles import Profile, bump, cos4_window, get_profile, ramp, sbump
@@ -311,9 +311,6 @@ class OneForm:
     phi: Profile
     V: LightVector
 
-    def components_grid(self, t, xs):
-        return VectorFieldF(self.q, self.phi, self.V).components(t, xs)
-
     def components(self, x):
         xa = as_point(x)
         return np.array(VectorFieldF(self.q, self.phi, self.V).at_point(xa))
@@ -361,10 +358,6 @@ def _eta_partial(eta: OneForm, xa, m, j, delta):
     xm = xa.copy()
     xm[m] -= delta
     return (eta.components(xp)[j] - eta.components(xm)[j]) / (2.0 * delta)
-
-
-def fd_step_for(spacing: float) -> float:
-    return min(FD_STEP_SCALE * np.sqrt(spacing), FD_STEP_CAP)
 
 
 @dataclass

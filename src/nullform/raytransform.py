@@ -20,10 +20,12 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy import sparse
 
-from .constants import RAY_QUAD_ABS_TOL, RAY_QUAD_MAX_DOUBLINGS
+from .constants import (FBP_APODIZATION_NYQUIST, FBP_MIN_ANGLES,
+                        RAY_QUAD_ABS_TOL, RAY_QUAD_MAX_DOUBLINGS)
 from .errors import ConfigError, QuadratureError
-from .minkowski import LightVector, mdot_vec
+from .minkowski import LightVector
 from .potential import Potential, VectorFieldF
 from .profiles import Profile
 
@@ -88,17 +90,6 @@ class Reconstruction:
     reg: float = 0.0
     rel_l2_error: float = None
 
-    def to_pgm(self, levels: int = 255) -> str:
-        """ASCII PGM preview (rows = x2 descending, columns = x1)."""
-        v = self.values
-        lo, hi = float(np.min(v)), float(np.max(v))
-        span = hi - lo if hi > lo else 1.0
-        img = np.round((v - lo) / span * levels).astype(int)
-        img = img.T[::-1]  # x2 up
-        head = f"P2\n{img.shape[1]} {img.shape[0]}\n{levels}\n"
-        body = "\n".join(" ".join(str(p) for p in row) for row in img)
-        return head + body + "\n"
-
 
 # ----------------------------------------------------------------------
 # forward light-ray transform
@@ -117,27 +108,63 @@ def _line_bounds(center, R, base, direction):
     return lo, hi
 
 
-def _adaptive_line_integral(fvals, lo, length, abs_tol):
-    """Composite Simpson with node doubling; fvals(sig array (m, k))."""
+def _adaptive_line_integral(fvals, base, direction, lo, length, abs_tol):
+    """Integrals of fvals(sig, pts) along pts = base + sig*direction.
+
+    Each line runs over lo <= sig <= lo + length; lines with length <= 0
+    give 0 and are never evaluated.  Composite Simpson, doubling the
+    nodes until the largest update is below abs_tol; on failure the
+    QuadratureError's `ray` indexes the worst line.
+    """
+    out = np.zeros(length.shape)
+    act = np.flatnonzero(length > 0)
+    if act.size == 0:
+        return out
+    lo, length, base = lo[act], length[act], base[act]
+
     def simpson(nseg):
         xi = np.linspace(0.0, 1.0, nseg + 1)
         wts = np.ones(nseg + 1)
         wts[1:-1:2] = 4.0
         wts[2:-1:2] = 2.0
         sig = lo[:, None] + length[:, None] * xi[None, :]
-        return (length / (3.0 * nseg)) * (fvals(sig) @ wts)
+        pts = base[:, None, :] + sig[..., None] * direction
+        return (length / (3.0 * nseg)) * (fvals(sig, pts) @ wts)
 
     nseg = 16
     prev = simpson(nseg)
     for _ in range(RAY_QUAD_MAX_DOUBLINGS):
         nseg *= 2
         cur = simpson(nseg)
-        if np.max(np.abs(cur - prev)) < abs_tol:
-            return cur
+        update = np.abs(cur - prev)
+        if np.max(update) < abs_tol:
+            out[act] = cur
+            return out
         prev = cur
     raise QuadratureError(
-        f"line quadrature not converged (last update "
-        f"{np.max(np.abs(cur - prev)):.2e})")
+        f"line quadrature not converged (last update {np.max(update):.2e})",
+        ray=int(act[np.argmax(update)]))
+
+
+def _sweep(offsets, angles, center, R, fvals, window, abs_tol):
+    """Integrals of fvals(sig, pts, omega) along every sweep line.
+
+    The line for (s, a) is s*(-sin a, cos a) + nu*(cos a, sin a); nu runs
+    over the chord of the ball (center, R), clamped to `window`.
+    """
+    offsets = np.asarray(offsets, dtype=float)
+    samples = np.zeros((offsets.size, np.size(angles)))
+    for ja, a in enumerate(np.asarray(angles, dtype=float)):
+        om = np.array([np.cos(a), np.sin(a)])
+        perp = np.array([-np.sin(a), np.cos(a)])
+        base = offsets[:, None] * perp[None, :]
+        lo, hi = _line_bounds(center, R, base, om)
+        lo = np.maximum(lo, window[0])
+        length = np.maximum(np.minimum(hi, window[1]) - lo, 0.0)
+        samples[:, ja] = _adaptive_line_integral(
+            lambda sig, pts: fvals(sig, pts, om), base, om, lo, length,
+            abs_tol)
+    return samples
 
 
 def lightray_forward(fld: VectorFieldF, V: LightVector, W: LightVector,
@@ -154,36 +181,17 @@ def lightray_forward(fld: VectorFieldF, V: LightVector, W: LightVector,
         raise ConfigError("lightray_forward: W must have sign -1")
     if fld.q.n != 2:
         raise ConfigError("lightray_forward: sinogram sweep is 2-D only")
-    offsets = np.asarray(offsets, dtype=float)
-    angles = np.asarray(angles, dtype=float)
     th = np.array(V.direction)
-    vt = V.twin_array()
-    center = np.array(fld.q.center)
-    samples = np.zeros((offsets.size, angles.size))
-    for ja, a in enumerate(angles):
-        om = np.array([np.cos(a), np.sin(a)])
-        perp = np.array([-np.sin(a), np.cos(a)])
+    tr = fld.q.time_radius
+    window = (-np.inf, np.inf) if tr is None else (-tr - t0, tr - t0)
+
+    def fvals(sig, pts, om):
         pair = float(V.sign + th @ om)  # <Vt, Wt>_M with Wt = (1, omega)
-        base = offsets[:, None] * perp[None, :]
-        lo, hi = _line_bounds(center, fld.q.R, base, om)
-        if fld.q.time_radius is not None:
-            lo = np.maximum(lo, -fld.q.time_radius - t0)
-            hi = np.minimum(hi, fld.q.time_radius - t0)
-        length = np.maximum(hi - lo, 0.0)
-        act = length > 0
-        if not np.any(act):
-            continue
-        loa, lena, basea = lo[act], length[act], base[act]
+        pref = fld.scalar_prefactor(t0 + sig, [pts[..., 0], pts[..., 1]])
+        return pref * pair
 
-        def fvals(sig):
-            pts = basea[:, None, :] + sig[..., None] * om[None, None, :]
-            pref = fld.scalar_prefactor(t0 + sig,
-                                        [pts[..., 0], pts[..., 1]])
-            return pref * pair
-
-        vals = np.zeros(offsets.size)
-        vals[act] = _adaptive_line_integral(fvals, loa, lena, abs_tol)
-        samples[:, ja] = vals
+    samples = _sweep(offsets, angles, np.array(fld.q.center), fld.q.R,
+                     fvals, window, abs_tol)
     meta = {"V": [V.sign, list(V.direction)], "W_sign": W.sign,
             "phi": fld.phi.key, "q": getattr(fld.q, "key", "?"), "t0": t0}
     return Sinogram(offsets, angles, samples, meta)
@@ -243,28 +251,12 @@ def xray_reduce(q: Potential, phi: Profile, V: LightVector,
 def xray_forward_2d(integrand, offsets, angles, support_center,
                     support_R, abs_tol: float = RAY_QUAD_ABS_TOL) -> Sinogram:
     """Straight-line integrals of a scalar integrand (oracle/phantom path)."""
-    offsets = np.asarray(offsets, dtype=float)
-    angles = np.asarray(angles, dtype=float)
-    center = np.asarray(support_center, dtype=float)
-    samples = np.zeros((offsets.size, angles.size))
-    for ja, a in enumerate(angles):
-        om = np.array([np.cos(a), np.sin(a)])
-        perp = np.array([-np.sin(a), np.cos(a)])
-        base = offsets[:, None] * perp[None, :]
-        lo, hi = _line_bounds(center, support_R, base, om)
-        length = np.maximum(hi - lo, 0.0)
-        act = length > 0
-        if not np.any(act):
-            continue
-        loa, lena, basea = lo[act], length[act], base[act]
+    def fvals(sig, pts, om):
+        return integrand(pts[..., 0], pts[..., 1])
 
-        def fvals(sig):
-            pts = basea[:, None, :] + sig[..., None] * om[None, None, :]
-            return integrand(pts[..., 0], pts[..., 1])
-
-        vals = np.zeros(offsets.size)
-        vals[act] = _adaptive_line_integral(fvals, loa, lena, abs_tol)
-        samples[:, ja] = vals
+    samples = _sweep(offsets, angles,
+                     np.asarray(support_center, dtype=float), support_R,
+                     fvals, (-np.inf, np.inf), abs_tol)
     return Sinogram(offsets, angles, samples, {"kind": "xray"})
 
 
@@ -287,8 +279,8 @@ def _fbp(sino: Sinogram, axes) -> np.ndarray:
     npad = 1 << int(np.ceil(np.log2(4 * n)))
     pad0 = (npad - n) // 2
     freqs = np.fft.rfftfreq(npad, d=ds)
-    cut = 0.9 * (0.5 / ds)
-    # ramp |nu| apodized by a raised cosine rolling off at 0.9 Nyquist
+    cut = FBP_APODIZATION_NYQUIST * (0.5 / ds)
+    # ramp |nu| apodized by a raised cosine rolling off below Nyquist
     win = np.where(freqs <= cut, 0.5 * (1 + np.cos(np.pi * freqs / cut)),
                    0.0)
     filt = np.abs(freqs) * win
@@ -316,78 +308,52 @@ def _fbp(sino: Sinogram, axes) -> np.ndarray:
     return out
 
 
-def _ray_samples(sino: Sinogram, axes):
-    """Fixed sampling of all rays for the matrix-free discrete operator."""
+def _xray_matrix(sino: Sinogram, axes) -> sparse.csr_matrix:
+    """Discrete X-ray operator: bilinear samples every half pixel per ray.
+
+    Columns index the image in C order; rows run over the offsets of one
+    angle after another, so A @ img.ravel() is sinogram.samples.T.ravel().
+    Samples outside the pixel box contribute nothing.
+    """
     x1, x2 = axes
     d1 = _check_uniform(x1, "axis 1")
     d2 = _check_uniform(x2, "axis 2")
+    n1, n2 = x1.size, x2.size
     step = 0.5 * min(d1, d2)
     span = float(np.hypot(x1[-1] - x1[0], x2[-1] - x2[0]))
     nu = np.arange(-0.5 * span, 0.5 * span + step, step)
-    return d1, d2, step, nu
-
-
-def _forward_apply(img, sino_shape, sino, axes, geom):
-    d1, d2, step, nu = geom
-    x1, x2 = axes
-    out = np.zeros(sino_shape)
-    for ja, a in enumerate(sino.angles):
-        om = np.array([np.cos(a), np.sin(a)])
-        perp = np.array([-np.sin(a), np.cos(a)])
-        p1 = sino.offsets[:, None] * perp[0] + nu[None, :] * om[0]
-        p2 = sino.offsets[:, None] * perp[1] + nu[None, :] * om[1]
-        u = (p1 - x1[0]) / d1
-        v = (p2 - x2[0]) / d2
-        inside = (u >= 0) & (u <= x1.size - 1) & (v >= 0) & (v <= x2.size - 1)
-        i0 = np.clip(np.floor(u).astype(int), 0, x1.size - 2)
-        j0 = np.clip(np.floor(v).astype(int), 0, x2.size - 2)
+    off = sino.offsets[:, None]
+    ray = np.broadcast_to(np.arange(off.size)[:, None], (off.size, nu.size))
+    blocks = []
+    for a in sino.angles:
+        u = (nu * np.cos(a) - off * np.sin(a) - x1[0]) / d1
+        v = (off * np.cos(a) + nu * np.sin(a) - x2[0]) / d2
+        inside = (u >= 0) & (u <= n1 - 1) & (v >= 0) & (v <= n2 - 1)
+        u, v, rows = u[inside], v[inside], ray[inside]
+        i0 = np.clip(np.floor(u).astype(int), 0, n1 - 2)
+        j0 = np.clip(np.floor(v).astype(int), 0, n2 - 2)
         fu = np.clip(u - i0, 0.0, 1.0)
         fv = np.clip(v - j0, 0.0, 1.0)
-        val = ((1 - fu) * (1 - fv) * img[i0, j0]
-               + fu * (1 - fv) * img[i0 + 1, j0]
-               + (1 - fu) * fv * img[i0, j0 + 1]
-               + fu * fv * img[i0 + 1, j0 + 1])
-        out[:, ja] = np.sum(np.where(inside, val, 0.0), axis=1) * step
-    return out
-
-
-def _adjoint_apply(res, img_shape, sino, axes, geom):
-    d1, d2, step, nu = geom
-    x1, x2 = axes
-    out = np.zeros(img_shape)
-    for ja, a in enumerate(sino.angles):
-        om = np.array([np.cos(a), np.sin(a)])
-        perp = np.array([-np.sin(a), np.cos(a)])
-        p1 = sino.offsets[:, None] * perp[0] + nu[None, :] * om[0]
-        p2 = sino.offsets[:, None] * perp[1] + nu[None, :] * om[1]
-        u = (p1 - x1[0]) / d1
-        v = (p2 - x2[0]) / d2
-        inside = (u >= 0) & (u <= x1.size - 1) & (v >= 0) & (v <= x2.size - 1)
-        i0 = np.clip(np.floor(u).astype(int), 0, x1.size - 2)
-        j0 = np.clip(np.floor(v).astype(int), 0, x2.size - 2)
-        fu = np.clip(u - i0, 0.0, 1.0)
-        fv = np.clip(v - j0, 0.0, 1.0)
-        r = np.where(inside, res[:, ja][:, None] * step, 0.0)
-        np.add.at(out, (i0, j0), (1 - fu) * (1 - fv) * r)
-        np.add.at(out, (i0 + 1, j0), fu * (1 - fv) * r)
-        np.add.at(out, (i0, j0 + 1), (1 - fu) * fv * r)
-        np.add.at(out, (i0 + 1, j0 + 1), fu * fv * r)
-    return out
+        col = i0 * n2 + j0
+        wts = np.concatenate([(1 - fu) * (1 - fv), fu * (1 - fv),
+                              (1 - fu) * fv, fu * fv]) * step
+        cols = np.concatenate([col, col + n2, col + 1, col + n2 + 1])
+        # duplicate (row, col) pairs are summed on conversion
+        blocks.append(sparse.csr_matrix((wts, (np.tile(rows, 4), cols)),
+                                        shape=(off.size, n1 * n2)))
+    return sparse.vstack(blocks, format="csr")
 
 
 def _rls(sino: Sinogram, axes, reg: float, iters: int = 60,
          tol: float = 1e-10) -> np.ndarray:
     """CGLS on the normal equations (A^T A + reg I) x = A^T b."""
-    geom = _ray_samples(sino, axes)
-    img_shape = (axes[0].size, axes[1].size)
-    b = sino.samples
+    A = _xray_matrix(sino, axes)
 
     def normal(x):
-        ax = _forward_apply(x, b.shape, sino, axes, geom)
-        return _adjoint_apply(ax, img_shape, sino, axes, geom) + reg * x
+        return A.T @ (A @ x) + reg * x
 
-    x = np.zeros(img_shape)
-    r = _adjoint_apply(b, img_shape, sino, axes, geom)  # A^T b - N x0
+    x = np.zeros(A.shape[1])
+    r = A.T @ sino.samples.T.ravel()  # A^T b - N x0
     p = r.copy()
     rs = float(np.sum(r * r))
     rs0 = rs
@@ -401,25 +367,29 @@ def _rls(sino: Sinogram, axes, reg: float, iters: int = 60,
         rs_new = float(np.sum(r * r))
         p = r + (rs_new / rs) * p
         rs = rs_new
-    return x
+    return x.reshape(axes[0].size, axes[1].size)
 
 
 def invert_xray_2d(sino: Sinogram, axes, method: str = "fbp",
                    reg: float = 0.0, truth=None) -> Reconstruction:
     """Invert a 2-D parallel-beam sinogram on the pixel grid `axes`.
 
-    fbp: apodized ramp filter + bilinear backprojection (needs >= 90
-    angles, else falls back to rls with a warning; gaps in the sweep
-    are absorbed by midpoint quadrature weights).
-    rls: conjugate-gradient least squares with Tikhonov weight `reg`.
+    fbp: apodized ramp filter + bilinear backprojection (needs >=
+    FBP_MIN_ANGLES angles, else falls back to rls with a warning; gaps in
+    the sweep are absorbed by midpoint quadrature weights).
+    rls: conjugate-gradient least squares with Tikhonov weight `reg`
+    (finite, >= 0) on the sparse ray-sampling matrix.
     """
     if method not in ("fbp", "rls"):
         raise ConfigError(f"invert_xray_2d: unknown method '{method}'")
+    if not (np.isfinite(reg) and reg >= 0):
+        raise ConfigError(f"invert_xray_2d: reg must be finite and >= 0, "
+                          f"got {reg!r}")
     axes = (np.asarray(axes[0], dtype=float), np.asarray(axes[1], dtype=float))
     if method == "fbp":
-        if sino.angles.size < 90:
-            warnings.warn("invert_xray_2d: fewer than 90 angles; "
-                          "falling back to rls")
+        if sino.angles.size < FBP_MIN_ANGLES:
+            warnings.warn(f"invert_xray_2d: fewer than {FBP_MIN_ANGLES} "
+                          "angles; falling back to rls")
             method = "rls"
         else:
             da = np.diff(sino.angles)

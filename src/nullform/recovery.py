@@ -30,7 +30,8 @@ from typing import Optional
 
 import numpy as np
 
-from .constants import PPW_MIN
+from .constants import (CHI_FLOOR_FRACTION, FBP_MIN_ANGLES,
+                        MISSING_ANGLE_FRACTION, PPW_MIN)
 from .errors import ConfigError, UnresolvedCarrierError
 from .fdtd import solve_semilinear
 from .geoptics import AnsatzSpec, a10_points, dt_u_incident, u_incident
@@ -219,10 +220,11 @@ def log_recover_ray_data(amp: ExtractedAmplitude, chi: Profile,
                          chi_floor: Optional[float] = None) -> RayData:
     """Ray-transform samples log(2 amp / (chi (A - iB))), real part.
 
-    Points where |chi(psi)| falls below the floor (default 10% of the
-    window maximum) are marked missing rather than extrapolated.  The
-    imaginary part of the log ratio is returned as a consistency
-    diagnostic; it vanishes for exact data because F is real.
+    Points where |chi(psi)| falls below the floor (default
+    CHI_FLOOR_FRACTION of the window maximum) are marked missing rather
+    than extrapolated.  The imaginary part of the log ratio is returned
+    as a consistency diagnostic; it vanishes for exact data because F is
+    real.
     """
     coeff = 0.5 * (A - 1j * B)
     if coeff == 0:
@@ -232,7 +234,8 @@ def log_recover_ray_data(amp: ExtractedAmplitude, chi: Profile,
     if peak == 0.0:
         raise ConfigError("log_recover_ray_data: chi vanishes on the "
                           "whole measurement window")
-    floor = 0.1 * peak if chi_floor is None else float(chi_floor)
+    floor = CHI_FLOOR_FRACTION * peak if chi_floor is None \
+        else float(chi_floor)
     denom = chiv * coeff
     valid = np.broadcast_to(np.abs(chiv) >= floor, amp.values.shape).copy()
     ratio = np.ones_like(amp.values)
@@ -428,7 +431,7 @@ def recover_potential_2d(probes, axes, method: str = "fbp",
                          reg: float = 1e-8, truth=None,
                          chi: Optional[Profile] = None,
                          A: float = 1.0, B: float = 0.5,
-                         max_missing: float = 0.3):
+                         max_missing: float = MISSING_ANGLE_FRACTION):
     """Reconstruct the spatial factor of q from a probe sweep.
 
     Each probe is demodulated (with the two-h Richardson step when a
@@ -444,9 +447,9 @@ def recover_potential_2d(probes, axes, method: str = "fbp",
     if chi is None:
         raise ConfigError("recover_potential_2d: need the pulse profile chi")
     probes = list(probes)
-    if len(probes) < 90:
+    if len(probes) < FBP_MIN_ANGLES:
         raise ConfigError(f"recover_potential_2d: {len(probes)} probe "
-                          "directions; the sweep needs >= 90")
+                          f"directions; the sweep needs >= {FBP_MIN_ANGLES}")
     angles = np.array([p.angle for p in probes])
     if np.any(np.diff(angles) <= 0):
         raise ConfigError("recover_potential_2d: probe angles must be "

@@ -179,6 +179,38 @@ def test_recover_jobs_do_not_change_output(tmp_path):
     assert (d1 / "reconstruction.pgm").read_text().startswith("P2")
 
 
+def test_recover_pgm_shows_x2_up(tmp_path):
+    # offset_bump peaks at (x1, x2) = (0.35, 0.15): right of and above
+    # the centre of the 25 x 25 preview
+    cfg = RECOVER_CFG.replace("key = radial_bump", "key = offset_bump") \
+        .replace("flat=1.5", "flat=2.5")
+    d = run_scenario(_write(tmp_path, cfg), out_root=tmp_path / "out")
+    tokens = (d / "reconstruction.pgm").read_text().split()
+    assert tokens[:4] == ["P2", "25", "25", "255"]
+    img = np.array(tokens[4:], dtype=int).reshape(25, 25)
+    row, col = np.unravel_index(np.argmax(img), img.shape)
+    assert row < 12 < col
+    arrays, _ = read_bundle(d / "reconstruction.nfg")
+    vals = arrays["values"]
+    scaled = np.round((vals - vals.min()) * (255 / np.ptp(vals)))
+    assert np.array_equal(img, scaled.T[::-1])
+
+
+@pytest.mark.parametrize("field,value", [
+    ("method", "lsqr"), ("reg", "nan"), ("reg", "inf"), ("reg", "-1e-8")])
+def test_recover_rejects_bad_method_or_reg(tmp_path, capsys, monkeypatch,
+                                           field, value):
+    def no_synthesis(*args, **kwargs):
+        raise AssertionError("probe synthesis ran before validation")
+
+    monkeypatch.setattr("nullform.cli.ansatz_measurements", no_synthesis)
+    p = _write(tmp_path, RECOVER_CFG + f"{field} = {value}\n")
+    with pytest.raises(ConfigError, match=rf"\[recover\] {field}"):
+        run_scenario(p, out_root=tmp_path / "lib")
+    assert main(["run", str(p), "--out", str(tmp_path / "out")]) == 2
+    assert f"[recover] {field}" in capsys.readouterr().err
+
+
 # ----------------------------------------------------------------------
 # compare
 

@@ -7,7 +7,7 @@ from nullform.grids import (
     SpacetimeGrid, dalembertian, diff1, diff2, grad1_4, l2_norm, laplacian2,
     laplacian4, spacetime_gradient,
 )
-from nullform.gridio import read_bundle, read_grid, write_bundle, write_grid, write_pgm
+from nullform.gridio import read_bundle, write_bundle, write_pgm
 
 
 def test_diff_orders_on_polynomial():
@@ -76,24 +76,20 @@ def test_l2_norm_deterministic():
     assert a == b
 
 
-def test_grid_roundtrip(tmp_path):
-    arr = np.arange(24, dtype=np.complex128).reshape(2, 3, 4) * (1 + 2j)
-    meta = {"V": [1, 1.0, 0.0], "note": "x"}
-    p = tmp_path / "a.nfg"
-    write_grid(p, arr, meta)
-    back, m2 = read_grid(p)
-    assert np.array_equal(back, arr)
-    assert m2["note"] == "x"
-
-
 def test_bundle_roundtrip(tmp_path):
-    a = np.linspace(0, 1, 7)
-    b = np.ones((2, 2), dtype=np.float64)
+    arrays = {"a": np.linspace(0, 1, 7),
+              "b": np.ones((2, 2), dtype=np.float64),
+              "c": np.arange(24, dtype=np.complex128).reshape(2, 3, 4)
+              * (1 + 2j)}
+    meta = {"k": 1, "V": [1, 1.0, 0.0], "note": "x"}
     p = tmp_path / "b.nfg"
-    write_bundle(p, {"a": a, "b": b}, {"k": 1})
-    arrs, meta = read_bundle(p)
-    assert np.array_equal(arrs["a"], a) and np.array_equal(arrs["b"], b)
-    assert meta == {"k": 1}
+    write_bundle(p, arrays, meta)
+    back, m2 = read_bundle(p)
+    assert back.keys() == arrays.keys()
+    for name, arr in arrays.items():
+        assert back[name].dtype == arr.dtype
+        assert np.array_equal(back[name], arr)
+    assert m2 == meta
 
 
 def test_pgm_preview(tmp_path):

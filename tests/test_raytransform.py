@@ -3,13 +3,14 @@
 import numpy as np
 import pytest
 
-from nullform.errors import ConfigError
+from nullform.errors import ConfigError, QuadratureError
+from nullform.geoptics import ray_exponent
 from nullform.minkowski import LightVector
-from nullform.potential import VectorFieldF, get_potential
+from nullform.potential import Potential, VectorFieldF, get_potential
 from nullform.profiles import ramp
 from nullform.raytransform import (
-    Reconstruction, Sinogram, _adjoint_apply, _forward_apply, _ray_samples,
-    invert_xray_2d, lightray_forward, xray_forward_2d, xray_reduce,
+    Sinogram, _adaptive_line_integral, _xray_matrix, invert_xray_2d,
+    lightray_forward, xray_forward_2d, xray_reduce,
 )
 
 PHI = ramp(1.5, 0.5, 1.0)
@@ -67,6 +68,39 @@ def test_forward_linearity_in_amplitude():
     b = lightray_forward(_field(amplitude=3.0), LightVector(1, (0.0, 1.0)),
                          W0, offsets, angles)
     assert np.allclose(b.samples, 3.0 * a.samples, atol=1e-10)
+
+
+class _HalfDisk(Potential):
+    """q = 1 on the half of the disk |x'| < 0.5 with x1 > 0: a jump."""
+
+    key = "half_disk"
+    R = 0.5
+    center = (0.0, 0.0)
+    n = 2
+
+    def q(self, t, xs, u):
+        return np.where(np.asarray(xs[0]) > 0.0, 1.0, 0.0)
+
+
+def test_line_integral_reports_nonconvergence(monkeypatch):
+    import nullform.raytransform as rt
+    monkeypatch.setattr(rt, "RAY_QUAD_MAX_DOUBLINGS", 1)
+
+    def step(sig, pts):
+        return (pts[..., 0] > 0.3).astype(float)
+
+    # line 1 crosses the jump; line 0 is empty and line 2 sees a constant
+    base = np.zeros((3, 2))
+    with pytest.raises(QuadratureError) as exc:
+        _adaptive_line_integral(step, base, np.array([1.0, 0.0]),
+                                np.zeros(3), np.array([0.0, 1.0, 0.1]), 1e-9)
+    assert exc.value.ray == 1
+    xp = np.array([[-0.4, 0.0]])  # crosses the jump at sigma = 0.4
+    with pytest.raises(QuadratureError) as exc:
+        ray_exponent(_HalfDisk(), PHI, LightVector(1, (0.0, 1.0)), W0,
+                     0.25, xp)
+    msg = str(exc.value)
+    assert "x'=[-0.4" in msg and "t=0.25" in msg
 
 
 def test_forward_rejects_bad_args():
@@ -199,28 +233,42 @@ def test_angle_doubling_non_increasing_error():
     assert errs[0] >= errs[1] >= errs[2]
 
 
-def test_discrete_operator_adjointness():
+def test_xray_matrix_matches_interpolator():
+    # independent reference: scipy's bilinear interpolator, zero outside
+    # the pixel box, sampled every half pixel along each ray.  Dyadic
+    # spacings keep the sample positions exact, so at angles 0 and pi/2
+    # the edge offsets put samples exactly on the first and last grid
+    # lines of both axes.
+    from scipy.interpolate import RegularGridInterpolator
     rng = np.random.default_rng(7)
-    ax = (np.linspace(-1, 1, 21), np.linspace(-1, 1, 19))
-    sino = Sinogram(np.linspace(-1, 1, 15),
-                    np.linspace(0, np.pi, 12, endpoint=False),
-                    np.zeros((15, 12)))
-    geom = _ray_samples(sino, ax)
-    x = rng.standard_normal((21, 19))
-    y = rng.standard_normal((15, 12))
-    ax_y = _forward_apply(x, y.shape, sino, ax, geom)
-    at_y = _adjoint_apply(y, x.shape, sino, ax, geom)
-    lhs = float(np.sum(ax_y * y))
-    rhs = float(np.sum(x * at_y))
-    assert lhs == pytest.approx(rhs, rel=1e-12)
+    ax = (np.linspace(-1.25, 1.25, 21), np.linspace(-1.125, 1.125, 19))
+    offsets = np.linspace(-1.25, 1.25, 21)
+    angles = np.array([0.0, 0.4, np.pi / 2, 2.0, 2.9])
+    sino = Sinogram(offsets, angles, np.zeros((21, angles.size)))
+    img = rng.standard_normal((21, 19))
+    interp = RegularGridInterpolator(ax, img, bounds_error=False,
+                                     fill_value=0.0)
+    step = 0.5 * 0.125
+    span = np.hypot(2.5, 2.25)
+    nu = np.arange(-0.5 * span, 0.5 * span + step, step)
+    want = np.zeros(sino.samples.shape)
+    for ja, a in enumerate(angles):
+        for i, s in enumerate(offsets):
+            pts = np.stack([-s * np.sin(a) + nu * np.cos(a),
+                            s * np.cos(a) + nu * np.sin(a)], axis=-1)
+            want[i, ja] = np.sum(interp(pts)) * step
+    assert np.all(want[[0, -1], 2] != 0) and np.all(want[[1, -2], 0] != 0)
+    A = _xray_matrix(sino, ax)
+    assert A.shape == (21 * angles.size, 21 * 19)
+    got = (A @ img.ravel()).reshape(angles.size, 21).T
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
-def test_pgm_preview():
-    rec = Reconstruction((np.arange(3.0), np.arange(2.0)),
-                         np.array([[0.0, 1.0], [0.5, 0.25], [1.0, 0.0]]),
-                         "fbp")
-    pgm = rec.to_pgm()
-    lines = pgm.strip().split("\n")
-    assert lines[0] == "P2"
-    assert lines[1] == "3 2"
-    assert lines[2] == "255"
+@pytest.mark.parametrize("reg", [np.nan, np.inf, -1e-8])
+def test_invert_rejects_bad_reg(reg):
+    sino = Sinogram(np.linspace(-1, 1, 9),
+                    np.linspace(0, np.pi, 4, endpoint=False),
+                    np.ones((9, 4)))
+    ax = np.linspace(-1, 1, 9)
+    with pytest.raises(ConfigError, match="reg"):
+        invert_xray_2d(sino, (ax, ax), method="rls", reg=reg)
