@@ -76,20 +76,26 @@ def test_l2_norm_deterministic():
     assert a == b
 
 
-def test_bundle_roundtrip(tmp_path):
-    arrays = {"a": np.linspace(0, 1, 7),
-              "b": np.ones((2, 2), dtype=np.float64),
-              "c": np.arange(24, dtype=np.complex128).reshape(2, 3, 4)
-              * (1 + 2j)}
-    meta = {"k": 1, "V": [1, 1.0, 0.0], "note": "x"}
-    p = tmp_path / "b.nfg"
-    write_bundle(p, arrays, meta)
+def test_grid_roundtrip(tmp_path):
+    arr = np.arange(24, dtype=np.complex128).reshape(2, 3, 4) * (1 + 2j)
+    meta = {"V": [1, 1.0, 0.0], "note": "x"}
+    p = tmp_path / "a.nfg"
+    write_bundle(p, {"data": arr}, meta)
     back, m2 = read_bundle(p)
-    assert back.keys() == arrays.keys()
-    for name, arr in arrays.items():
-        assert back[name].dtype == arr.dtype
-        assert np.array_equal(back[name], arr)
+    assert back["data"].dtype == arr.dtype
+    assert np.array_equal(back["data"], arr)
     assert m2 == meta
+
+
+def test_bundle_roundtrip(tmp_path):
+    a = np.linspace(0, 1, 7)
+    b = np.ones((2, 2), dtype=np.float64)
+    p = tmp_path / "b.nfg"
+    write_bundle(p, {"a": a, "b": b}, {"k": 1})
+    arrs, meta = read_bundle(p)
+    assert arrs.keys() == {"a", "b"}
+    assert np.array_equal(arrs["a"], a) and np.array_equal(arrs["b"], b)
+    assert meta == {"k": 1}
 
 
 def test_pgm_preview(tmp_path):
