@@ -276,25 +276,38 @@ def _multi_indices(n, m):
     return out
 
 
-def _apply_alpha(u, dx, alpha):
-    out = u
-    for ax, k in enumerate(alpha):
-        for _ in range(k):
-            out = diff1(out, dx[ax], ax)
-    return out
+def weighted_norm(u, dx, m, mu):
+    """||u||_{m,mu} = sum_{|alpha|<=m} mu^(m-|alpha|) ||D^alpha u||_{L2}.
 
-
-def weighted_norm(u, dx, m, mu) -> float:
-    """||u||_{m,mu} = sum_{|alpha|<=m} mu^(m-|alpha|) ||D^alpha u||_{L2}."""
+    The last len(dx) axes of u are space; any leading axes index levels
+    and one norm per level is returned (a float when there are none).
+    D^alpha is one diff1 of its parent D^(alpha - e_j), j the last axis
+    alpha differentiates, taken along axis j of the whole array; only
+    the previous order's derivatives are kept.
+    """
     u = np.asarray(u)
+    n = len(dx)
+    lead = u.shape[:u.ndim - n]
     vol = float(np.prod(dx))
     total = 0.0
-    for alpha in _multi_indices(len(dx), m):
-        total += mu ** (m - sum(alpha)) * l2_norm(_apply_alpha(u, dx, alpha), vol)
-    return total
+    prev = {}
+    for order, alphas in itertools.groupby(_multi_indices(n, m), key=sum):
+        cur = {}
+        for alpha in alphas:
+            if order == 0:
+                d = u
+            else:
+                j = max(ax for ax, k in enumerate(alpha) if k)
+                parent = alpha[:j] + (alpha[j] - 1,) + alpha[j + 1:]
+                d = diff1(prev[parent], dx[j], len(lead) + j)
+            cur[alpha] = d
+            s = np.sum(np.abs(d.reshape(lead + (-1,))) ** 2, axis=-1)
+            total = total + mu ** (m - order) * np.sqrt(s * vol)
+        prev = cur
+    return float(total) if not lead else total
 
 
-def sobolev_norm(u, dx, m) -> float:
+def sobolev_norm(u, dx, m):
     """H^m norm in the paper's summed form (weighted_norm with mu = 1)."""
     return weighted_norm(u, dx, m, 1.0)
 
@@ -304,11 +317,8 @@ def spacetime_norm(traj: Trajectory, spec: WeightedNormSpec) -> float:
     for d_t u.  Times are measured from the trajectory start."""
     t = traj.times - traj.times[0]
     w = np.exp(-2.0 * spec.lam * t)
-    dxs = traj.dx
-    nu = np.array([weighted_norm(traj.u[k], dxs, spec.m, spec.mu)
-                   for k in range(len(t))])
-    nut = np.array([weighted_norm(traj.ut[k], dxs, spec.m, spec.mu)
-                    for k in range(len(t))])
+    nu = weighted_norm(traj.u, traj.dx, spec.m, spec.mu)
+    nut = weighted_norm(traj.ut, traj.dx, spec.m, spec.mu)
     iu = np.sqrt(np.trapezoid(w * nu**2, t))
     iut = np.sqrt(np.trapezoid(w * nut**2, t))
     return float(iu + iut)
@@ -339,15 +349,13 @@ def check_energy_estimate(traj: Trajectory, lam: float, m: int,
     """
     t = traj.times - traj.times[0]
     nt = len(t)
-    E = np.empty(nt)
-    for k in range(nt):
-        E[k] = (sobolev_norm(traj.ut[k], traj.dx, m)
-                + sobolev_norm(traj.u[k], traj.dx, m + 1)
-                + lam * sobolev_norm(traj.u[k], traj.dx, m))
+    E = (sobolev_norm(traj.ut, traj.dx, m)
+         + sobolev_norm(traj.u, traj.dx, m + 1)
+         + lam * sobolev_norm(traj.u, traj.dx, m))
     if box_u is None:
         boxn = np.zeros(nt)
     else:
-        boxn = np.array([sobolev_norm(box_u[k], traj.dx, m) for k in range(nt)])
+        boxn = sobolev_norm(box_u, traj.dx, m)
     w = np.exp(-2.0 * lam * t)
     lhs = np.empty(nt)
     rhs = np.empty(nt)
@@ -443,9 +451,9 @@ def picard_iterate(q: Potential, v_traj: Trajectory, residual=None,
     dx = v_traj.dx
     xs = _space_coords(v_traj.u.shape[1:], v_traj.x0, dx)
     v = v_traj.u
-    if residual is None:
-        residual = _discrete_box(v, dt, dx) - _nullform_traj(q, times, xs, v, dt, dx)
     Qv = _nullform_traj(q, times, xs, v, dt, dx)
+    if residual is None:
+        residual = _discrete_box(v, dt, dx) - Qv
 
     def wrap(warr):
         return Trajectory(times, warr, _centered_ut(warr, dt), v_traj.x0, dx)

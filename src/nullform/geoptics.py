@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
 
 import numpy as np
-from scipy.interpolate import CubicSpline
+from scipy.interpolate import CubicSpline, PPoly
 
 from .constants import CFL_LIMIT, NULL_PAIRING_TOL, PPW_MIN, RAY_QUAD_ABS_TOL
 from .errors import CFLError, ConfigError, QuadratureError, \
@@ -739,12 +739,19 @@ def residual_coefficients(spec: AnsatzSpec, q: Potential, table: CoeffTable):
     return coeffs, defects
 
 
+# time levels per block in _norms_from_coeffs: bounds the fine-grid
+# arrays to a few (block x nx_fine) complex arrays per call
+_NORM_BLOCK = 8
+
+
 def _norms_from_coeffs(coeffs, table: CoeffTable, h: float, refine: int,
                        margin: int = 2):
     """sup-in-time L2 and global Linf of sum_m e^{im psi/h} g_m(h, x).
 
     The smooth bin fields g_m = sum_p h^p C_{p,m} are refined in x with
-    cubic splines; the carrier is evaluated exactly at the fine points.
+    one cubic spline per bin over all measured levels, evaluated a block
+    of levels at a time; the carriers are powers of e^{i psi/h}, which
+    is evaluated exactly at the fine points.
     """
     grid = table.grid
     x = grid.axis(0)
@@ -755,15 +762,24 @@ def _norms_from_coeffs(coeffs, table: CoeffTable, h: float, refine: int,
     for (p, m), arr in coeffs.items():
         g = h ** p * arr
         bins[m] = bins.get(m, 0) + g
+    levels = slice(margin, grid.nt - margin)
+    t = grid.t[levels]
+    splines = {m: CubicSpline(x, g[levels], axis=1) for m, g in bins.items()}
+    mmax = max((abs(m) for m in bins), default=0)
     sup_l2 = 0.0
     sup_linf = 0.0
-    for k in range(margin, grid.nt - margin):
-        t = float(grid.t[k])
-        psi = t + om * xf
-        R = np.zeros_like(xf, dtype=complex)
-        for m, g in bins.items():
-            R += np.exp(1j * m * psi / h) * CubicSpline(x, g[k])(xf)
-        sup_l2 = max(sup_l2, l2_norm(R.real, dxf))
+    for k0 in range(0, t.size, _NORM_BLOCK):
+        blk = slice(k0, k0 + _NORM_BLOCK)
+        psi = t[blk, None] + om * xf
+        carrier = [1.0, np.exp(1j * psi / h)]
+        while len(carrier) <= mmax:
+            carrier.append(carrier[-1] * carrier[1])
+        R = np.zeros(psi.shape, dtype=complex)
+        for m, sp in splines.items():
+            gm = PPoly.construct_fast(sp.c[..., blk], sp.x, axis=1)(xf)
+            R += (carrier[m] if m >= 0 else np.conj(carrier[-m])) * gm
+        l2 = np.sqrt(np.sum(R.real**2, axis=1) * dxf)
+        sup_l2 = max(sup_l2, float(np.max(l2)))
         sup_linf = max(sup_linf, float(np.max(np.abs(R.real))))
     return sup_l2, sup_linf
 

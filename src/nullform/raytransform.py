@@ -308,12 +308,18 @@ def _fbp(sino: Sinogram, axes) -> np.ndarray:
     return out
 
 
+# tolerance, in cells, of the pixel-box edge test in _xray_matrix
+_EDGE_TOL = 1e-9
+
+
 def _xray_matrix(sino: Sinogram, axes) -> sparse.csr_matrix:
     """Discrete X-ray operator: bilinear samples every half pixel per ray.
 
     Columns index the image in C order; rows run over the offsets of one
     angle after another, so A @ img.ravel() is sinogram.samples.T.ravel().
-    Samples outside the pixel box contribute nothing.
+    Samples outside the pixel box contribute nothing; samples within
+    _EDGE_TOL cells of its edge lines count as on them, so whether a ray
+    along an edge is kept does not hang on the rounding of (p - x0)/d.
     """
     x1, x2 = axes
     d1 = _check_uniform(x1, "axis 1")
@@ -328,7 +334,8 @@ def _xray_matrix(sino: Sinogram, axes) -> sparse.csr_matrix:
     for a in sino.angles:
         u = (nu * np.cos(a) - off * np.sin(a) - x1[0]) / d1
         v = (off * np.cos(a) + nu * np.sin(a) - x2[0]) / d2
-        inside = (u >= 0) & (u <= n1 - 1) & (v >= 0) & (v <= n2 - 1)
+        inside = ((u >= -_EDGE_TOL) & (u <= n1 - 1 + _EDGE_TOL)
+                  & (v >= -_EDGE_TOL) & (v <= n2 - 1 + _EDGE_TOL))
         u, v, rows = u[inside], v[inside], ray[inside]
         i0 = np.clip(np.floor(u).astype(int), 0, n1 - 2)
         j0 = np.clip(np.floor(v).astype(int), 0, n2 - 2)

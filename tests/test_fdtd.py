@@ -1,7 +1,11 @@
 """Leapfrog/RK4 solvers, weighted norms, energy check, Picard iteration."""
 
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nullform.errors import BlowUpError, CFLError, ConfigError
 from nullform.fdtd import (
@@ -9,6 +13,7 @@ from nullform.fdtd import (
     check_energy_estimate, leapfrog_first_step, picard_iterate,
     solve_semilinear, spacetime_norm, step_linear_wave, weighted_norm,
 )
+from nullform.grids import diff1
 from nullform.potential import Potential, get_potential
 from nullform.profiles import bump
 
@@ -207,6 +212,39 @@ def test_weighted_norm_examples():
     n2 = weighted_norm(f, (dx,), 1, 2.0)
     n3 = weighted_norm(f, (dx,), 1, 3.0)
     assert n3 - n2 == pytest.approx(n2 - n1, rel=1e-12)
+
+
+def _weighted_norm_one_level(u, dx, m, mu):
+    # reference: every D^alpha by repeated diff1 from u itself
+    total = 0.0
+    for alpha in itertools.product(range(m + 1), repeat=len(dx)):
+        if sum(alpha) > m:
+            continue
+        d = u
+        for ax, k in enumerate(alpha):
+            for _ in range(k):
+                d = diff1(d, dx[ax], ax)
+        total += mu ** (m - sum(alpha)) * np.sqrt(np.sum(d**2) * np.prod(dx))
+    return total
+
+
+@settings(deadline=None, max_examples=60)
+@given(n=st.integers(1, 2), m=st.integers(0, 3), mu=st.floats(0.1, 10.0),
+       lead=st.lists(st.integers(1, 4), max_size=2),
+       space=st.lists(st.integers(6, 14), min_size=2, max_size=2),
+       seed=st.integers(0, 2**32 - 1))
+def test_weighted_norm_batched_matches_per_level(n, m, mu, lead, space, seed):
+    rng = np.random.default_rng(seed)
+    dx = tuple(rng.uniform(0.01, 0.5, n))
+    u = rng.standard_normal(tuple(lead) + tuple(space[:n]))
+    got = weighted_norm(u, dx, m, mu)
+    want = np.array([_weighted_norm_one_level(u[i], dx, m, mu)
+                     for i in np.ndindex(*lead)]).reshape(lead)
+    if not lead:
+        assert isinstance(got, float)
+    else:
+        assert got.shape == tuple(lead)
+    np.testing.assert_allclose(got, want, rtol=1e-13)
 
 
 def test_weighted_norm_spec_validation():

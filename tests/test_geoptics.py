@@ -2,13 +2,14 @@
 
 import numpy as np
 import pytest
+from scipy.interpolate import CubicSpline
 
 from nullform.errors import CFLError, ConfigError, UnresolvedCarrierError
 from nullform.geoptics import (
-    AnsatzSpec, CoeffTable, ResidualReport, assemble_uN, a10_points,
-    background_field, build_hierarchy, measure_residual_order, ray_exponent,
-    residual_coefficients, solve_A10_closed_form, solve_m0_wave,
-    solve_transport, u_incident,
+    _NORM_BLOCK, AnsatzSpec, CoeffTable, ResidualReport, _norms_from_coeffs,
+    assemble_uN, a10_points, background_field, build_hierarchy,
+    measure_residual_order, ray_exponent, residual_coefficients,
+    solve_A10_closed_form, solve_m0_wave, solve_transport, u_incident,
 )
 from nullform.grids import SpacetimeGrid
 from nullform.minkowski import LightVector
@@ -308,6 +309,46 @@ def test_residual_order_leading(tmp_path=None):
     assert len(rep.used) >= 2
     # residual decays monotonically across the sweep
     assert all(a > b for a, b in zip(rep.l2, rep.l2[1:]))
+
+
+def _norms_per_level(coeffs, table, h, refine, margin=2):
+    # reference: one spline per level and bin, one exp per level and bin
+    grid = table.grid
+    x = grid.axis(0)
+    xf = np.linspace(x[0], x[-1], (len(x) - 1) * refine + 1)
+    om = table.W.direction[0]
+    bins = {}
+    for (p, m), arr in coeffs.items():
+        bins[m] = bins.get(m, 0) + h**p * arr
+    sup_l2 = sup_linf = 0.0
+    for k in range(margin, grid.nt - margin):
+        psi = grid.t[k] + om * xf
+        R = np.zeros_like(xf, dtype=complex)
+        for m, g in bins.items():
+            R += np.exp(1j * m * psi / h) * CubicSpline(x, g[k])(xf)
+        sup_l2 = max(sup_l2, np.sqrt(np.sum(R.real**2) * (xf[1] - xf[0])))
+        sup_linf = max(sup_linf, np.max(np.abs(R.real)))
+    return sup_l2, sup_linf
+
+
+@pytest.fixture(scope="module", params=[0, 1])
+def residual_table(request):
+    # N = 1 has carrier bins up to |m| = 4
+    spec = _spec(N=request.param, dx=0.04)
+    q = get_potential("radial_bump", 1)
+    table = build_hierarchy(spec, q)
+    coeffs, _ = residual_coefficients(spec, q, table)
+    return coeffs, table
+
+
+@pytest.mark.parametrize("h", [1 / 8, 1 / 32])
+def test_norms_from_coeffs_match_per_level_splines(residual_table, h):
+    coeffs, table = residual_table
+    # the last block of measured levels is a partial one
+    assert (table.grid.nt - 4) % _NORM_BLOCK != 0
+    got = _norms_from_coeffs(coeffs, table, h, refine=4)
+    want = _norms_per_level(coeffs, table, h, refine=4)
+    np.testing.assert_allclose(got, want, rtol=1e-12)
 
 
 def test_residual_needs_polynomial_potential():

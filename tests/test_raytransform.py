@@ -264,6 +264,17 @@ def test_xray_matrix_matches_interpolator():
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
+def test_xray_matrix_keeps_edge_rays():
+    # on 21 points over [-1, 1], (1 - x0) / d rounds to just above 20, so
+    # the rays along the last grid lines sit a hair outside the pixel box;
+    # they must still see the whole unit image, like the interior ray
+    x = np.linspace(-1.0, 1.0, 21)
+    sino = Sinogram(np.array([-1.0, 0.0, 1.0]), np.array([0.0, np.pi / 2]),
+                    np.zeros((3, 2)))
+    got = _xray_matrix(sino, (x, x)) @ np.ones(x.size**2)
+    np.testing.assert_allclose(got, 2.0, rtol=1e-12)
+
+
 @pytest.mark.parametrize("reg", [np.nan, np.inf, -1e-8])
 def test_invert_rejects_bad_reg(reg):
     sino = Sinogram(np.linspace(-1, 1, 9),
