@@ -83,16 +83,6 @@ class Trajectory:
     x0: tuple
     dx: tuple
 
-    @property
-    def n(self) -> int:
-        return len(self.dx)
-
-    def cell_volume(self) -> float:
-        v = 1.0
-        for d in self.dx:
-            v *= d
-        return v
-
 
 def null_form_grid(q: Potential, t, xs, u, ut, grad_u):
     """Q = q(x,u) (ut^2 - |grad' u|^2) on grid arrays."""
@@ -347,23 +337,18 @@ def check_energy_estimate(traj: Trajectory, lam: float, m: int,
     RHS(t) = E(0) + lam^{-1/2} (int_0^t e^{-2 lam s} ||box u||_{H^m}^2)^{1/2}.
     Returns C = max_t LHS/RHS.  box_u defaults to zero (homogeneous solve).
     """
+    # imported here: scipy.integrate adds ~1.5 MB to every process
+    from scipy.integrate import cumulative_trapezoid
     t = traj.times - traj.times[0]
-    nt = len(t)
     E = (sobolev_norm(traj.ut, traj.dx, m)
          + sobolev_norm(traj.u, traj.dx, m + 1)
          + lam * sobolev_norm(traj.u, traj.dx, m))
-    if box_u is None:
-        boxn = np.zeros(nt)
-    else:
-        boxn = sobolev_norm(box_u, traj.dx, m)
+    boxn = 0.0 if box_u is None else sobolev_norm(box_u, traj.dx, m)
     w = np.exp(-2.0 * lam * t)
-    lhs = np.empty(nt)
-    rhs = np.empty(nt)
-    for k in range(nt):
-        ie = np.trapezoid((w * E**2)[: k + 1], t[: k + 1]) if k else 0.0
-        ib = np.trapezoid((w * boxn**2)[: k + 1], t[: k + 1]) if k else 0.0
-        lhs[k] = np.exp(-lam * t[k]) * E[k] + np.sqrt(lam) * np.sqrt(ie)
-        rhs[k] = E[0] + np.sqrt(ib) / np.sqrt(lam)
+    ie = cumulative_trapezoid(w * E**2, t, initial=0.0)
+    ib = cumulative_trapezoid(w * boxn**2, t, initial=0.0)
+    lhs = np.exp(-lam * t) * E + np.sqrt(lam) * np.sqrt(ie)
+    rhs = E[0] + np.sqrt(ib) / np.sqrt(lam)
     C = float(np.max(lhs / rhs))
     return EnergyReport(C, lam, m, lhs, rhs, traj.times)
 
@@ -393,10 +378,8 @@ def _centered_ut(A, dt):
 
 def _discrete_box(A, dt, dx):
     """box_h = -(2nd time difference) + Lap_h, leapfrog-consistent."""
-    out = np.zeros_like(A)
-    out[1:-1] = -(A[2:] - 2 * A[1:-1] + A[:-2]) / dt**2
-    for k in range(A.shape[0]):
-        out[k] += laplacian2(A[k], dx)
+    out = laplacian2(A, dx)
+    out[1:-1] -= (A[2:] - 2 * A[1:-1] + A[:-2]) / dt**2
     out[0] = out[1]
     out[-1] = out[-2]
     return out
@@ -404,14 +387,8 @@ def _discrete_box(A, dt, dx):
 
 def _nullform_traj(q, times, xs, A, dt, dx):
     """Q(x, A, grad A) with leapfrog-consistent centered differences."""
-    ut = _centered_ut(A, dt)
-    out = np.empty_like(A)
-    for k in range(A.shape[0]):
-        g2 = ut[k] ** 2
-        for g in grad1_2(A[k], dx):
-            g2 = g2 - g**2
-        out[k] = q.q(times[k], xs, A[k]) * g2
-    return out
+    t = np.reshape(times, (-1,) + (1,) * len(dx))
+    return null_form_grid(q, t, xs, A, _centered_ut(A, dt), grad1_2(A, dx))
 
 
 def _solve_forced_wave(source, dt, dx):

@@ -34,7 +34,8 @@ from scipy.interpolate import CubicSpline, PPoly
 from .constants import CFL_LIMIT, NULL_PAIRING_TOL, PPW_MIN, RAY_QUAD_ABS_TOL
 from .errors import CFLError, ConfigError, QuadratureError, \
     UnresolvedCarrierError
-from .grids import SpacetimeGrid, diff1, diff2, grad1_2, l2_norm, laplacian2
+from .grids import (SpacetimeGrid, diff1, diff2, grad1_2, l2_norm,
+                    laplacian2, shift)
 from .minkowski import LightVector
 from .potential import Potential
 from .profiles import Profile
@@ -202,22 +203,6 @@ def solve_A10_closed_form(q: Potential, phi: Profile, chi: Profile,
 # transport along characteristics (1+1D, dt = dx, omega = +-1)
 
 
-def _shift(a, s, axis=-1):
-    """out[j] = a[j + s] along `axis`, zeros flowing in at the boundary."""
-    out = np.zeros_like(a)
-    if s == 0:
-        out[...] = a
-        return out
-    src = [slice(None)] * a.ndim
-    dst = [slice(None)] * a.ndim
-    if s > 0:
-        dst[axis], src[axis] = slice(None, -s), slice(s, None)
-    else:
-        dst[axis], src[axis] = slice(-s, None), slice(None, s)
-    out[tuple(dst)] = a[tuple(src)]
-    return out
-
-
 def solve_transport(source_field, F_field, omega, inflow_data,
                     grid: SpacetimeGrid) -> np.ndarray:
     """March dA/dt = F A + source along rays x(t) = x0 - omega t.
@@ -249,7 +234,7 @@ def solve_transport(source_field, F_field, omega, inflow_data,
     A[0] = inflow_data
 
     def sh(a, s):
-        return _shift(a, s, ax)
+        return shift(a, s, ax)
 
     def ray_mid(G, k):
         """G on the ray at level k + 1/2, for rays indexed at level k+1."""
@@ -434,9 +419,9 @@ class _RowFields:
         else:
             w = int(ray_shift)
             ext = np.concatenate([
-                _shift(A[0], -2 * w)[None], _shift(A[0], -w)[None],
+                shift(A[0], -2 * w)[None], shift(A[0], -w)[None],
                 A,
-                _shift(A[-1], w)[None], _shift(A[-1], 2 * w)[None],
+                shift(A[-1], w)[None], shift(A[-1], 2 * w)[None],
             ])
             self.At = diff1(ext, grid.dt, 0)[2:-2]
             d2t = diff2(ext, grid.dt, 0)[2:-2]
@@ -729,8 +714,8 @@ def residual_coefficients(spec: AnsatzSpec, q: Potential, table: CoeffTable):
             continue
         TA = _series_at(parts, p, m, grid.shape) / (2j * m)  # = F A + src
         A = table.rows[(m, p)]
-        ray_A = np.stack([_shift(A[k], -k * w) for k in range(grid.nt)])
-        ray_T = np.stack([_shift(TA[k], -k * w) for k in range(grid.nt)])
+        ray_A = np.stack([shift(A[k], -k * w) for k in range(grid.nt)])
+        ray_T = np.stack([shift(TA[k], -k * w) for k in range(grid.nt)])
         D = diff1(ray_A, grid.dt, 0) - ray_T
         worst = 0.0
         for k in range(margin, grid.nt - margin):

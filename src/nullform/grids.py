@@ -1,10 +1,15 @@
 """Uniform spacetime grids and finite-difference stencils.
 
 Fields live on arrays of shape (nt, nx1, ..., nxn); axis 0 is time.
-Interior derivative stencils are 4th-order central with 4th-order
-one-sided rows at the boundary (fields are compactly supported away
-from the box edges, so the edge rows rarely matter, but they keep the
-operators honest on manufactured solutions).
+diff1/diff2 act along one given axis: 4th-order central in the interior
+with 4th-order one-sided rows at the boundary (fields are compactly
+supported away from the box edges, so the edge rows rarely matter, but
+they keep the operators honest on manufactured solutions).
+
+The zero-padded stencils (laplacian2, laplacian4, grad1_2, grad1_4) act
+on the last len(dx) axes, so one call covers a single level or a whole
+trajectory.  They and `shift` take every zero-filled shift from one
+slice helper, `_shift_slices`.
 """
 
 from __future__ import annotations
@@ -94,12 +99,13 @@ def _apply(f, h, axis, central, edge0, edge1, power):
         + central[3] * g[3:m - 1]
         + central[4] * g[4:m]
     )
-    # edges
-    out[0] = np.tensordot(edge0, g[0:w], axes=(0, 0))
-    out[1] = np.tensordot(edge1, g[0:w], axes=(0, 0))
+    # edges: explicit sums in coefficient order, so a row rounds the same
+    # whatever the other axes hold
     sgn = -1.0 if power == 1 else 1.0
-    out[m - 1] = sgn * np.tensordot(edge0, g[m - 1:m - 1 - w:-1], axes=(0, 0))
-    out[m - 2] = sgn * np.tensordot(edge1, g[m - 1:m - 1 - w:-1], axes=(0, 0))
+    out[0] = sum(edge0[k] * g[k] for k in range(w))
+    out[1] = sum(edge1[k] * g[k] for k in range(w))
+    out[m - 1] = sgn * sum(edge0[k] * g[m - 1 - k] for k in range(w))
+    out[m - 2] = sgn * sum(edge1[k] * g[m - 1 - k] for k in range(w))
     out /= h ** power
     return np.moveaxis(out, 0, axis)
 
@@ -130,92 +136,84 @@ def dalembertian(f, grid: SpacetimeGrid):
     return out
 
 
+def _shift_slices(ndim, s, axis):
+    """(dst, src) index tuples with out[dst] = a[src] meaning
+    out[j] = a[j + s] along `axis`; cells with no source are left alone."""
+    dst = [slice(None)] * ndim
+    src = [slice(None)] * ndim
+    if s >= 0:
+        dst[axis], src[axis] = slice(None, -s or None), slice(s, None)
+    else:
+        dst[axis], src[axis] = slice(-s, None), slice(None, s)
+    return tuple(dst), tuple(src)
+
+
+def shift(a, s, axis=-1):
+    """out[j] = a[j + s] along `axis`, zeros flowing in at the boundary."""
+    out = np.zeros_like(a)
+    dst, src = _shift_slices(a.ndim, s, axis)
+    out[dst] = a[src]
+    return out
+
+
+# zero-padded stencils as (coefficient, shift) terms, summed in this order;
+# laplacian4's centre term starts its accumulator, so it stands apart
+_LAP2 = ((-2.0, 0), (1.0, -1), (1.0, 1))
+_LAP4_CENTRE = -30.0 / 12.0
+_LAP4 = ((-1.0 / 12.0, -2), (16.0 / 12.0, -1), (16.0 / 12.0, 1),
+         (-1.0 / 12.0, 2))
+_GRAD4 = ((1.0 / 12.0, -2), (-8.0 / 12.0, -1), (8.0 / 12.0, 1),
+          (-1.0 / 12.0, 2))
+_GRAD2 = ((-0.5, -1), (0.5, 1))
+
+
+def _space_axes(u, dx):
+    """(axis, spacing) pairs for the last len(dx) axes of u."""
+    return zip(range(u.ndim - len(dx), u.ndim), dx)
+
+
+def _add_shifted(acc, u, terms, axis):
+    """acc += coef * shift(u, s, axis) for each (coef, s) of `terms`."""
+    for coef, s in terms:
+        dst, src = _shift_slices(u.ndim, s, axis)
+        acc[dst] += coef * u[src]
+
+
 def laplacian2(u, dx):
-    """2nd-order 3/5/7-point Laplacian with zero Dirichlet padding.
-
-    `u` is a spatial array (one time level); `dx` a tuple of spacings.
-    """
+    """2nd-order 3/5/7-point Laplacian with zero Dirichlet padding."""
     out = np.zeros_like(u)
-    for ax, d in enumerate(dx):
-        m = u.shape[ax]
-        sl = [slice(None)] * u.ndim
-
-        def at(a, b):
-            s = list(sl)
-            s[ax] = slice(a, b)
-            return tuple(s)
-
-        out[at(0, m)] -= 2.0 * u / d**2
-        out[at(1, m)] += u[at(0, m - 1)] / d**2
-        out[at(0, m - 1)] += u[at(1, m)] / d**2
+    for ax, d in _space_axes(u, dx):
+        _add_shifted(out, u / d**2, _LAP2, ax)
     return out
 
 
 def laplacian4(u, dx):
     """4th-order Laplacian with zero Dirichlet padding (compact supports)."""
     out = np.zeros_like(u)
-    c = np.array([-1.0, 16.0, -30.0, 16.0, -1.0]) / 12.0
-    for ax, d in enumerate(dx):
-        m = u.shape[ax]
-
-        def at(a, b):
-            s = [slice(None)] * u.ndim
-            s[ax] = slice(a, b)
-            return tuple(s)
-
-        acc = c[2] * u
-        pieces = [
-            (c[0], 2), (c[1], 1), (c[3], -1), (c[4], -2),
-        ]
-        for coef, shift in pieces:
-            # u shifted by `shift` cells along ax, zeros flowing in
-            if shift > 0:
-                acc[at(shift, m)] += coef * u[at(0, m - shift)]
-            else:
-                acc[at(0, m + shift)] += coef * u[at(-shift, m)]
+    for ax, d in _space_axes(u, dx):
+        acc = _LAP4_CENTRE * u
+        _add_shifted(acc, u, _LAP4, ax)
         out += acc / d**2
+    return out
+
+
+def _gradient(u, dx, terms):
+    out = []
+    for ax, d in _space_axes(u, dx):
+        acc = np.zeros_like(u)
+        _add_shifted(acc, u, terms, ax)
+        out.append(acc / d)
     return out
 
 
 def grad1_4(u, dx):
     """4th-order spatial gradient components with zero padding."""
-    c = np.array([1.0, -8.0, 8.0, -1.0]) / 12.0
-    shifts = [2, 1, -1, -2]
-    out = []
-    for ax, d in enumerate(dx):
-        m = u.shape[ax]
-
-        def at(a, b):
-            s = [slice(None)] * u.ndim
-            s[ax] = slice(a, b)
-            return tuple(s)
-
-        acc = np.zeros_like(u)
-        for coef, shift in zip(c, shifts):
-            if shift > 0:
-                acc[at(shift, m)] += coef * u[at(0, m - shift)]
-            else:
-                acc[at(0, m + shift)] += coef * u[at(-shift, m)]
-        out.append(acc / d)
-    return out
+    return _gradient(u, dx, _GRAD4)
 
 
 def grad1_2(u, dx):
     """2nd-order centered spatial gradient with zero Dirichlet padding."""
-    out = []
-    for ax, d in enumerate(dx):
-        m = u.shape[ax]
-
-        def at(a, b):
-            s = [slice(None)] * u.ndim
-            s[ax] = slice(a, b)
-            return tuple(s)
-
-        acc = np.zeros_like(u)
-        acc[at(1, m)] += u[at(0, m - 1)] * (-0.5)
-        acc[at(0, m - 1)] += u[at(1, m)] * 0.5
-        out.append(acc / d)
-    return out
+    return _gradient(u, dx, _GRAD2)
 
 
 def l2_norm(f, cell_volume: float) -> float:

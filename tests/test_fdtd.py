@@ -11,7 +11,8 @@ from nullform.errors import BlowUpError, CFLError, ConfigError
 from nullform.fdtd import (
     IterationTrace, Trajectory, WaveState, WeightedNormSpec,
     check_energy_estimate, leapfrog_first_step, picard_iterate,
-    solve_semilinear, spacetime_norm, step_linear_wave, weighted_norm,
+    sobolev_norm, solve_semilinear, spacetime_norm, step_linear_wave,
+    weighted_norm,
 )
 from nullform.grids import diff1
 from nullform.potential import Potential, get_potential
@@ -281,6 +282,45 @@ def test_energy_estimate_linear_wave():
         rep = check_energy_estimate(traj, lam, m=1)
         assert rep.C < 10.0
         assert rep.C >= 1.0 - 1e-12  # LHS(0)/RHS(0) = 1
+
+
+def _energy_prefix_loop(traj, lam, m, box_u):
+    """check_energy_estimate's LHS/RHS as one trapezoid per prefix."""
+    t = traj.times - traj.times[0]
+    nt = len(t)
+    E = (sobolev_norm(traj.ut, traj.dx, m)
+         + sobolev_norm(traj.u, traj.dx, m + 1)
+         + lam * sobolev_norm(traj.u, traj.dx, m))
+    boxn = (np.zeros(nt) if box_u is None
+            else sobolev_norm(box_u, traj.dx, m))
+    w = np.exp(-2.0 * lam * t)
+    lhs = np.empty(nt)
+    rhs = np.empty(nt)
+    for k in range(nt):
+        ie = np.trapezoid((w * E**2)[: k + 1], t[: k + 1]) if k else 0.0
+        ib = np.trapezoid((w * boxn**2)[: k + 1], t[: k + 1]) if k else 0.0
+        lhs[k] = np.exp(-lam * t[k]) * E[k] + np.sqrt(lam) * np.sqrt(ie)
+        rhs[k] = E[0] + np.sqrt(ib) / np.sqrt(lam)
+    return lhs, rhs, float(np.max(lhs / rhs))
+
+
+@pytest.mark.parametrize("with_box", [False, True])
+def test_energy_estimate_matches_prefix_loop(with_box):
+    prof = bump(0.5, 1.0)
+    dx = 0.03
+    x = -3.0 + dx * np.arange(201)
+    q = get_potential("radial_bump", 1, amplitude=0.5)
+    traj = solve_semilinear(q, prof.f(x + 0.8), -prof.df(x + 0.8), (-3.0,),
+                            (dx,), 0.0, 1.5, scheme="leapfrog")
+    box_u = None
+    if with_box:
+        box_u = np.random.default_rng(2).standard_normal(traj.u.shape)
+    for lam, m in ((1.0, 0), (4.0, 1)):
+        rep = check_energy_estimate(traj, lam, m, box_u)
+        lhs, rhs, C = _energy_prefix_loop(traj, lam, m, box_u)
+        np.testing.assert_allclose(rep.lhs, lhs, rtol=1e-13)
+        np.testing.assert_allclose(rep.rhs, rhs, rtol=1e-13)
+        assert rep.C == pytest.approx(C, rel=1e-13)
 
 
 def _pulse_trajectory(eps, nx=240, t1=1.0):

@@ -2,10 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nullform.grids import (
-    SpacetimeGrid, dalembertian, diff1, diff2, grad1_4, l2_norm, laplacian2,
-    laplacian4, spacetime_gradient,
+    SpacetimeGrid, dalembertian, diff1, diff2, grad1_2, grad1_4, l2_norm,
+    laplacian2, laplacian4, shift, spacetime_gradient,
 )
 from nullform.gridio import read_bundle, write_bundle, write_pgm
 
@@ -66,6 +68,82 @@ def test_laplacians_zero_padding():
     q = x**2 + 2 * y**2
     l2 = laplacian2(q * np.ones_like(u), (x[1, 0] - x[0, 0], y[0, 1] - y[0, 0]))
     assert np.allclose(l2[1:-1, 1:-1], 6.0, atol=1e-9)
+
+
+def _padded_stencil(u, ax, weights):
+    """sum_k w_k u[j + k - r] along ax (r = len(weights) // 2), by np.pad."""
+    r = len(weights) // 2
+    widths = [(0, 0)] * u.ndim
+    widths[ax] = (r, r)
+    p = np.pad(u, widths)
+    m = u.shape[ax]
+    return sum(w * np.take(p, np.arange(k, k + m), axis=ax)
+               for k, w in enumerate(weights))
+
+
+_REFERENCE = {
+    laplacian2: ([1.0, -2.0, 1.0], 2),
+    laplacian4: (np.array([-1.0, 16.0, -30.0, 16.0, -1.0]) / 12.0, 2),
+    grad1_2: ([-0.5, 0.0, 0.5], 1),
+    grad1_4: (np.array([1.0, -8.0, 0.0, 8.0, -1.0]) / 12.0, 1),
+}
+
+
+def _reference(op, u, dx):
+    weights, power = _REFERENCE[op]
+    axes = range(u.ndim - len(dx), u.ndim)
+    terms = [_padded_stencil(u, ax, weights) / d**power
+             for ax, d in zip(axes, dx)]
+    return sum(terms) if power == 2 else terms
+
+
+def _zero_filled_roll(a, s, axis):
+    out = np.roll(a, -s, axis)
+    idx = [slice(None)] * a.ndim
+    idx[axis] = slice(-s, None) if s > 0 else slice(None, -s)
+    out[tuple(idx)] = 0
+    return out
+
+
+@settings(deadline=None, max_examples=60)
+@given(n=st.integers(1, 2), lead=st.lists(st.integers(1, 3), min_size=1,
+                                          max_size=2),
+       space=st.lists(st.integers(5, 13), min_size=2, max_size=2),
+       seed=st.integers(0, 2**32 - 1))
+def test_stencils_match_padded_reference_and_stack(n, lead, space, seed):
+    rng = np.random.default_rng(seed)
+    dx = tuple(rng.uniform(0.01, 0.5, n))
+    u = rng.standard_normal(tuple(lead) + tuple(space[:n]))
+    for op in (laplacian2, laplacian4, grad1_2, grad1_4):
+        got = np.array(op(u, dx))
+        want = np.array(_reference(op, u, dx))
+        np.testing.assert_allclose(got, want, rtol=1e-13,
+                                   atol=1e-13 * np.max(np.abs(want)))
+        # stacked levels are the per-level calls, bit for bit
+        for i in np.ndindex(*lead):
+            one = np.array(op(u[i], dx))
+            stacked = got[(slice(None),) + i] if op in (grad1_2, grad1_4) \
+                else got[i]
+            assert np.array_equal(stacked, one)
+    for ax in range(u.ndim):
+        m = u.shape[ax]
+        for s in range(-m - 1, m + 2):
+            out = shift(u, s, ax)
+            if abs(s) < m:
+                assert np.array_equal(out, _zero_filled_roll(u, s, ax))
+            else:
+                assert not np.any(out)
+            assert np.array_equal(shift(u, s, ax - u.ndim), out)
+
+
+def test_diff_batched_rows_match_single_rows():
+    # edge rows must not round differently on a stack of rows
+    u = np.random.default_rng(4).standard_normal((50, 80))
+    for op in (diff1, diff2):
+        rows = np.array([op(u[k], 0.1, 0) for k in range(50)])
+        assert np.array_equal(op(u, 0.1, 1), rows)
+        cols = np.array([op(u[:, k], 0.1, 0) for k in range(80)]).T
+        assert np.array_equal(op(u, 0.1, 0), cols)
 
 
 def test_l2_norm_deterministic():
