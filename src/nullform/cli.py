@@ -193,6 +193,8 @@ def _scenario_header(cfg: ScenarioConfig):
 def _potential(cfg: ScenarioConfig, n: int, sec="potential"):
     key = cfg.str(sec, "key")
     amp = cfg.float(sec, "amplitude", None)
+    if amp is not None and not np.isfinite(amp):
+        raise ConfigError(f"[{sec}] amplitude: must be finite, got {amp!r}")
     try:
         return get_potential(key, n, amplitude=amp)
     except ConfigError as exc:

@@ -57,9 +57,27 @@ def _masked(radius, raw):
     return ev
 
 
+def _param(name, value, lower=None, strict=True):
+    """float(value); ConfigError unless finite and above `lower`.
+
+    strict=True requires value > lower, strict=False value >= lower.
+    """
+    v = float(value)
+    if np.isfinite(v) and (lower is None or v > lower
+                           or (not strict and v == lower)):
+        return v
+    need = "finite" if lower is None else \
+        f"finite and {'>' if strict else '>='} {lower:g}"
+    raise ConfigError(f"{name} must be {need}, got {value!r}")
+
+
+def _radius_amplitude(radius, amplitude):
+    return _param("radius", radius, 0.0), _param("amplitude", amplitude)
+
+
 def bump(radius=1.0, amplitude=1.0, key=None):
     """C^inf bump a*exp(1 - 1/(1-(s/r)^2)), normalized to `amplitude` at 0."""
-    r, a = float(radius), float(amplitude)
+    r, a = _radius_amplitude(radius, amplitude)
 
     def val(s):
         u = (s / r) ** 2
@@ -82,7 +100,7 @@ def bump(radius=1.0, amplitude=1.0, key=None):
 
 def sbump(radius=1.0, amplitude=1.0, key=None):
     """Odd profile (s/r)*bump(s); useful as a second certificate profile."""
-    r, a = float(radius), float(amplitude)
+    r, a = _radius_amplitude(radius, amplitude)
     b = bump(r, a)
 
     def val(s):
@@ -100,7 +118,7 @@ def sbump(radius=1.0, amplitude=1.0, key=None):
 
 def cos4_window(radius=1.0, amplitude=1.0, key=None):
     """a*cos^4(pi*s/(2r)) on |s| < r; C^3 at the support boundary."""
-    r, a = float(radius), float(amplitude)
+    r, a = _radius_amplitude(radius, amplitude)
     k = np.pi / (2.0 * r)
 
     def val(s):
@@ -137,31 +155,38 @@ def ramp(flat=1.5, taper=0.5, amplitude=1.0, key=None):
     """Plateau ramp f(s) = a*s*w(s) with window w == 1 on |s| <= flat.
 
     f'(s) = a exactly on the flat window, f compactly supported in
-    [-(flat+taper), flat+taper]; C^3 overall.
+    [-(flat+taper), flat+taper]; C^3 overall.  Each derivative of w
+    evaluates its smoothstep polynomial only on the taper, |s| > flat,
+    and fills in its flat value (1, 0, 0) elsewhere.
     """
-    L0, L1, a = float(flat), float(flat) + float(taper), float(amplitude)
-    tp = float(taper)
+    L0 = _param("flat", flat, 0.0, strict=False)
+    tp = _param("taper", taper, 0.0)
+    a = _param("amplitude", amplitude)
+    L1 = L0 + tp
 
-    def w012(s):
+    def window(s, k):
+        """k-th derivative of w, k = 0, 1, 2."""
+        out = np.full_like(s, 1.0 if k == 0 else 0.0)
         s_abs = np.abs(s)
-        tau = (s_abs - L0) / tp
-        w = np.where(s_abs <= L0, 1.0, 1.0 - _smoothstep7(tau))
-        sgn = np.sign(s)
-        w1 = np.where(s_abs <= L0, 0.0, -_smoothstep7_d1(tau) * sgn / tp)
-        w2 = np.where(s_abs <= L0, 0.0, -_smoothstep7_d2(tau) / tp**2)
-        return w, w1, w2
+        cut = s_abs > L0
+        if np.any(cut):
+            tau = (s_abs[cut] - L0) / tp
+            if k == 0:
+                out[cut] = 1.0 - _smoothstep7(tau)
+            elif k == 1:
+                out[cut] = -_smoothstep7_d1(tau) * np.sign(s[cut]) / tp
+            else:
+                out[cut] = -_smoothstep7_d2(tau) / tp**2
+        return out
 
     def val(s):
-        w, _, _ = w012(s)
-        return a * s * w
+        return a * s * window(s, 0)
 
     def dval(s):
-        w, w1, _ = w012(s)
-        return a * (w + s * w1)
+        return a * (window(s, 0) + s * window(s, 1))
 
     def d2val(s):
-        _, w1, w2 = w012(s)
-        return a * (2.0 * w1 + s * w2)
+        return a * (2.0 * window(s, 1) + s * window(s, 2))
 
     key = key or f"ramp:flat={L0:g},taper={tp:g},a={a:g}"
     return Profile(key, L1, _masked(L1, val), _masked(L1, dval), _masked(L1, d2val))
@@ -191,7 +216,11 @@ def get_profile(key: str) -> Profile:
             k, _, v = item.partition("=")
             if not _:
                 raise ConfigError(f"bad profile parameter '{item}' in '{key}'")
-            kwargs[alias.get(k.strip(), k.strip())] = float(v)
+            try:
+                kwargs[alias.get(k.strip(), k.strip())] = float(v)
+            except ValueError:
+                raise ConfigError(f"bad profile parameter '{item}' in "
+                                  f"'{key}': not a number") from None
     try:
         return PROFILE_CATALOG[name](**kwargs, key=key)
     except TypeError as exc:

@@ -113,7 +113,12 @@ def _adaptive_line_integral(fvals, base, direction, lo, length, abs_tol):
 
     Each line runs over lo <= sig <= lo + length; lines with length <= 0
     give 0 and are never evaluated.  Composite Simpson, doubling the
-    nodes until the largest update is below abs_tol; on failure the
+    nodes until the largest update is below abs_tol.  Every node is
+    evaluated once: a doubling evaluates fvals only at the new midpoints
+    and interleaves them with the stored values, which are the even
+    nodes of the finer rule (linspace is dyadic for these power-of-two
+    node counts, so they are the values a fresh evaluation would give).
+    On failure to converge, or on a non-finite integral, the
     QuadratureError's `ray` indexes the worst line.
     """
     out = np.zeros(length.shape)
@@ -122,24 +127,37 @@ def _adaptive_line_integral(fvals, base, direction, lo, length, abs_tol):
         return out
     lo, length, base = lo[act], length[act], base[act]
 
-    def simpson(nseg):
-        xi = np.linspace(0.0, 1.0, nseg + 1)
+    def at(xi):
+        sig = lo[:, None] + length[:, None] * xi[None, :]
+        pts = base[:, None, :] + sig[..., None] * direction
+        return fvals(sig, pts)
+
+    def simpson(g):
+        nseg = g.shape[1] - 1
         wts = np.ones(nseg + 1)
         wts[1:-1:2] = 4.0
         wts[2:-1:2] = 2.0
-        sig = lo[:, None] + length[:, None] * xi[None, :]
-        pts = base[:, None, :] + sig[..., None] * direction
-        return (length / (3.0 * nseg)) * (fvals(sig, pts) @ wts)
+        return (length / (3.0 * nseg)) * (g @ wts)
 
     nseg = 16
-    prev = simpson(nseg)
+    g = at(np.linspace(0.0, 1.0, nseg + 1))
+    prev = simpson(g)
     for _ in range(RAY_QUAD_MAX_DOUBLINGS):
         nseg *= 2
-        cur = simpson(nseg)
+        mid = at(np.linspace(0.0, 1.0, nseg + 1)[1::2])
+        finer = np.empty((act.size, nseg + 1), np.result_type(g, mid))
+        finer[:, 0::2] = g
+        finer[:, 1::2] = mid
+        g = finer
+        cur = simpson(g)
         update = np.abs(cur - prev)
         if np.max(update) < abs_tol:
             out[act] = cur
             return out
+        bad = ~np.isfinite(update)
+        if np.any(bad):  # doubling on would only exhaust memory
+            raise QuadratureError("line quadrature: non-finite integrand",
+                                  ray=int(act[np.argmax(bad)]))
         prev = cur
     raise QuadratureError(
         f"line quadrature not converged (last update {np.max(update):.2e})",

@@ -211,6 +211,29 @@ def test_recover_rejects_bad_method_or_reg(tmp_path, capsys, monkeypatch,
     assert f"[recover] {field}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("field,value", [
+    ("phi", "cos4:r=0"), ("phi", "ramp:taper=0"), ("phi", "ramp:flat=-1"),
+    ("chi", "bump:r=0"), ("chi", "bump:r=-1"), ("chi", "bump:a=nan"),
+    ("amplitude", "nan"), ("amplitude", "-inf")])
+def test_bad_profile_or_amplitude_exits_2(tmp_path, capsys, monkeypatch,
+                                          field, value):
+    def no_synthesis(*args, **kwargs):
+        raise AssertionError("probe synthesis ran before validation")
+
+    monkeypatch.setattr("nullform.cli.ansatz_measurements", no_synthesis)
+    old, section = {"phi": ("phi = ramp:flat=1.5,taper=0.5", "profiles"),
+                    "chi": ("chi = bump:r=0.3", "profiles"),
+                    "amplitude": ("key = radial_bump", "potential")}[field]
+    new = f"{field} = {value}"
+    if field == "amplitude":
+        new = f"{old}\n{new}"
+    p = _write(tmp_path, RECOVER_CFG.replace(old, new))
+    with pytest.raises(ConfigError, match=rf"\[{section}\] {field}"):
+        run_scenario(p, out_root=tmp_path / "lib")
+    assert main(["run", str(p), "--out", str(tmp_path / "out")]) == 2
+    assert f"[{section}] {field}" in capsys.readouterr().err
+
+
 # ----------------------------------------------------------------------
 # compare
 

@@ -98,6 +98,98 @@ def test_profile_catalog_parser():
         get_profile("bump:r=0.3,zz=1")
 
 
+@pytest.mark.parametrize("key", [
+    "bump:r=0", "bump:r=-1", "bump:r=inf", "bump:a=nan", "sbump:r=0",
+    "sbump:a=inf", "cos4:r=0", "cos4:r=nan", "cos4:a=-inf", "ramp:flat=-1",
+    "ramp:flat=nan", "ramp:taper=0", "ramp:taper=-0.5", "ramp:taper=nan",
+    "ramp:taper=inf", "ramp:a=nan", "bump:r=abc"])
+def test_profile_rejects_bad_parameters(key):
+    with pytest.raises(ConfigError):
+        get_profile(key)
+
+
+def test_profile_constructors_validate():
+    with pytest.raises(ConfigError, match="radius"):
+        bump(0.0)
+    with pytest.raises(ConfigError, match="radius"):
+        cos4_window(-1.0)
+    with pytest.raises(ConfigError, match="taper"):
+        ramp(1.5, 0.0)
+    with pytest.raises(ConfigError, match="flat"):
+        ramp(-1e-300, 0.5)
+    with pytest.raises(ConfigError, match="amplitude"):
+        sbump(1.0, float("nan"))
+    # the boundary values that stay legal
+    assert ramp(0.0, 0.5).df(0.0) == 1.0
+    assert bump(1e-3, -2.0).f(0.0) == -2.0
+
+
+def _smooth(t, d):
+    t = np.clip(t, 0.0, 1.0)
+    return (t**4 * (35.0 - 84.0 * t + 70.0 * t**2 - 20.0 * t**3),
+            t**3 * (140.0 - 420.0 * t + 420.0 * t**2 - 140.0 * t**3),
+            t**2 * (420.0 - 1680.0 * t + 2100.0 * t**2 - 840.0 * t**3))[d]
+
+
+def _ramp_joint_window(flat, taper, a, s):
+    """Reference: (f, f', f'') with all three windows on every cell."""
+    s = np.asarray(s, dtype=float)
+    L1 = flat + taper
+
+    def one(s):
+        s_abs = np.abs(s)
+        tau = (s_abs - flat) / taper
+        w = np.where(s_abs <= flat, 1.0, 1.0 - _smooth(tau, 0))
+        w1 = np.where(s_abs <= flat, 0.0,
+                      -_smooth(tau, 1) * np.sign(s) / taper)
+        w2 = np.where(s_abs <= flat, 0.0, -_smooth(tau, 2) / taper**2)
+        return a * s * w, a * (w + s * w1), a * (2.0 * w1 + s * w2)
+
+    inside = np.abs(s) < L1 * (1.0 - 1e-14)
+    outs = [np.zeros_like(s) for _ in range(3)]
+    if np.any(inside):
+        for o, v in zip(outs, one(s[inside])):
+            o[inside] = v
+    return [float(o) if o.ndim == 0 else o for o in outs]
+
+
+@pytest.mark.parametrize("flat,taper,a", [
+    (1.5, 0.5, 1.0), (0.0, 0.3, -2.0), (0.7, 1e-3, 0.5), (2.0, 3.0, -1.0)])
+def test_ramp_matches_joint_window(flat, taper, a):
+    p = ramp(flat, taper, a)
+    L1 = flat + taper
+    up = np.nextafter(flat, np.inf)
+    edge = np.array([0.0, -0.0, flat, -flat, L1, -L1, up, -up,
+                     np.nextafter(flat, -np.inf), np.nextafter(L1, 0.0)])
+    rng = np.random.default_rng(3)
+    cases = [rng.uniform(-1.2 * L1, 1.2 * L1, 500), edge,
+             rng.uniform(-L1, L1, (6, 7)), edge.reshape(2, 5)]
+    cases += [np.float64(v) for v in edge] + [0.3]
+    for s in cases:
+        want = _ramp_joint_window(flat, taper, a, s)
+        for got, ref in zip((p.f(s), p.df(s), p.d2f(s)), want):
+            assert type(got) is type(ref)
+            assert np.array_equal(got, ref)
+            assert np.array_equal(np.signbit(got), np.signbit(ref))
+
+
+def test_ramp_flat_window_skips_taper_polynomials(monkeypatch):
+    import nullform.profiles as profiles
+
+    def boom(tau):
+        raise AssertionError("taper polynomial evaluated on the flat window")
+
+    for name in ("_smoothstep7", "_smoothstep7_d1", "_smoothstep7_d2"):
+        monkeypatch.setattr(profiles, name, boom)
+    p = ramp(1.5, 0.5, 2.0)
+    s = np.array([-1.5, -0.2, -0.0, 0.0, 0.7, 1.5])
+    assert np.array_equal(p.f(s), 2.0 * s)
+    assert np.all(p.df(s) == 2.0) and np.all(p.d2f(s) == 0.0)
+    assert p.df(1.5) == 2.0
+    with pytest.raises(AssertionError, match="taper"):
+        p.f(1.6)
+
+
 @pytest.mark.parametrize("prof", ALL_PROFILES[:2], ids=lambda p: p.key)
 def test_eval_background(prof):
     V = LightVector(1, (3 / 5, 4 / 5))

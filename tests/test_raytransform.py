@@ -1,7 +1,11 @@
 """Light-ray transform, X-ray reduction, FBP/RLS inversion."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nullform.errors import ConfigError, QuadratureError
 from nullform.geoptics import ray_exponent
@@ -101,6 +105,95 @@ def test_line_integral_reports_nonconvergence(monkeypatch):
                      0.25, xp)
     msg = str(exc.value)
     assert "x'=[-0.4" in msg and "t=0.25" in msg
+
+
+def _reevaluating_line_integral(fvals, base, direction, lo, length, abs_tol):
+    """Reference: the Simpson loop that evaluates every node at each
+    doubling.  Returns the integrals and the final segment count."""
+    from nullform.raytransform import RAY_QUAD_MAX_DOUBLINGS
+    out = np.zeros(length.shape)
+    act = np.flatnonzero(length > 0)
+    if act.size == 0:
+        return out, 0
+    lo, length, base = lo[act], length[act], base[act]
+
+    def simpson(nseg):
+        xi = np.linspace(0.0, 1.0, nseg + 1)
+        wts = np.ones(nseg + 1)
+        wts[1:-1:2] = 4.0
+        wts[2:-1:2] = 2.0
+        sig = lo[:, None] + length[:, None] * xi[None, :]
+        pts = base[:, None, :] + sig[..., None] * direction
+        return (length / (3.0 * nseg)) * (fvals(sig, pts) @ wts)
+
+    nseg = 16
+    prev = simpson(nseg)
+    for _ in range(RAY_QUAD_MAX_DOUBLINGS):
+        nseg *= 2
+        cur = simpson(nseg)
+        if np.max(np.abs(cur - prev)) < abs_tol:
+            out[act] = cur
+            return out, nseg
+        prev = cur
+    raise AssertionError("reference did not converge")
+
+
+@settings(deadline=None, max_examples=60)
+@given(n=st.integers(1, 3), nlines=st.integers(1, 12),
+       k=st.floats(0.0, 40.0), seed=st.integers(0, 2**32 - 1),
+       zero_share=st.floats(0.0, 1.0))
+def test_nested_simpson_matches_reevaluating_loop(n, nlines, k, seed,
+                                                  zero_share):
+    rng = np.random.default_rng(seed)
+    base = rng.uniform(-1.0, 1.0, (nlines, n))
+    direction = rng.normal(size=n)
+    direction /= np.linalg.norm(direction)
+    lo = rng.uniform(-1.0, 1.0, nlines)
+    length = rng.uniform(0.0, 2.0, nlines)
+    length[rng.random(nlines) < zero_share] = 0.0
+    length[rng.random(nlines) < 0.1] *= -1.0
+    th = rng.normal(size=n)
+
+    def fvals(sig, pts):
+        s = pts @ th
+        return np.exp(-s**2) * np.cos(k * sig) + np.sin(3.0 * s) * sig
+
+    seen = []
+
+    def counted(sig, pts):
+        seen.append(sig.size)
+        return fvals(sig, pts)
+
+    # 12 doublings (65,537 nodes a line) bound the memory of a broken
+    # quadrature; these integrands converge well before that
+    with mock.patch("nullform.raytransform.RAY_QUAD_MAX_DOUBLINGS", 12):
+        want, nseg = _reevaluating_line_integral(fvals, base, direction, lo,
+                                                 length, 1e-9)
+        got = _adaptive_line_integral(counted, base, direction, lo, length,
+                                      1e-9)
+    assert np.array_equal(got, want)
+    assert np.all(got[length <= 0] == 0.0)
+    active = int(np.sum(length > 0))
+    assert sum(seen) == active * (nseg + 1 if active else 0)
+
+
+def test_line_integral_rejects_non_finite_integrand(monkeypatch):
+    import nullform.raytransform as rt
+    monkeypatch.setattr(rt, "RAY_QUAD_MAX_DOUBLINGS", 3)
+    calls = []
+
+    def nan_on_line_2(sig, pts):
+        calls.append(sig.shape)
+        out = np.cos(sig)
+        out[pts[:, 0, 1] == 2.0] = np.nan
+        return out
+
+    base = np.array([[0.0, 1.0], [0.0, 5.0], [0.0, 2.0]])
+    with pytest.raises(QuadratureError, match="non-finite") as exc:
+        _adaptive_line_integral(nan_on_line_2, base, np.array([1.0, 0.0]),
+                                np.zeros(3), np.array([1.0, 0.0, 1.0]), 1e-9)
+    assert exc.value.ray == 2
+    assert len(calls) == 2  # raised at the first doubling
 
 
 def test_forward_rejects_bad_args():
