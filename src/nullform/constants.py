@@ -20,10 +20,14 @@ CFL_LEAPFROG = 0.45            # dt = CFL * dx / sqrt(n) for the leapfrog kernel
 CFL_LIMIT = 0.9                # hard WaveState invariant: dt*sqrt(n)/dx <= 0.9
 CFL_RK4 = 0.5                  # dt = CFL_RK4 * dx for the rk4 scheme
 BLOWUP_FACTOR = 1e6            # norm growth guard in solve_semilinear
+FDTD_CONE_MARGIN = 32          # cells the rk4 light-cone window adds on each
+                               # side: discrete waves outrun speed 1
 
 # quadrature
 RAY_QUAD_ABS_TOL = 1e-9        # adaptive Simpson absolute tolerance
 RAY_QUAD_MAX_DOUBLINGS = 22
+RAY_QUAD_MAX_NODES = 2 ** 22   # active lines x nodes a doubling may reach;
+                               # the largest call in the tests uses 1.5M
 
 # demodulation / recovery
 PPW_MIN = 16                   # samples per carrier wavelength required

@@ -15,7 +15,10 @@ Two schemes:
 Potentials are compactly supported: q must vanish wherever some
 |x_j - center_j| >= R (its declared `center` and `R`).  solve_semilinear
 relies on this and evaluates the gradient and the null form only on that
-box plus a stencil halo; the Laplacian stays full-grid.
+box plus a stencil halo.  Given the cells a caller reads at the final
+time, the rk4 scheme also updates, Laplacian included, only the cells of
+their backward light cone (plus FDTD_CONE_MARGIN cells), so the grid it
+advances shrinks as the solve nears t_end.
 """
 
 from __future__ import annotations
@@ -26,7 +29,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .constants import (BLOWUP_FACTOR, CFL_LEAPFROG, CFL_LIMIT, CFL_RK4)
+from .constants import (BLOWUP_FACTOR, CFL_LEAPFROG, CFL_LIMIT, CFL_RK4,
+                        FDTD_CONE_MARGIN)
 from .errors import BlowUpError, CFLError, ConfigError
 from .grids import diff1, grad1_2, grad1_4, l2_norm, laplacian2, laplacian4
 from .potential import Potential
@@ -103,7 +107,7 @@ def _space_coords(shape, x0, dx):
 
 def _support_window(q: Potential, xs, halo=2):
     """Per-axis slices of the box |x_j - center_j| < q.R, widened by `halo`
-    stencil cells and clipped to the grid, with the coordinates on them.
+    stencil cells and clipped to the grid.
 
     Stencils of half-width <= halo evaluated on the window are exact on
     the box itself.  None when the box holds no grid point (Q == 0).
@@ -115,14 +119,43 @@ def _support_window(q: Potential, xs, halo=2):
             return None
         win.append(slice(max(inside[0] - halo, 0),
                          min(inside[-1] + 1 + halo, x.size)))
-    xw = tuple(x[(slice(None),) * j + (s,)]
-               for j, (x, s) in enumerate(zip(xs, win)))
-    return tuple(win), xw
+    return tuple(win)
+
+
+def _null_form_window(support, w, xs):
+    """The part of `support` inside the step window `w`: its slices
+    relative to w and the coordinates on it, or None when it is empty."""
+    if support is None:
+        return None
+    lo = [max(a.start, b.start) for a, b in zip(support, w)]
+    hi = [min(a.stop, b.stop) for a, b in zip(support, w)]
+    if any(a >= b for a, b in zip(lo, hi)):
+        return None
+    rel = tuple(slice(a - b.start, c - b.start)
+                for a, c, b in zip(lo, hi, w))
+    xn = tuple(x[(slice(None),) * j + (slice(a, c),)]
+               for j, (x, a, c) in enumerate(zip(xs, lo, hi)))
+    return rel, xn
+
+
+def _region_bounds(region, shape):
+    """(start, stop) per axis of `region`, a tuple of one unit-step slice
+    per space axis; ConfigError unless each is a non-empty range inside
+    the grid."""
+    try:
+        idx = [s.indices(m) for s, m in zip(region, shape, strict=True)]
+    except (AttributeError, TypeError, ValueError):
+        idx = None
+    if idx is None or any((s.start, s.stop, 1) != i or i[0] >= i[1]
+                          for s, i in zip(region, idx)):
+        raise ConfigError(f"solve_semilinear: region {region} is empty, "
+                          f"strided or outside the grid {shape}")
+    return [i[:2] for i in idx]
 
 
 def solve_semilinear(q: Potential, u0, v0, x0, dx, t0, t_end,
                      scheme="leapfrog", sample_every=1,
-                     dt=None) -> Trajectory:
+                     dt=None, region=None) -> Trajectory:
     """Explicit solve of box u = Q(x,u,grad u) on [t0, t_end].
 
     Initial data (u0, v0) at t0; the box must be sized so supports never
@@ -134,6 +167,15 @@ def solve_semilinear(q: Potential, u0, v0, x0, dx, t0, t_end,
     taken as zero elsewhere.  Non-finite u0 or v0 raise ConfigError; a
     solution that leaves BLOWUP_FACTOR * max|u0| or turns non-finite
     raises BlowUpError.
+
+    `region` (rk4 only), a tuple of one unit-step slice per space axis,
+    names the cells the caller reads at t_end.  A step from t then
+    updates only the window of cells within ceil((t_end - t) / dx_j) +
+    FDTD_CONE_MARGIN of the region on each axis, clipped to the grid,
+    with zero padding at its edges; the cells outside it keep the value
+    of their last update.  Only the region's cells of the last sample
+    are then the solution.  Without a region the window is the whole
+    grid.
     """
     u0 = np.asarray(u0, dtype=float)
     v0 = np.asarray(v0, dtype=float)
@@ -142,7 +184,7 @@ def solve_semilinear(q: Potential, u0, v0, x0, dx, t0, t_end,
             raise ConfigError(f"solve_semilinear: {name} is not finite")
     n = len(dx)
     xs = _space_coords(u0.shape, x0, dx)
-    win, xw = _support_window(q, xs) or (None, None)
+    support = _support_window(q, xs)
     span = t_end - t0
     if span <= 0:
         raise ConfigError("solve_semilinear: empty time window")
@@ -152,11 +194,19 @@ def solve_semilinear(q: Potential, u0, v0, x0, dx, t0, t_end,
         dt_target = dt or CFL_RK4 * min(dx)
     else:
         raise ConfigError(f"unknown scheme '{scheme}'")
+    if region is None:
+        bounds = [(0, m) for m in u0.shape]
+    elif scheme == "rk4":
+        bounds = _region_bounds(region, u0.shape)
+    else:
+        raise ConfigError("solve_semilinear: a region needs scheme 'rk4'")
     nsteps = max(1, int(np.ceil(span / dt_target - 1e-12)))
     dtv = span / nsteps
     guard = BLOWUP_FACTOR * (np.max(np.abs(u0)) + 1e-30)
+    nf = None  # (slices, coordinates) of the null-form window, or None
 
     def windowed_null_form(t, u, ut, grad):
+        win, xw = nf
         uw = u[win]
         return null_form_grid(q, t, xw, uw, ut[win], grad(uw, dx))
 
@@ -168,11 +218,12 @@ def solve_semilinear(q: Potential, u0, v0, x0, dx, t0, t_end,
 
     if scheme == "rk4":
         u, v = u0.copy(), v0.copy()
+        w = None
 
         def rhs(t, u, v):
             dv = laplacian4(u, dx)
-            if win is not None:
-                dv[win] -= windowed_null_form(t, u, v, grad1_4)
+            if nf is not None:
+                dv[nf[0]] -= windowed_null_form(t, u, v, grad1_4)
             return v, dv
 
         for k in range(nsteps + 1):
@@ -183,35 +234,48 @@ def solve_semilinear(q: Potential, u0, v0, x0, dx, t0, t_end,
                 uts.append(v.copy())
             if k == nsteps:
                 break
-            k1u, k1v = rhs(t, u, v)
-            k2u, k2v = rhs(t + dtv / 2, u + dtv / 2 * k1u, v + dtv / 2 * k1v)
-            k3u, k3v = rhs(t + dtv / 2, u + dtv / 2 * k2u, v + dtv / 2 * k2v)
-            k4u, k4v = rhs(t + dtv, u + dtv * k3u, v + dtv * k3v)
-            u = u + dtv / 6 * (k1u + 2 * k2u + 2 * k3u + k4u)
-            v = v + dtv / 6 * (k1v + 2 * k2v + 2 * k3v + k4v)
-            if not np.max(np.abs(u)) <= guard:
+            # the region's backward light cone at t, plus the margin
+            reach = [int(np.ceil((t_end - t) / d)) + FDTD_CONE_MARGIN
+                     for d in dx]
+            step_win = tuple(slice(max(a - r, 0), min(b + r, m))
+                             for (a, b), r, m in zip(bounds, reach, u0.shape))
+            if step_win != w:
+                w = step_win
+                nf = _null_form_window(support, w, xs)
+            # views: the in-place updates below write the window of u, v
+            uw, vw = u[w], v[w]
+            k1u, k1v = rhs(t, uw, vw)
+            k2u, k2v = rhs(t + dtv / 2, uw + dtv / 2 * k1u,
+                           vw + dtv / 2 * k1v)
+            k3u, k3v = rhs(t + dtv / 2, uw + dtv / 2 * k2u,
+                           vw + dtv / 2 * k2v)
+            k4u, k4v = rhs(t + dtv, uw + dtv * k3u, vw + dtv * k3v)
+            uw += dtv / 6 * (k1u + 2 * k2u + 2 * k3u + k4u)
+            vw += dtv / 6 * (k1v + 2 * k2v + 2 * k3v + k4v)
+            if not np.max(np.abs(uw)) <= guard:
                 raise BlowUpError(f"blow-up guard tripped at t={t + dtv:.4f}")
         return Trajectory(np.array(times), np.array(us), np.array(uts), x0, dx)
 
     # leapfrog
     if dtv * np.sqrt(n) / min(dx) > CFL_LIMIT:
         raise CFLError("leapfrog time step violates CFL")
+    nf = _null_form_window(support, tuple(slice(0, m) for m in u0.shape), xs)
 
     uts_by_level = {}
     u_prev = u0
     f0 = None
-    if win is not None:
+    if nf is not None:
         f0 = np.zeros_like(u0)
-        f0[win] = -windowed_null_form(t0, u0, v0, grad1_2)
+        f0[nf[0]] = -windowed_null_form(t0, u0, v0, grad1_2)
     u_cur = leapfrog_first_step(u0, v0, dtv, dx, f0)
     level_fields = {0: u0, 1: u_cur}
     for k in range(1, nsteps):
         t = t0 + k * dtv
         acc = laplacian2(u_cur, dx)
-        if win is not None:
+        if nf is not None:
             # 2nd-order time-derivative estimate at level k without u^{k+1}
             ut_est = (u_cur - u_prev) / dtv + 0.5 * dtv * acc
-            acc[win] -= windowed_null_form(t, u_cur, ut_est, grad1_2)
+            acc[nf[0]] -= windowed_null_form(t, u_cur, ut_est, grad1_2)
         u_next = 2.0 * u_cur - u_prev + dtv**2 * acc
         if not np.max(np.abs(u_next)) <= guard:
             raise BlowUpError(f"blow-up guard tripped at t={t + dtv:.4f}")

@@ -14,6 +14,7 @@ slice helper, `_shift_slices`.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -136,9 +137,12 @@ def dalembertian(f, grid: SpacetimeGrid):
     return out
 
 
+@functools.cache
 def _shift_slices(ndim, s, axis):
     """(dst, src) index tuples with out[dst] = a[src] meaning
-    out[j] = a[j + s] along `axis`; cells with no source are left alone."""
+    out[j] = a[j + s] along `axis`; cells with no source are left alone.
+    They do not depend on the array's shape, so a few are cached for all
+    calls (small-grid solves make hundreds of thousands)."""
     dst = [slice(None)] * ndim
     src = [slice(None)] * ndim
     if s >= 0:

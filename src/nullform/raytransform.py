@@ -23,7 +23,8 @@ import numpy as np
 from scipy import sparse
 
 from .constants import (FBP_APODIZATION_NYQUIST, FBP_MIN_ANGLES,
-                        RAY_QUAD_ABS_TOL, RAY_QUAD_MAX_DOUBLINGS)
+                        RAY_QUAD_ABS_TOL, RAY_QUAD_MAX_DOUBLINGS,
+                        RAY_QUAD_MAX_NODES)
 from .errors import ConfigError, QuadratureError
 from .minkowski import LightVector
 from .potential import Potential, VectorFieldF
@@ -118,7 +119,9 @@ def _adaptive_line_integral(fvals, base, direction, lo, length, abs_tol):
     and interleaves them with the stored values, which are the even
     nodes of the finer rule (linspace is dyadic for these power-of-two
     node counts, so they are the values a fresh evaluation would give).
-    On failure to converge, or on a non-finite integral, the
+    A doubling that would take the active lines past RAY_QUAD_MAX_NODES
+    nodes in all is not made: the quadrature stops unconverged.  On
+    failure to converge, or on a non-finite integral, the
     QuadratureError's `ray` indexes the worst line.
     """
     out = np.zeros(length.shape)
@@ -142,7 +145,10 @@ def _adaptive_line_integral(fvals, base, direction, lo, length, abs_tol):
     nseg = 16
     g = at(np.linspace(0.0, 1.0, nseg + 1))
     prev = simpson(g)
+    update = np.full(act.size, np.inf)
     for _ in range(RAY_QUAD_MAX_DOUBLINGS):
+        if act.size * (2 * nseg + 1) > RAY_QUAD_MAX_NODES:
+            break
         nseg *= 2
         mid = at(np.linspace(0.0, 1.0, nseg + 1)[1::2])
         finer = np.empty((act.size, nseg + 1), np.result_type(g, mid))
@@ -160,7 +166,8 @@ def _adaptive_line_integral(fvals, base, direction, lo, length, abs_tol):
                                   ray=int(act[np.argmax(bad)]))
         prev = cur
     raise QuadratureError(
-        f"line quadrature not converged (last update {np.max(update):.2e})",
+        f"line quadrature not converged (last update {np.max(update):.2e}, "
+        f"{nseg + 1} nodes on each of {act.size} lines)",
         ray=int(act[np.argmax(update)]))
 
 
@@ -338,6 +345,11 @@ def _xray_matrix(sino: Sinogram, axes) -> sparse.csr_matrix:
     Samples outside the pixel box contribute nothing; samples within
     _EDGE_TOL cells of its edge lines count as on them, so whether a ray
     along an edge is kept does not hang on the rounding of (p - x0)/d.
+
+    Each angle's block is converted to canonical CSR on its own and
+    copied, in row order, into buffers sized for four entries per
+    sample; their unused tail is then cut off.  Pages never written are
+    never resident, so the operator is held in memory once.
     """
     x1, x2 = axes
     d1 = _check_uniform(x1, "axis 1")
@@ -348,8 +360,13 @@ def _xray_matrix(sino: Sinogram, axes) -> sparse.csr_matrix:
     nu = np.arange(-0.5 * span, 0.5 * span + step, step)
     off = sino.offsets[:, None]
     ray = np.broadcast_to(np.arange(off.size)[:, None], (off.size, nu.size))
-    blocks = []
-    for a in sino.angles:
+    cap = 4 * ray.size * sino.angles.size
+    itype = np.int32 if max(cap, n1 * n2) < 2**31 else np.int64
+    indptr = np.zeros(off.size * sino.angles.size + 1, itype)
+    indices = np.empty(cap, itype)
+    data = np.empty(cap)
+    nnz = 0
+    for ja, a in enumerate(sino.angles):
         u = (nu * np.cos(a) - off * np.sin(a) - x1[0]) / d1
         v = (off * np.cos(a) + nu * np.sin(a) - x2[0]) / d2
         inside = ((u >= -_EDGE_TOL) & (u <= n1 - 1 + _EDGE_TOL)
@@ -364,9 +381,17 @@ def _xray_matrix(sino: Sinogram, axes) -> sparse.csr_matrix:
                               (1 - fu) * fv, fu * fv]) * step
         cols = np.concatenate([col, col + n2, col + 1, col + n2 + 1])
         # duplicate (row, col) pairs are summed on conversion
-        blocks.append(sparse.csr_matrix((wts, (np.tile(rows, 4), cols)),
-                                        shape=(off.size, n1 * n2)))
-    return sparse.vstack(blocks, format="csr")
+        blk = sparse.csr_matrix((wts, (np.tile(rows, 4), cols)),
+                                shape=(off.size, n1 * n2))
+        indices[nnz:nnz + blk.nnz] = blk.indices
+        data[nnz:nnz + blk.nnz] = blk.data
+        first = ja * off.size
+        indptr[first + 1:first + off.size + 1] = blk.indptr[1:] + nnz
+        nnz += blk.nnz
+    indices.resize(nnz, refcheck=False)  # no views of either remain
+    data.resize(nnz, refcheck=False)
+    return sparse.csr_matrix((data, indices, indptr),
+                             shape=(indptr.size - 1, n1 * n2))
 
 
 def _rls(sino: Sinogram, axes, reg: float, iters: int = 60,

@@ -359,6 +359,13 @@ def fdtd_measurements(q: Potential, phi: Profile, chi: Profile,
     it, so every angle's slice equals the canonical omega = (1,0) slice.
     This is an exact symmetry of the continuum problem, checked on q
     numerically, and avoids one large 2+1D solve per direction.
+
+    The rk4 solve is told which cells of u(Tprime) are read (the x1
+    rows of the r window, and along x2 the two columns around each
+    offset), so it advances only their backward light cone plus
+    FDTD_CONE_MARGIN cells; on the read cells this agrees with the
+    whole-box solve to within about 1e-15 at h = 1/16 and 3e-13 at
+    h = 1/64.
     """
     _assert_radial(q)
     offsets = np.asarray(offsets, dtype=float)
@@ -376,7 +383,9 @@ def fdtd_measurements(q: Potential, phi: Profile, chi: Profile,
     span = Tprime - T0
     band = chi.support_radius + pad
     # x1 runs along omega; left edge far enough that boundary garbage
-    # (phi_V is nonzero there) cannot reach the sampled band by Tprime
+    # (phi_V is nonzero there) cannot reach the sampled band by Tprime.
+    # This box is the bounding box of the band's backward light cone at
+    # T0; the solve's window shrinks inside it as t nears Tprime.
     x1_lo = -Tprime - band - span - 6 * d
     x1_hi = -T0 + band + 6 * d
     # x2 edges sit outside the phi_V slab |t + x2| < support (sign V = -1)
@@ -392,13 +401,6 @@ def fdtd_measurements(q: Potential, phi: Profile, chi: Profile,
     spec = AnsatzSpec(V0, W0, phi, chi, A, B, 0, (h,), T0, Tprime + 1.0,
                       Tprime, d, ((x1_lo, x1_hi), (x2_lo, x2_hi)))
     spec.validate_against(q)
-    xs = (x1[:, None], x2[None, :])
-    u0 = u_incident(spec, h, T0, xs)
-    v0 = dt_u_incident(spec, h, T0, xs)
-    traj = solve_semilinear(q, u0, v0, (x1_lo, x2_lo), (d, d), T0, Tprime,
-                            scheme="rk4", sample_every=10 ** 9)
-    uT = traj.u[-1]
-
     r = _r_window(chi, Tprime, h, ppw, pad)
     ir = np.clip(np.round((r - x1_lo) / d).astype(int), 0, n1 - 1)
     r = x1[ir]  # snap to solver columns; spacing preserved (same grid)
@@ -406,6 +408,16 @@ def fdtd_measurements(q: Potential, phi: Profile, chi: Profile,
     pos = (offsets - x2_lo) / d
     j = np.clip(pos.astype(int), 0, n2 - 2)
     wts = pos - j
+
+    xs = (x1[:, None], x2[None, :])
+    u0 = u_incident(spec, h, T0, xs)
+    v0 = dt_u_incident(spec, h, T0, xs)
+    # only the backward light cone of the cells read below is solved
+    read = (slice(int(ir.min()), int(ir.max()) + 1),
+            slice(int(j.min()), int(j.max()) + 2))
+    traj = solve_semilinear(q, u0, v0, (x1_lo, x2_lo), (d, d), T0, Tprime,
+                            scheme="rk4", sample_every=10 ** 9, region=read)
+    uT = traj.u[-1]
     rows = (1.0 - wts)[:, None] * uT[ir, :].T[j, :] \
         + wts[:, None] * uT[ir, :].T[j + 1, :]
     bg = np.broadcast_to(phi.f(-Tprime * V0.sign + offsets)[:, None],
@@ -438,7 +450,9 @@ def recover_potential_2d(probes, axes, method: str = "fbp",
     half-wavelength slice is attached), turned into logarithmic ray
     data, averaged over the valid band points per offset, divided by
     the reduction weight, and assembled into a sinogram which is then
-    inverted.  Angles with more than `max_missing` missing offsets are
+    inverted.  Everything before the division by the weight runs once
+    per run of consecutive probes with the same slice objects, so probes
+    sharing a slice (the FDTD provider's) share that work.  Angles with more than `max_missing` missing offsets are
     dropped with a warning; isolated missing offsets are interpolated
     from their neighbours and counted in the report.
 
@@ -460,36 +474,51 @@ def recover_potential_2d(probes, axes, method: str = "fbp",
     interpolated = 0
     imag_defect = 0.0
     fit_residual = 0.0
+    # a probe whose slice objects are the previous probe's (the FDTD
+    # provider's all share one) reuses its work up to the division by
+    # the weight; demodulate reads only the sign of W.  The work stays
+    # inline: a helper returning only the column freed each slice's
+    # arrays before the next one, which doubled the page faults and
+    # slowed 180 distinct slices by ~8 %.
+    last = None
     for p in probes:
         if offsets is None:
             offsets = p.slc.meta.get("offsets")
-        amp = demodulate(p.slc, p.W)
-        if p.slc_half is not None:
-            amp = richardson_extract(amp, demodulate(p.slc_half, p.W))
-        dist = p.slc.meta.get("backpropagate")
-        if dist is not None:
-            amp = backpropagate_amplitude(amp, p.slc.meta["offsets"], dist)
-        fit_residual = max(fit_residual, amp.fit_residual)
-        ray = log_recover_ray_data(amp, chi, A, B)
-        have = np.any(ray.valid, axis=-1)
-        if np.mean(~have) > max_missing:
+        key = (id(p.slc), id(p.slc_half), p.W.sign)
+        if last is None or last[0] != key:
+            amp = demodulate(p.slc, p.W)
+            if p.slc_half is not None:
+                amp = richardson_extract(amp, demodulate(p.slc_half, p.W))
+            dist = p.slc.meta.get("backpropagate")
+            if dist is not None:
+                amp = backpropagate_amplitude(amp, p.slc.meta["offsets"],
+                                              dist)
+            ray = log_recover_ray_data(amp, chi, A, B)
+            have = np.any(ray.valid, axis=-1)
+            col, imag = None, 0.0
+            if np.mean(~have) <= max_missing:
+                # chi^2-weighted band average: points near the band centre
+                # carry the cleanest amplitude (division by chi amplifies
+                # edge noise)
+                wts = chi.f(p.slc.Tprime + ray.r) ** 2
+                col = np.zeros(ray.values.shape[0])
+                for i in np.nonzero(have)[0]:
+                    v = ray.valid[i]
+                    col[i] = float(np.sum(wts[v] * ray.values[i, v])
+                                   / np.sum(wts[v]))
+                if np.any(ray.valid):
+                    imag = float(np.max(np.abs(ray.imag_defect[ray.valid])))
+                if not np.all(have):
+                    idx = np.arange(col.size)
+                    col[~have] = np.interp(idx[~have], idx[have], col[have])
+            last = (key, col, int(np.sum(~have)), imag, amp.fit_residual)
+        _, col, n_interp, imag, fit = last
+        fit_residual = max(fit_residual, fit)
+        if col is None:
             dropped.append(p.angle)
             continue
-        # chi^2-weighted band average: points near the band centre carry
-        # the cleanest amplitude (division by chi amplifies edge noise)
-        wts = chi.f(p.slc.Tprime + ray.r) ** 2
-        col = np.zeros(ray.values.shape[0])
-        for i in np.nonzero(have)[0]:
-            v = ray.valid[i]
-            col[i] = float(np.sum(wts[v] * ray.values[i, v])
-                           / np.sum(wts[v]))
-        if np.any(ray.valid):
-            imag_defect = max(imag_defect,
-                              float(np.max(np.abs(ray.imag_defect[ray.valid]))))
-        if not np.all(have):
-            idx = np.arange(col.size)
-            col[~have] = np.interp(idx[~have], idx[have], col[have])
-            interpolated += int(np.sum(~have))
+        imag_defect = max(imag_defect, imag)
+        interpolated += n_interp
         if abs(p.weight) < 1e-14:
             raise ConfigError("recover_potential_2d: degenerate probe "
                               "weight")

@@ -7,6 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import nullform.fdtd as fdtd
+from nullform.constants import FDTD_CONE_MARGIN
 from nullform.errors import BlowUpError, CFLError, ConfigError
 from nullform.fdtd import (
     IterationTrace, Trajectory, WaveState, WeightedNormSpec,
@@ -14,7 +16,7 @@ from nullform.fdtd import (
     sobolev_norm, solve_semilinear, spacetime_norm, step_linear_wave,
     weighted_norm,
 )
-from nullform.grids import diff1
+from nullform.grids import diff1, grad1_4, laplacian4
 from nullform.potential import Potential, get_potential
 from nullform.profiles import bump
 
@@ -197,6 +199,133 @@ def test_semilinear_blowup_guard(scheme):
             pytest.raises(BlowUpError):
         solve_semilinear(q, prof.f(x), np.zeros_like(x), (x[0],), (dx,),
                          0.0, 0.5, scheme=scheme)
+
+
+def _rk4_whole_grid(q, u0, v0, x0, dx, t0, t_end):
+    """Reference rk4 loop whose state always spans the whole grid; Q is
+    evaluated on supp q's box plus a 2-cell halo, as solve_semilinear
+    does.  Returns the final (u, v)."""
+    win, xw = [], []
+    for j, (o, d, m) in enumerate(zip(x0, dx, u0.shape)):
+        x = o + d * np.arange(m)
+        inside = np.flatnonzero(np.abs(x - q.center[j]) < q.R)
+        s = slice(max(inside[0] - 2, 0), min(inside[-1] + 3, m))
+        shape = [1] * len(dx)
+        shape[j] = s.stop - s.start
+        win.append(s)
+        xw.append(x[s].reshape(shape))
+    win = tuple(win)
+
+    def rhs(t, u, v):
+        dv = laplacian4(u, dx)
+        uw = u[win]
+        dv[win] -= fdtd.null_form_grid(q, t, xw, uw, v[win],
+                                       grad1_4(uw, dx))
+        return v, dv
+
+    nsteps = int(np.ceil((t_end - t0) / (0.5 * min(dx)) - 1e-12))
+    dtv = (t_end - t0) / nsteps
+    u, v = u0.copy(), v0.copy()
+    for k in range(nsteps):
+        t = t0 + k * dtv
+        k1u, k1v = rhs(t, u, v)
+        k2u, k2v = rhs(t + dtv / 2, u + dtv / 2 * k1u, v + dtv / 2 * k1v)
+        k3u, k3v = rhs(t + dtv / 2, u + dtv / 2 * k2u, v + dtv / 2 * k2v)
+        k4u, k4v = rhs(t + dtv, u + dtv * k3u, v + dtv * k3v)
+        u = u + dtv / 6 * (k1u + 2 * k2u + 2 * k3u + k4u)
+        v = v + dtv / 6 * (k1v + 2 * k2v + 2 * k3v + k4v)
+    return u, v
+
+
+def _cone_problem(n=121, d=0.05):
+    """A right-moving pulse, wide across x2, through radial_bump: the
+    field is nonzero at every window edge the light cone cuts."""
+    prof = bump(0.6, 1.0)
+    x = d * (np.arange(n) - (n - 1) // 2)
+    across = bump(2.8, 1.0).f(x)[None, :]
+    u0 = prof.f(x[:, None] + 1.0) * across
+    v0 = -prof.df(x[:, None] + 1.0) * across
+    q = get_potential("radial_bump", 2, amplitude=2.0)
+    return q, u0, v0, (x[0], x[0]), (d, d)
+
+
+def test_rk4_without_region_matches_whole_grid_loop():
+    q, u0, v0, x0, dx = _cone_problem(n=61, d=0.1)
+    traj = solve_semilinear(q, u0, v0, x0, dx, 0.0, 1.2, scheme="rk4",
+                            sample_every=10 ** 9)
+    u, v = _rk4_whole_grid(q, u0, v0, x0, dx, 0.0, 1.2)
+    assert np.array_equal(traj.u[-1], u)
+    assert np.array_equal(traj.ut[-1], v)
+
+
+def test_rk4_region_matches_full_box(monkeypatch):
+    q, u0, v0, x0, dx = _cone_problem()
+    region = (slice(72, 80), slice(55, 66))
+    full = solve_semilinear(q, u0, v0, x0, dx, 0.0, 1.5, scheme="rk4",
+                            sample_every=10 ** 9).u[-1][region]
+    cells = []
+
+    def counted(u, dx):
+        cells.append(u.size)
+        return laplacian4(u, dx)
+
+    monkeypatch.setattr(fdtd, "laplacian4", counted)
+    cone = solve_semilinear(q, u0, v0, x0, dx, 0.0, 1.5, scheme="rk4",
+                            sample_every=10 ** 9, region=region).u[-1]
+    scale = np.max(np.abs(full))
+    assert np.max(np.abs(cone[region] - full)) <= 1e-12 * scale
+    # the window shrank: fewer cells updated than the whole grid's
+    assert sum(cells) < 0.8 * len(cells) * u0.size
+    # and the margin is what keeps the region exact
+    monkeypatch.setattr(fdtd, "FDTD_CONE_MARGIN", 0)
+    bare = solve_semilinear(q, u0, v0, x0, dx, 0.0, 1.5, scheme="rk4",
+                            sample_every=10 ** 9, region=region).u[-1]
+    assert np.max(np.abs(bare[region] - full)) > 1e-12 * scale
+    assert FDTD_CONE_MARGIN > 0
+
+
+@pytest.mark.parametrize("name", ["u0", "v0"])
+def test_rk4_region_rejects_nonfinite_data(name):
+    q, u0, v0, x0, dx = _cone_problem(n=41)
+    data = {"u0": u0.copy(), "v0": v0.copy()}
+    data[name][20, 20] = np.inf
+    with pytest.raises(ConfigError, match=name):
+        solve_semilinear(q, data["u0"], data["v0"], x0, dx, 0.0, 0.2,
+                         scheme="rk4", region=(slice(18, 22), slice(18, 22)))
+
+
+def test_rk4_region_blowup_guard():
+    # standing data under a huge potential overflows within a few steps
+    _, u0, v0, x0, dx = _cone_problem(n=41)
+    q = get_potential("radial_bump", 2, amplitude=1e300)
+    u0 = np.roll(u0, -20, axis=0)  # pulse centred on supp q
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(BlowUpError):
+        solve_semilinear(q, u0, np.zeros_like(v0), x0, dx, 0.0, 0.5,
+                         scheme="rk4", region=(slice(18, 22), slice(18, 22)))
+
+
+@pytest.mark.parametrize("region", [
+    (slice(5, 5), slice(0, 4)),        # empty
+    (slice(6, 2), slice(0, 4)),        # reversed
+    (slice(0, 42), slice(0, 4)),       # past the last cell
+    (slice(-3, 2), slice(0, 4)),       # before the first cell
+    (slice(0, 4),),                    # one axis missing
+    (slice(0, 4, 2), slice(0, 4)),     # strided
+    (slice(None, 4), slice(0, 4)),     # open start
+])
+def test_rk4_rejects_bad_region(region):
+    q, u0, v0, x0, dx = _cone_problem(n=41)
+    with pytest.raises(ConfigError, match="region"):
+        solve_semilinear(q, u0, v0, x0, dx, 0.0, 0.2, scheme="rk4",
+                         region=region)
+
+
+def test_region_needs_rk4():
+    q, u0, v0, x0, dx = _cone_problem(n=41)
+    with pytest.raises(ConfigError, match="rk4"):
+        solve_semilinear(q, u0, v0, x0, dx, 0.0, 0.2,
+                         region=(slice(18, 22), slice(18, 22)))
 
 
 def test_weighted_norm_examples():

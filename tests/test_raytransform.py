@@ -196,6 +196,32 @@ def test_line_integral_rejects_non_finite_integrand(monkeypatch):
     assert len(calls) == 2  # raised at the first doubling
 
 
+def test_line_integral_stops_at_node_budget(monkeypatch):
+    # a finite integrand that never converges (fresh noise on every call)
+    # must stop at the node budget, well before RAY_QUAD_MAX_DOUBLINGS;
+    # the doubling cap is lowered too, so a broken budget check cannot
+    # exhaust memory here
+    import nullform.raytransform as rt
+    monkeypatch.setattr(rt, "RAY_QUAD_MAX_NODES", 3000)
+    monkeypatch.setattr(rt, "RAY_QUAD_MAX_DOUBLINGS", 14)
+    rng = np.random.default_rng(3)
+    nodes = []
+
+    def noise(sig, pts):
+        nodes.append(sig.size)
+        return rng.normal(size=sig.shape)
+
+    base = np.zeros((4, 2))
+    length = np.array([1.0, 0.0, 2.0, 1.5])
+    with pytest.raises(QuadratureError, match="not converged") as exc:
+        _adaptive_line_integral(noise, base, np.array([1.0, 0.0]),
+                                np.zeros(4), length, 1e-9)
+    assert exc.value.ray in (0, 2, 3)
+    held = sum(nodes)  # 3 active lines x (nseg + 1) nodes
+    assert held <= 3000 < 2 * held - 3
+    assert held == 3 * 513  # 5 doublings from 16 segments
+
+
 def test_forward_rejects_bad_args():
     fld = _field()
     with pytest.raises(ConfigError):
@@ -355,6 +381,23 @@ def test_xray_matrix_matches_interpolator():
     assert A.shape == (21 * angles.size, 21 * 19)
     got = (A @ img.ravel()).reshape(angles.size, 21).T
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_xray_matrix_matches_stacked_angle_blocks():
+    # the operator assembled in place equals scipy's vstack of the
+    # one-angle operators, entry for entry in canonical CSR form
+    from scipy import sparse
+    ax = (np.linspace(-0.8, 0.8, 17), np.linspace(-0.6, 0.6, 13))
+    offsets = np.linspace(-0.8, 0.8, 15)
+    angles = np.linspace(0, np.pi, 24, endpoint=False) + 0.01
+    A = _xray_matrix(Sinogram(offsets, angles,
+                              np.zeros((15, angles.size))), ax)
+    want = sparse.vstack(
+        [_xray_matrix(Sinogram(offsets, [a], np.zeros((15, 1))), ax)
+         for a in angles], format="csr")
+    assert A.has_canonical_format
+    for name in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(A, name), getattr(want, name))
 
 
 def test_xray_matrix_keeps_edge_rays():

@@ -1,5 +1,8 @@
 """Time-slice demodulation, log ray data, and 2-D potential recovery."""
 
+import copy
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -9,6 +12,7 @@ from nullform.geoptics import AnsatzSpec, assemble_uN, background_field, \
 from nullform.minkowski import LightVector
 from nullform.potential import get_potential
 from nullform.profiles import bump, ramp
+import nullform.recovery as recovery
 from nullform.recovery import (
     ExtractedAmplitude, TimeSliceMeasurement, ansatz_measurements,
     backpropagate_amplitude, demodulate, fdtd_measurements,
@@ -284,6 +288,34 @@ def test_recover_drops_dead_angle_with_warning():
                                            chi=CHI, A=A, B=B)
     assert report["n_angles_used"] == 90
     assert report["dropped_angles"] == [pytest.approx(bad.angle)]
+
+
+def test_recover_processes_each_shared_slice_once(monkeypatch):
+    # one slice shared by every angle, as the FDTD provider builds it
+    # (radial_bump is radially symmetric, so it is the right slice)
+    q = get_potential("radial_bump", 2)
+    offsets = np.linspace(-0.8, 0.8, 17)
+    angles = np.linspace(0, np.pi, 90, endpoint=False)
+    p0 = ansatz_measurements(q, PHI, CHI, A, B, 1 / 32, offsets, [0.0],
+                             TP)[0]
+    shared = [dataclasses.replace(p0, angle=float(a)) for a in angles]
+    own = [dataclasses.replace(p, slc=copy.deepcopy(p.slc)) for p in shared]
+    calls = []
+
+    def counted(slc, W, h=None):
+        calls.append(id(slc))
+        return demodulate(slc, W, h)
+
+    monkeypatch.setattr(recovery, "demodulate", counted)
+    ax = np.linspace(-0.8, 0.8, 17)
+    rec, report = recover_potential_2d(shared, (ax, ax), chi=CHI, A=A, B=B)
+    assert calls == [id(p0.slc)]
+    calls.clear()
+    rec_own, report_own = recover_potential_2d(own, (ax, ax), chi=CHI,
+                                               A=A, B=B)
+    assert len(calls) == len(angles)
+    assert np.array_equal(rec.values, rec_own.values)
+    assert report == report_own
 
 
 def test_recover_fdtd_small():
