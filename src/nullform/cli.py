@@ -136,6 +136,14 @@ class ScenarioConfig:
             return tuple(out)
         return self._cast(sec, key, default, conv, "'lo:hi' intervals")
 
+    def positive(self, sec, key, default=_REQUIRED, kind="float", above=0):
+        """The `kind` getter's value; it (or each entry) must be > above."""
+        value = getattr(self, kind)(sec, key, default)
+        if not np.all(np.asarray(value) > above):
+            raise ConfigError(
+                f"[{sec}] {key}: must be > {above}, got {value!r}")
+        return value
+
     def angles(self, sec, key, default=_REQUIRED):
         """Either a count (uniform half-turn sweep) or 'lo:hi:n'."""
         def conv(s):
@@ -238,7 +246,7 @@ def _ansatz_spec(cfg: ScenarioConfig, n: int, N: int, h_list=None):
     A = cfg.float("probe", "amp_cos", 1.0)
     B = cfg.float("probe", "amp_sin", 0.5)
     hs = tuple(h_list if h_list is not None else cfg.floats("grid", "h_list"))
-    dx = cfg.float("grid", "dx")
+    dx = cfg.positive("grid", "dx")
     xlim = cfg.intervals("grid", "xlim")
     if len(xlim) != n:
         raise ConfigError(f"[grid] xlim: expected {n} intervals, "
@@ -335,10 +343,10 @@ def run_picard(cfg, n, outdir, jobs):
         raise ConfigError("[scenario] dimension: the picard pipeline "
                           "runs in 1+1D")
     q = _potential(cfg, n)
-    h = cfg.float("picard", "h")
-    lam = cfg.float("picard", "lam")
+    h = cfg.positive("picard", "h")
+    lam = cfg.positive("picard", "lam")
     m = cfg.int("picard", "m", 2)
-    mu = cfg.float("picard", "mu", 4.0)
+    mu = cfg.positive("picard", "mu", 4.0)
     tol = cfg.float("picard", "tol", 1e-10)
     j_max = cfg.int("picard", "j_max", 12)
     spec = _ansatz_spec(cfg, n, 0, h_list=(h,))
@@ -397,11 +405,11 @@ def run_energy(cfg, n, outdir, jobs):
     if q.key != "zero":
         raise ConfigError("[potential] key: the energy pipeline checks "
                           "the homogeneous estimate; use 'zero'")
-    cases = cfg.int("energy", "cases", 20)
-    lams = cfg.floats("energy", "lams", (1.0, 2.0, 4.0, 8.0))
+    cases = cfg.positive("energy", "cases", 20, "int")
+    lams = cfg.positive("energy", "lams", (1.0, 2.0, 4.0, 8.0), "floats")
     ms = tuple(int(v) for v in cfg.floats("energy", "m_values", (0.0, 1.0)))
     seed = cfg.int("energy", "seed", 7)
-    dx = cfg.float("grid", "dx")
+    dx = cfg.positive("grid", "dx")
     (xlo, xhi), = cfg.intervals("grid", "xlim")
     t0 = cfg.float("time", "t0", 0.0)
     t_end = cfg.float("time", "t_end")
@@ -445,8 +453,9 @@ def run_recover(cfg, n, outdir, jobs):
     if provider not in ("ansatz", "fdtd"):
         raise ConfigError(f"[recover] provider: unknown '{provider}' "
                           "(have ansatz, fdtd)")
-    h = cfg.float("recover", "h")
-    ppw = cfg.int("recover", "ppw", 20 if provider == "ansatz" else 16)
+    h = cfg.positive("recover", "h")
+    ppw = cfg.positive("recover", "ppw", 20 if provider == "ansatz" else 16,
+                       "int")
     offsets = cfg.linspace("recover", "offsets")
     angles = cfg.angles("recover", "angles")
     method = cfg.str("recover", "method", "fbp")
@@ -505,12 +514,9 @@ def run_recover(cfg, n, outdir, jobs):
 
 def run_certify(cfg, n, outdir, jobs):
     keys = cfg.strs("certify", "potentials")
-    pts = cfg.int("certify", "grid_points", 64)
-    n_prof = cfg.int("certify", "n_profiles", 4)
-    n_dirs = cfg.int("certify", "n_directions", 4)
-    if n_prof < 1 or n_dirs < 1:
-        raise ConfigError("[certify] n_profiles/n_directions: must be "
-                          ">= 1")
+    pts = cfg.positive("certify", "grid_points", 64, "int", above=1)
+    n_prof = cfg.positive("certify", "n_profiles", 4, "int")
+    n_dirs = cfg.positive("certify", "n_directions", 4, "int")
     profs = [bump(0.4 + 0.25 * k / max(1, n_prof - 1), 1.0)
              for k in range(n_prof)]
     dirs = []

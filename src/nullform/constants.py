@@ -1,19 +1,11 @@
 """Shared tolerance and scheme constants.
 
-Kept in one table so order-of-accuracy tests and CI thresholds are
-reproducible (see the minkowski design notes: unit-norm checks at 1e-12,
-finite-difference consistency probed at delta in {1e-3, 5e-4}).
+One table of the values the package reads; tests/test_hygiene.py fails
+on a name here that no module under src/nullform reads.
 """
 
 # geometry / algebra
 UNIT_NORM_TOL = 1e-12          # |direction| == 1 check on LightVector
-NULL_PAIRING_TOL = 1e-12       # <V,V>_M == 0 check
-
-# finite-difference consistency probes (O(delta^2) checks)
-FD_DELTAS = (1e-3, 5e-4)
-
-# centered-difference step for the exterior_derivative fallback
-FD_STEP_CAP = 1e-3
 
 # FDTD
 CFL_LEAPFROG = 0.45            # dt = CFL * dx / sqrt(n) for the leapfrog kernel

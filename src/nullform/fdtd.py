@@ -24,8 +24,8 @@ advances shrinks as the solve nears t_end.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from typing import Callable, Optional
+from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -210,11 +210,13 @@ def solve_semilinear(q: Potential, u0, v0, x0, dx, t0, t_end,
         uw = u[win]
         return null_form_grid(q, t, xw, uw, ut[win], grad(uw, dx))
 
-    keep = list(range(0, nsteps + 1, sample_every))
-    if keep[-1] != nsteps:
-        keep.append(nsteps)
-    keep_set = set(keep)
+    keep = set(range(0, nsteps + 1, sample_every)) | {nsteps}
     times, us, uts = [], [], []
+
+    def sample(k, u, ut):
+        times.append(t0 + k * dtv)
+        us.append(u)
+        uts.append(ut)
 
     if scheme == "rk4":
         u, v = u0.copy(), v0.copy()
@@ -228,10 +230,8 @@ def solve_semilinear(q: Potential, u0, v0, x0, dx, t0, t_end,
 
         for k in range(nsteps + 1):
             t = t0 + k * dtv
-            if k in keep_set:
-                times.append(t)
-                us.append(u.copy())
-                uts.append(v.copy())
+            if k in keep:
+                sample(k, u.copy(), v.copy())
             if k == nsteps:
                 break
             # the region's backward light cone at t, plus the margin
@@ -261,14 +261,13 @@ def solve_semilinear(q: Potential, u0, v0, x0, dx, t0, t_end,
         raise CFLError("leapfrog time step violates CFL")
     nf = _null_form_window(support, tuple(slice(0, m) for m in u0.shape), xs)
 
-    uts_by_level = {}
     u_prev = u0
     f0 = None
     if nf is not None:
         f0 = np.zeros_like(u0)
         f0[nf[0]] = -windowed_null_form(t0, u0, v0, grad1_2)
     u_cur = leapfrog_first_step(u0, v0, dtv, dx, f0)
-    level_fields = {0: u0, 1: u_cur}
+    sample(0, u0, v0)
     for k in range(1, nsteps):
         t = t0 + k * dtv
         acc = laplacian2(u_cur, dx)
@@ -279,28 +278,10 @@ def solve_semilinear(q: Potential, u0, v0, x0, dx, t0, t_end,
         u_next = 2.0 * u_cur - u_prev + dtv**2 * acc
         if not np.max(np.abs(u_next)) <= guard:
             raise BlowUpError(f"blow-up guard tripped at t={t + dtv:.4f}")
-        if k in keep_set:
-            uts_by_level[k] = (u_next - u_prev) / (2 * dtv)
-            level_fields[k] = u_cur
+        if k in keep:
+            sample(k, u_cur, (u_next - u_prev) / (2 * dtv))
         u_prev, u_cur = u_cur, u_next
-        level_fields[k + 1] = u_cur
-        stale = [kk for kk in level_fields if kk < k - 1 and kk not in keep_set]
-        for kk in stale:
-            del level_fields[kk]
-
-    # assemble samples
-    for k in keep:
-        t = t0 + k * dtv
-        times.append(t)
-        if k == 0:
-            us.append(u0)
-            uts.append(v0)
-        elif k == nsteps:
-            us.append(u_cur)
-            uts.append((u_cur - u_prev) / dtv)
-        else:
-            us.append(level_fields[k])
-            uts.append(uts_by_level[k])
+    sample(nsteps, u_cur, (u_cur - u_prev) / dtv)
     return Trajectory(np.array(times), np.array(us), np.array(uts), x0, dx)
 
 

@@ -25,18 +25,18 @@ through grid points and the transport solves are exact index shifts plus a
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, Tuple
 
 import numpy as np
 from scipy.interpolate import CubicSpline, PPoly
 
-from .constants import CFL_LIMIT, NULL_PAIRING_TOL, PPW_MIN, RAY_QUAD_ABS_TOL
+from .constants import CFL_LIMIT, PPW_MIN, RAY_QUAD_ABS_TOL
 from .errors import CFLError, ConfigError, QuadratureError, \
     UnresolvedCarrierError
 from .grids import (SpacetimeGrid, diff1, diff2, grad1_2, l2_norm,
                     laplacian2, shift)
-from .minkowski import LightVector
+from .minkowski import LightVector, phase_arg
 from .potential import Potential
 from .profiles import Profile
 from .raytransform import _adaptive_line_integral, _line_bounds
@@ -181,21 +181,6 @@ def a10_points(q: Potential, phi: Profile, chi: Profile, V: LightVector,
     if np.any(live):
         I = ray_exponent(q, phi, V, W, t, xp[live])
         out[live] = 0.5 * (A - 1j * B) * chiv[live] * np.exp(I)
-    return out
-
-
-def solve_A10_closed_form(q: Potential, phi: Profile, chi: Profile,
-                          V: LightVector, W: LightVector,
-                          A: float, B: float,
-                          grid: SpacetimeGrid) -> np.ndarray:
-    """Closed-form A_{1,0} on a spacetime grid (adaptive ray quadrature)."""
-    axes = [grid.axis(j) for j in range(grid.n)]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    xp = np.stack([m.ravel() for m in mesh], axis=-1)
-    out = np.empty((grid.nt,) + grid.nx, dtype=complex)
-    for k, t in enumerate(grid.t):
-        out[k] = a10_points(q, phi, chi, V, W, A, B, float(t),
-                            xp).reshape(grid.nx)
     return out
 
 
@@ -439,7 +424,7 @@ class _Frame:
         self.th = spec.V.direction[0]
         self.omega = spec.W.direction[0]
         self.pairing = spec.pairing
-        sarg = -Tgrid * self.sV + Xgrid * self.th  # <x,V>_M
+        sarg = phase_arg(Tgrid, [Xgrid], spec.V)
         self.phi_v = np.broadcast_to(spec.phi.f(sarg), grid.shape)
         self.phip = np.broadcast_to(spec.phi.df(sarg), grid.shape)
         xs = [Xgrid]
@@ -447,7 +432,7 @@ class _Frame:
         self.q1 = np.broadcast_to(q.q_u(Tb, xs, self.phi_v), grid.shape)
         self.q2 = np.broadcast_to(q.q_uu(Tb, xs, self.phi_v), grid.shape)
         self.F = self.q0 * self.phip * self.pairing
-        self.psi = Tgrid + self.omega * Xgrid
+        self.psi = phase_arg(Tgrid, [Xgrid], spec.W)
 
 
 def _series_parts(cache, fr: _Frame):
@@ -495,7 +480,7 @@ def _series_parts(cache, fr: _Frame):
     return qparts, tparts, boxparts
 
 
-def _series_at(parts, p, m, shape, assembly_order="forward"):
+def _series_at(parts, p, m, shape):
     """Sum of all series contributions landing at (order p, bin m)."""
     qparts, tparts, boxparts = parts
     contribs = [arr for (o, b, arr) in boxparts if o == p and b == m]
@@ -505,8 +490,6 @@ def _series_at(parts, p, m, shape, assembly_order="forward"):
         for (to, tm, tarr) in tparts:
             if qo + to == p and qm + tm == m:
                 contribs.append(qarr * tarr)
-    if assembly_order == "reversed":
-        contribs = contribs[::-1]
     acc = np.zeros(shape, dtype=complex)
     for c in contribs:
         acc = acc + c
@@ -535,13 +518,8 @@ def _series_above(parts, N, shape):
     return out
 
 
-def build_hierarchy(spec: AnsatzSpec, q: Potential,
-                    assembly_order: str = "forward") -> CoeffTable:
-    """Fill the coefficient rows for p = 0..N (see module docstring).
-
-    assembly_order flips the summation order of the source contributions;
-    results must agree to rounding (a cheap uniqueness check).
-    """
+def build_hierarchy(spec: AnsatzSpec, q: Potential) -> CoeffTable:
+    """Fill the coefficient rows for p = 0..N (see module docstring)."""
     spec.validate_against(q)
     grid = spec.make_grid()
     fr = _Frame(spec, q, grid)
@@ -571,15 +549,14 @@ def build_hierarchy(spec: AnsatzSpec, q: Potential,
             # source from rows already known; the unknown row enters only
             # through the transport operator T - F
             parts = _series_parts(cache, fr)
-            src = _series_at(parts, p, m, grid.shape,
-                             assembly_order) / (2j * m)
+            src = _series_at(parts, p, m, grid.shape) / (2j * m)
             inflow = inflow_10 if (m == 1 and p == 0) \
                 else np.zeros(grid.nx, dtype=complex)
             A = solve_transport(src, fr.F, fr.omega, inflow, grid)
             add_row(m, p, A)
         # bin-0 row at this order: box A + 2 q0 phi' <Vt, grad A>_M = -S
         parts = _series_parts(cache, fr)
-        S0 = _series_at(parts, p + 1, 0, grid.shape, assembly_order)
+        S0 = _series_at(parts, p + 1, 0, grid.shape)
         if np.max(np.abs(S0.imag)) > 1e-10 * max(1.0, np.max(np.abs(S0))):
             raise ConfigError("bin-0 source has a non-real part; "
                               "conjugate symmetry broken upstream")
@@ -601,7 +578,7 @@ def assemble_uN(table: CoeffTable, h: float) -> np.ndarray:
         raise ConfigError("assemble_uN: h must be positive")
     grid = table.grid
     Tgrid, Xgrid = grid.coords()
-    psi = Tgrid + table.W.direction[0] * Xgrid
+    psi = phase_arg(Tgrid, [Xgrid], table.W)
     acc = np.zeros(grid.shape, dtype=complex)
     for (m, p), arr in table.rows.items():
         acc = acc + h ** (1 + p) * arr * np.exp(1j * m * psi / h)
@@ -610,17 +587,13 @@ def assemble_uN(table: CoeffTable, h: float) -> np.ndarray:
     if defect > 1e-12 * scale:
         raise ConfigError("assemble_uN: conjugate symmetry violated "
                           f"(imag part {defect:.2e})")
-    sarg = -Tgrid * table.V.sign + Xgrid * table.V.direction[0]
+    sarg = phase_arg(Tgrid, [Xgrid], table.V)
     return np.broadcast_to(table.phi.f(sarg), grid.shape) + acc.real
 
 
 def background_field(spec: AnsatzSpec, t, xs):
     """phi_V at arbitrary points (broadcasting arrays)."""
-    th = np.array(spec.V.direction)
-    s = -np.asarray(t) * spec.V.sign
-    for j, x in enumerate(xs):
-        s = s + th[j] * np.asarray(x)
-    return spec.phi.f(s)
+    return spec.phi.f(phase_arg(t, xs, spec.V))
 
 
 def u_incident(spec: AnsatzSpec, h: float, t, xs):
@@ -630,23 +603,15 @@ def u_incident(spec: AnsatzSpec, h: float, t, xs):
     and background are both exact null-phase solutions and Q vanishes
     off supp q).
     """
-    om = np.array(spec.W.direction)
-    psi = np.asarray(t, dtype=float)
-    for j, x in enumerate(xs):
-        psi = psi + om[j] * np.asarray(x)
+    psi = phase_arg(t, xs, spec.W)
     osc = spec.amp_cos * np.cos(psi / h) + spec.amp_sin * np.sin(psi / h)
     return background_field(spec, t, xs) + h * spec.chi.f(psi) * osc
 
 
 def dt_u_incident(spec: AnsatzSpec, h: float, t, xs):
     """Exact d_t of u_incident (d psi/dt = 1, d<x,V>/dt = -sign V)."""
-    th = np.array(spec.V.direction)
-    s = -np.asarray(t) * spec.V.sign
-    om = np.array(spec.W.direction)
-    psi = np.asarray(t, dtype=float)
-    for j, x in enumerate(xs):
-        s = s + th[j] * np.asarray(x)
-        psi = psi + om[j] * np.asarray(x)
+    s = phase_arg(t, xs, spec.V)
+    psi = phase_arg(t, xs, spec.W)
     dosc = -spec.amp_cos * np.sin(psi / h) + spec.amp_sin * np.cos(psi / h)
     osc = spec.amp_cos * np.cos(psi / h) + spec.amp_sin * np.sin(psi / h)
     return (-spec.V.sign * spec.phi.df(s)
@@ -769,12 +734,10 @@ def _norms_from_coeffs(coeffs, table: CoeffTable, h: float, refine: int,
     return sup_l2, sup_linf
 
 
-def measure_residual_order(spec: AnsatzSpec, q: Potential,
-                           table: Optional[CoeffTable] = None,
-                           estimate_floor: bool = True) -> ResidualReport:
+def measure_residual_order(spec: AnsatzSpec, q: Potential) -> ResidualReport:
     """Wavelength sweep of ||box u_N - Q(x, u_N, grad u_N)||.
 
-    One h-independent table is built (or supplied); the residual is
+    One h-independent table is built; the residual is
     assembled per h from its exact bin coefficients (see
     residual_coefficients).  The error floor per h combines the
     ray-defect of the transport rows (amplified by 2|m|/h as it appears
@@ -785,8 +748,7 @@ def measure_residual_order(spec: AnsatzSpec, q: Potential,
     hs = tuple(spec.h_list)
     if len(hs) < 4:
         raise ConfigError("measure_residual_order: need >= 4 wavelengths")
-    if table is None:
-        table = build_hierarchy(spec, q)
+    table = build_hierarchy(spec, q)
     coeffs, defects = residual_coefficients(spec, q, table)
     h_min = hs[-1]
     # fine-grid resolution against the fastest carrier present
@@ -807,18 +769,17 @@ def measure_residual_order(spec: AnsatzSpec, q: Potential,
         floors.append(sum(4.0 * m * h**p * d
                           for (m, p), d in defects.items()))
 
-    if estimate_floor:
-        coarse_spec = AnsatzSpec(
-            spec.V, spec.W, spec.phi, spec.chi, spec.amp_cos, spec.amp_sin,
-            spec.N, spec.h_list, spec.T0, spec.T, spec.Tprime,
-            2 * spec.dx, spec.xlim)
-        coarse = build_hierarchy(coarse_spec, q)
-        ccoeffs, _ = residual_coefficients(coarse_spec, q, coarse)
-        for i, h in enumerate(hs):
-            a, _ = _norms_from_coeffs(ccoeffs, coarse, h, 2 * refine)
-            # |coarse - fine| tracks the coarse table's error; for an
-            # order >= 2 method the fine error is at most a third of it
-            floors[i] += abs(a - l2s[i]) / 3.0
+    coarse_spec = AnsatzSpec(
+        spec.V, spec.W, spec.phi, spec.chi, spec.amp_cos, spec.amp_sin,
+        spec.N, spec.h_list, spec.T0, spec.T, spec.Tprime,
+        2 * spec.dx, spec.xlim)
+    coarse = build_hierarchy(coarse_spec, q)
+    ccoeffs, _ = residual_coefficients(coarse_spec, q, coarse)
+    for i, h in enumerate(hs):
+        a, _ = _norms_from_coeffs(ccoeffs, coarse, h, 2 * refine)
+        # |coarse - fine| tracks the coarse table's error; for an
+        # order >= 2 method the fine error is at most a third of it
+        floors[i] += abs(a - l2s[i]) / 3.0
 
     used = [i for i in range(len(hs)) if l2s[i] > 3 * floors[i]]
     if len(used) < 2:

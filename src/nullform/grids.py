@@ -121,22 +121,6 @@ def diff2(f, h, axis):
     return _apply(f, h, axis, _D2_CENTRAL, _D2_EDGE0, _D2_EDGE1, 2)
 
 
-def spacetime_gradient(f, grid: SpacetimeGrid):
-    """[d_t f, d_1 f, ..., d_n f] on the full spacetime array."""
-    out = [diff1(f, grid.dt, 0)]
-    for j in range(grid.n):
-        out.append(diff1(f, grid.dx[j], j + 1))
-    return out
-
-
-def dalembertian(f, grid: SpacetimeGrid):
-    """box f = -d_t^2 f + Laplacian f (signature (-,+,...,+))."""
-    out = -diff2(f, grid.dt, 0)
-    for j in range(grid.n):
-        out = out + diff2(f, grid.dx[j], j + 1)
-    return out
-
-
 @functools.cache
 def _shift_slices(ndim, s, axis):
     """(dst, src) index tuples with out[dst] = a[src] meaning

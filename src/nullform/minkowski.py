@@ -1,10 +1,12 @@
-"""Null-vector algebra and plane-wave backgrounds on Minkowski space.
+"""Null-vector algebra and the plane-wave phase on Minkowski space.
 
 Conventions used throughout the package (fixed here once):
 
 * metric signature (-1, +1, ..., +1); pairing <a,b>_M = -a0*b0 + a'.b'
 * a light vector V = (s, theta) with s = +-1 and |theta| = 1; its twin is
   Vt = (-s, theta).  Both are null.
+* phase_arg(t, xs, V) is <x,V>_M on broadcast coordinates; every
+  plane-wave phase in the package is computed by it.
 * for a profile g, the background g_V(x) = g(<x,V>_M) satisfies
   grad g_V = g'_V * Vt  and  box g_V = 0  with box = -d_t^2 + Laplacian,
   so the null form q*((d_t u)^2 - |grad' u|^2) annihilates it exactly.
@@ -16,19 +18,12 @@ Conventions used throughout the package (fixed here once):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .constants import UNIT_NORM_TOL
 from .errors import ConfigError
-
-
-def metric_diag(n: int) -> np.ndarray:
-    """Diagonal of the Minkowski metric on R^{1+n}."""
-    d = np.ones(n + 1)
-    d[0] = -1.0
-    return d
 
 
 def mdot_vec(a, b) -> np.ndarray:
@@ -61,43 +56,8 @@ class LightVector:
     def n(self) -> int:
         return len(self.direction)
 
-    def twin(self) -> "LightVector":
-        return LightVector(-self.sign, self.direction)
-
-    def as_array(self) -> np.ndarray:
-        return np.array([float(self.sign), *self.direction])
-
     def twin_array(self) -> np.ndarray:
         return np.array([-float(self.sign), *self.direction])
-
-
-@dataclass(frozen=True)
-class SpacetimePoint:
-    """x = (x0, x') with x0 the time coordinate."""
-
-    x0: float
-    xp: tuple
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.x0, *self.xp], dtype=float)
-
-
-def as_point(x) -> np.ndarray:
-    """Coerce SpacetimePoint / sequence to an (n+1,) float array."""
-    if isinstance(x, SpacetimePoint):
-        return x.as_array()
-    return np.asarray(x, dtype=float)
-
-
-def minkowski_dot(x, V: LightVector) -> float:
-    """<x,V>_M = -sign*x0 + theta.x'  (spec example: minus of V's time sign)."""
-    xa = as_point(x)
-    if xa.shape[-1] != V.n + 1:
-        raise ConfigError(
-            "dimension mismatch: point has %d space dims, V has %d"
-            % (xa.shape[-1] - 1, V.n)
-        )
-    return float(mdot_vec(xa, V.as_array()))
 
 
 def phase_arg(t, xs, V: LightVector):
@@ -105,28 +65,4 @@ def phase_arg(t, xs, V: LightVector):
     out = -float(V.sign) * t
     for th, xj in zip(V.direction, xs):
         out = out + th * xj
-    return out
-
-
-def eval_background(phi, V: LightVector, x):
-    """Evaluate the plane-wave background at a point.
-
-    Returns (value, gradient, dalembertian) with
-    value = phi(<x,V>_M), gradient = phi'(<x,V>_M)*Vt, dalembertian = 0
-    (exact: the profile composed with a null linear phase is box-free).
-    """
-    s = minkowski_dot(x, V)
-    grad = phi.df(s) * V.twin_array()
-    return phi.f(s), grad, 0.0
-
-
-def transport_operator_apply(dfdt, grad_spatial, omega) -> np.ndarray:
-    """T f = d_t f - omega . grad' f, applied to precomputed derivatives.
-
-    ``dfdt`` and the entries of ``grad_spatial`` may be arrays.
-    """
-    out = np.asarray(dfdt, dtype=np.result_type(dfdt, *grad_spatial))
-    out = out.copy()
-    for w, g in zip(omega, grad_spatial):
-        out = out - w * np.asarray(g)
     return out

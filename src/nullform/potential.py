@@ -1,4 +1,4 @@
-"""Semilinear potentials q(x,u), the null form, and the dη uniqueness test.
+"""Semilinear potentials q(x,u), the field F, and the dη uniqueness test.
 
 Analytic catalog potentials are separable,
 
@@ -9,24 +9,25 @@ are smooth through the origin), τ an optional time profile (absent for
 time-independent potentials) and U a polynomial in u.  All partials are
 hand-coded.
 
-The induced objects of the inverse problem live here too: the vector
-field  F(V,x) = q(x, φ_V) φ'_V Vt, the scalar F(V,W,x) = <F, Wt>_M, the
-one-form η with components q φ'_V Vt_j, and the certificate
-max |dη| which vanishes iff q does (sampled over profile/direction
-families).
+The induced objects of the inverse problem live here too, each as one
+kernel on broadcast coordinates (t, xs); a single point is 0-d arrays.
+They are the vector field F(V,x) = q(x, φ_V) φ'_V Vt, the scalar
+F(V,W,x) = <F, Wt>_M, and dη for the one-form η with components
+q φ'_V Vt_j.  The certificate max |dη| vanishes iff q does (sampled
+over profile/direction families).  The null form
+q(x,u) ((d_t u)^2 - |grad' u|^2) is fdtd.null_form_grid.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .constants import FD_STEP_CAP
 from .errors import ConfigError
-from .minkowski import LightVector, as_point, mdot_vec, phase_arg
-from .profiles import Profile, bump, cos4_window, get_profile, ramp, sbump
+from .minkowski import LightVector, mdot_vec, phase_arg
+from .profiles import Profile, bump
 
 
 # ----------------------------------------------------------------------
@@ -41,21 +42,20 @@ class RadialFactor:
     h: Callable
     dh: Callable
 
-    def value(self, w):
+    def _masked(self, fn, w):
+        """fn(w) inside the support, zero elsewhere."""
         w = np.asarray(w, dtype=float)
         inside = w < self.R**2 * (1.0 - 1e-14)
         out = np.zeros_like(w)
         if np.any(inside):
-            out[inside] = self.h(w[inside])
+            out[inside] = fn(w[inside])
         return out
 
+    def value(self, w):
+        return self._masked(self.h, w)
+
     def deriv(self, w):
-        w = np.asarray(w, dtype=float)
-        inside = w < self.R**2 * (1.0 - 1e-14)
-        out = np.zeros_like(w)
-        if np.any(inside):
-            out[inside] = self.dh(w[inside])
-        return out
+        return self._masked(self.dh, w)
 
 
 def radial_bump_factor(radius=0.5, amplitude=1.0) -> RadialFactor:
@@ -101,7 +101,6 @@ class Potential:
     key: str = "abstract"
     R: float = 0.0
     center: tuple = ()
-    time_independent: bool = True
     time_radius: Optional[float] = None
     u_degree: Optional[int] = None  # polynomial degree in u, if known
 
@@ -118,16 +117,9 @@ class Potential:
         """Explicit spacetime partials [d_t q, d_1 q, ..., d_n q] at fixed u."""
         raise NotImplementedError
 
-    def q_point(self, x, u):
-        xa = as_point(x)
-        val = self.q(xa[0], [np.asarray(c) for c in xa[1:]], u)
-        return float(np.asarray(val))
-
 
 class ZeroPotential(Potential):
     key = "zero"
-    R = 0.0
-    time_independent = True
     u_degree = 0
 
     def __init__(self, n: int = 1):
@@ -162,7 +154,6 @@ class SeparablePotential(Potential):
         self.u_coeffs = tuple(float(c) for c in u_coeffs)
         self.u_degree = len(self.u_coeffs) - 1
         self.tprof = tprof
-        self.time_independent = tprof is None
         self.time_radius = None if tprof is None else tprof.support_radius
 
     # polynomial U and derivatives
@@ -251,13 +242,7 @@ def list_potentials(n: int = 2):
 
 
 # ----------------------------------------------------------------------
-# null form, F, eta, certificate
-
-
-def null_form(q: Potential, x, u, grad_u) -> float:
-    """Q(x,u,grad u) = q(x,u) * ((d_t u)^2 - |grad' u|^2)."""
-    g = np.asarray(grad_u, dtype=float)
-    return q.q_point(x, u) * (g[0] ** 2 - float(np.sum(g[1:] ** 2)))
+# F, dη, certificate
 
 
 @dataclass(frozen=True)
@@ -273,91 +258,36 @@ class VectorFieldF:
         s = phase_arg(t, xs, self.V)
         return self.q.q(t, xs, self.phi.f(s)) * self.phi.df(s)
 
-    def components(self, t, xs):
-        pref = self.scalar_prefactor(t, xs)
-        vt = self.V.twin_array()
-        return [pref * vt[j] for j in range(len(vt))]
 
-    def at_point(self, x):
-        xa = as_point(x)
-        return np.array(
-            [c for c in self.components(xa[0], [np.asarray(v) for v in xa[1:]])]
-        ).reshape(-1)
-
-
-def scalar_F(q: Potential, phi: Profile, V: LightVector, W: LightVector, x) -> float:
-    """F(V,W,x) = <q(x,φ_V) φ'_V Vt, Wt>_M (real)."""
+def scalar_F(q: Potential, phi: Profile, V: LightVector, W: LightVector,
+             t, xs):
+    """F(V,W,x) = <q(x,φ_V) φ'_V Vt, Wt>_M (real) on broadcast coordinates."""
     if W.sign != -1:
         raise ConfigError("scalar_F: W must have sign -1 (forward convention)")
-    xa = as_point(x)
-    pref = VectorFieldF(q, phi, V).scalar_prefactor(
-        xa[0], [np.asarray(v) for v in xa[1:]]
-    )
-    return float(pref) * float(mdot_vec(V.twin_array(), W.twin_array()))
-
-
-def scalar_F_grid(q: Potential, phi: Profile, V: LightVector, W: LightVector,
-                  t, xs):
-    """Vectorized scalar F on broadcast coordinates."""
     pair = float(mdot_vec(V.twin_array(), W.twin_array()))
     return VectorFieldF(q, phi, V).scalar_prefactor(t, xs) * pair
 
 
-@dataclass(frozen=True)
-class OneForm:
-    """η with components η_j(x) = q(x,φ_V) φ'_V Vt_j."""
+def exterior_derivative(q: Potential, phi: Profile, V: LightVector, t, xs):
+    """(dη)_{mj} = d_m η_j - d_j η_m for η_j = q(x,φ_V) φ'_V Vt_j.
 
-    q: Potential
-    phi: Profile
-    V: LightVector
-
-    def components(self, x):
-        xa = as_point(x)
-        return np.array(VectorFieldF(self.q, self.phi, self.V).at_point(xa))
-
-
-def exterior_derivative(eta: OneForm, x, method="analytic", delta=None):
-    """(dη)_{mj} = d_m η_j - d_j η_m at a point; exactly antisymmetric.
-
-    Analytic path: the u-chain-rule and φ'' terms are symmetric and cancel,
-    leaving (dη)_{mj} = φ'_V (D_m q · Vt_j - D_j q · Vt_m) with D the
-    explicit x-partials of q at u = φ_V(x).
+    The u-chain-rule and φ'' terms are symmetric and cancel, leaving
+    (dη)_{mj} = φ'_V (D_m q · Vt_j - D_j q · Vt_m) with D the explicit
+    spacetime partials of q at u = φ_V(x).  Returns an array of shape
+    (n+1, n+1) + the broadcast shape of (t, xs), exactly antisymmetric
+    in its first two axes.
     """
-    xa = as_point(x)
-    np1 = len(xa)
-    out = np.zeros((np1, np1))
-    if method == "analytic":
-        t, xs = xa[0], [np.asarray(v) for v in xa[1:]]
-        s = phase_arg(t, xs, eta.V)
-        u0 = eta.phi.f(s)
-        dq = [float(np.asarray(g)) for g in eta.q.grad_x(t, xs, u0)]
-        phip = float(eta.phi.df(s))
-        vt = eta.V.twin_array()
-        for m in range(np1):
-            for j in range(m + 1, np1):
-                val = phip * (dq[m] * vt[j] - dq[j] * vt[m])
-                out[m, j] = val
-                out[j, m] = -val
-        return out
-    if method == "fd":
-        if delta is None:
-            delta = FD_STEP_CAP
-        for m in range(np1):
-            for j in range(m + 1, np1):
-                val = (_eta_partial(eta, xa, m, j, delta)
-                       - _eta_partial(eta, xa, j, m, delta))
-                out[m, j] = val
-                out[j, m] = -val
-        return out
-    raise ConfigError(f"exterior_derivative: unknown method '{method}'")
-
-
-def _eta_partial(eta: OneForm, xa, m, j, delta):
-    xp = xa.copy()
-    xp[m] += delta
-    xm = xa.copy()
-    xm[m] -= delta
-    return (eta.components(xp)[j] - eta.components(xm)[j]) / (2.0 * delta)
+    s = phase_arg(t, xs, V)
+    phip = phi.df(s)
+    dq = [np.asarray(g) for g in q.grad_x(t, xs, phi.f(s))]
+    vt = V.twin_array()
+    np1 = len(vt)
+    out = np.zeros((np1, np1) + np.broadcast(phip, *dq).shape)
+    for m in range(np1):
+        for j in range(m + 1, np1):
+            out[m, j] = phip * (dq[m] * vt[j] - dq[j] * vt[m])
+            out[j, m] = -out[m, j]
+    return out
 
 
 @dataclass
@@ -367,6 +297,14 @@ class CertificateReport:
     grid_spacing: float
     inconclusive: bool
     note: str = ""
+
+
+def _phi_prime_on_supp_q(q, phi, V, t, xs) -> bool:
+    """Whether φ'_V is nonzero somewhere q is; only then does dη = 0
+    show anything about q."""
+    s = phase_arg(t, xs, V)
+    qsupp = np.abs(q.q(t, xs, np.zeros_like(s) + phi.f(s))) > 0
+    return bool(np.any(np.abs(phi.df(s)) * qsupp > 1e-14))
 
 
 def uniqueness_certificate(q: Potential, profile_set, lightvector_set,
@@ -385,37 +323,21 @@ def uniqueness_certificate(q: Potential, profile_set, lightvector_set,
         box = [(-Rt * 1.2, Rt * 1.2)] + [(-R * 1.2 + c, R * 1.2 + c)
                                          for c in (q.center or (0.0,) * n)]
     axes = [np.linspace(lo, hi, grid_points_per_axis) for lo, hi in box]
-    # broadcastable coordinates
-    t = axes[0].reshape((-1,) + (1,) * n)
-    xs = []
-    for j in range(n):
-        shape = [1] * (n + 1)
-        shape[j + 1] = grid_points_per_axis
-        xs.append(axes[j + 1].reshape(shape))
+    t, *xs = np.meshgrid(*axes, indexing="ij", sparse=True)  # broadcastable
 
     per_pair = {}
     best = 0.0
-    degenerate = True
     for phi in profile_set:
         for V in lightvector_set:
-            s = phase_arg(t, xs, V)
-            u0 = phi.f(s)
-            phip = phi.df(s)
-            qsupp = np.abs(q.q(t, xs, np.zeros_like(s) + u0)) > 0
-            if np.any(np.abs(phip) * qsupp > 1e-14):
-                degenerate = False
-            dq = q.grad_x(t, xs, u0)
-            vt = V.twin_array()
-            pair_max = 0.0
-            for m in range(n + 1):
-                for j in range(m + 1, n + 1):
-                    entry = phip * (np.asarray(dq[m]) * vt[j]
-                                    - np.asarray(dq[j]) * vt[m])
-                    pair_max = max(pair_max, float(np.max(np.abs(entry))))
+            deta = exterior_derivative(q, phi, V, t, xs)
+            pair_max = float(np.max(np.abs(deta)))
             per_pair[(phi.key, (V.sign, V.direction))] = pair_max
             best = max(best, pair_max)
+    inconclusive = best == 0.0 and not any(
+        _phi_prime_on_supp_q(q, phi, V, t, xs)
+        for phi in profile_set for V in lightvector_set)
     spacing = float(max((hi - lo) / (grid_points_per_axis - 1) for lo, hi in box))
     note = ""
-    if degenerate and best == 0.0:
+    if inconclusive:
         note = "all sampled profiles have phi' = 0 on supp q: inconclusive"
-    return CertificateReport(best, per_pair, spacing, degenerate and best == 0.0, note)
+    return CertificateReport(best, per_pair, spacing, inconclusive, note)

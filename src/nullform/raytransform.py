@@ -273,18 +273,6 @@ def xray_reduce(q: Potential, phi: Profile, V: LightVector,
     return ReducedIntegrand(q, slope * pair)
 
 
-def xray_forward_2d(integrand, offsets, angles, support_center,
-                    support_R, abs_tol: float = RAY_QUAD_ABS_TOL) -> Sinogram:
-    """Straight-line integrals of a scalar integrand (oracle/phantom path)."""
-    def fvals(sig, pts, om):
-        return integrand(pts[..., 0], pts[..., 1])
-
-    samples = _sweep(offsets, angles,
-                     np.asarray(support_center, dtype=float), support_R,
-                     fvals, (-np.inf, np.inf), abs_tol)
-    return Sinogram(offsets, angles, samples, {"kind": "xray"})
-
-
 # ----------------------------------------------------------------------
 # 2-D inversion
 

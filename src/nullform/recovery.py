@@ -38,7 +38,7 @@ from .geoptics import AnsatzSpec, a10_points, dt_u_incident, u_incident
 from .minkowski import LightVector
 from .potential import Potential
 from .profiles import Profile
-from .raytransform import Reconstruction, Sinogram, invert_xray_2d, xray_reduce
+from .raytransform import Sinogram, invert_xray_2d, xray_reduce
 
 
 # ----------------------------------------------------------------------
@@ -452,9 +452,11 @@ def recover_potential_2d(probes, axes, method: str = "fbp",
     the reduction weight, and assembled into a sinogram which is then
     inverted.  Everything before the division by the weight runs once
     per run of consecutive probes with the same slice objects, so probes
-    sharing a slice (the FDTD provider's) share that work.  Angles with more than `max_missing` missing offsets are
-    dropped with a warning; isolated missing offsets are interpolated
-    from their neighbours and counted in the report.
+    sharing a slice (the FDTD provider's) share that work.
+
+    Angles with more than `max_missing` missing offsets are dropped with
+    a warning; isolated missing offsets are interpolated from their
+    neighbours and counted in the report.
 
     Returns (Reconstruction, report dict).
     """

@@ -18,8 +18,7 @@ from nullform.geoptics import (AnsatzSpec, a10_points, build_hierarchy,
                                solve_transport, u_incident)
 from nullform.grids import SpacetimeGrid
 from nullform.minkowski import LightVector, phase_arg
-from nullform.potential import (get_potential, scalar_F_grid,
-                                uniqueness_certificate)
+from nullform.potential import get_potential, scalar_F, uniqueness_certificate
 from nullform.profiles import bump, cos4_window, ramp, sbump
 from nullform.recovery import (ExtractedAmplitude, ansatz_measurements,
                                fdtd_measurements, log_recover_ray_data,
@@ -102,7 +101,7 @@ def test_criterion_3_transport_vs_closed_form():
     nt = int(round(3.0 / d)) + 1          # t in (-2, 1)
     grid = SpacetimeGrid(-2.0, d, nt, (-1.6, -0.8), (d, d), (nx, ny))
     T, X, Y = grid.coords()
-    F = scalar_F_grid(q, PHI, V, W, T, [X, Y]) + np.zeros(grid.shape)
+    F = scalar_F(q, PHI, V, W, T, [X, Y]) + np.zeros(grid.shape)
     inflow = (0.5 * (1.0 - 0.5j) * CHI.f(-2.0 + grid.axis(0))[:, None]
               * np.ones((nx, ny)))
     A = solve_transport(0.0, F, (1.0, 0.0), inflow, grid)

@@ -1,6 +1,8 @@
 """Scenario runner: config parsing, artifacts, goldens, determinism."""
 
+import configparser
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -232,6 +234,35 @@ def test_bad_profile_or_amplitude_exits_2(tmp_path, capsys, monkeypatch,
         run_scenario(p, out_root=tmp_path / "lib")
     assert main(["run", str(p), "--out", str(tmp_path / "out")]) == 2
     assert f"[{section}] {field}" in capsys.readouterr().err
+
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+
+
+@pytest.mark.parametrize("scenario,section,key,value", [
+    ("energy_suite", "energy", "cases", "0"),
+    ("energy_suite", "energy", "lams", "1, 0"),
+    ("energy_suite", "grid", "dx", "0"),
+    ("residual_n0", "grid", "dx", "0"),
+    ("picard_lam8", "picard", "lam", "-8"),
+    ("recover_small", "recover", "h", "0"),
+    ("recover_small", "recover", "h", "-1/32"),
+    ("recover_small", "recover", "ppw", "0"),
+    ("certify_catalog", "certify", "grid_points", "1"),
+    ("certify_catalog", "certify", "n_profiles", "0")])
+def test_nonpositive_size_exits_2(tmp_path, capsys, scenario, section, key,
+                                  value):
+    parser = configparser.ConfigParser(interpolation=None)
+    parser.read(SCENARIOS / f"{scenario}.cfg")
+    parser[section][key] = value
+    p = tmp_path / "scn.cfg"
+    with open(p, "w") as fh:
+        parser.write(fh)
+    assert main(["run", str(p), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert f"[{section}] {key}: must be >" in err
+    assert not (tmp_path / "out").exists() or \
+        not list((tmp_path / "out").rglob("summary.json"))
 
 
 # ----------------------------------------------------------------------

@@ -9,12 +9,13 @@ from nullform.geoptics import (
     _NORM_BLOCK, AnsatzSpec, CoeffTable, ResidualReport, _norms_from_coeffs,
     assemble_uN, a10_points, background_field, build_hierarchy,
     measure_residual_order, ray_exponent, residual_coefficients,
-    solve_A10_closed_form, solve_m0_wave, solve_transport, u_incident,
+    solve_m0_wave, solve_transport, u_incident,
 )
 from nullform.grids import SpacetimeGrid
 from nullform.minkowski import LightVector
 from nullform.potential import get_potential
 from nullform.profiles import bump, get_profile, ramp
+from oracles import solve_A10_closed_form
 
 
 V1 = LightVector(-1, (-1.0,))
@@ -218,14 +219,11 @@ def test_build_phase_preserved_and_nonvanishing():
     assert np.max(np.abs(args - np.angle(spec.pulse_coeff))) < 1e-10
 
 
-def test_build_conjugate_symmetry_and_order_invariance():
+def test_build_conjugate_symmetry():
     spec = _spec(N=1)
     q = get_potential("radial_bump", 1)
     tb = build_hierarchy(spec, q)
     assert tb.conjugate_symmetry_defect() == 0.0
-    tb2 = build_hierarchy(spec, q, assembly_order="reversed")
-    worst = max(np.max(np.abs(tb.rows[k] - tb2.rows[k])) for k in tb.rows)
-    assert worst < 1e-10
 
 
 def test_build_first_correction_rows():
@@ -367,6 +365,5 @@ def test_unresolved_carrier_guard():
     spec = _spec(N=0, dx=0.04,
                  h_list=(1 / 256, 1 / 512, 1 / 1024, 1 / 2048))
     q = get_potential("radial_bump", 1)
-    tb = build_hierarchy(spec, q)
     with pytest.raises(UnresolvedCarrierError):
-        measure_residual_order(spec, q, table=tb, estimate_floor=False)
+        measure_residual_order(spec, q)

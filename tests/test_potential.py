@@ -1,4 +1,4 @@
-"""Potentials, null form, scalar F, one-form eta, uniqueness certificate."""
+"""Potentials, null form, scalar F, dη kernel, uniqueness certificate."""
 
 import numpy as np
 import pytest
@@ -6,10 +6,11 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from nullform.errors import ConfigError
-from nullform.minkowski import LightVector, SpacetimePoint, eval_background
+from nullform.fdtd import null_form_grid
+from nullform.minkowski import LightVector, phase_arg
 from nullform.potential import (
-    OneForm, VectorFieldF, exterior_derivative, get_potential, list_potentials,
-    null_form, scalar_F, scalar_F_grid, uniqueness_certificate,
+    VectorFieldF, exterior_derivative, get_potential, list_potentials,
+    scalar_F, uniqueness_certificate,
 )
 from nullform.profiles import bump, cos4_window, ramp, sbump
 
@@ -59,27 +60,35 @@ def test_potential_partial_consistency():
 
 def test_potential_time_dependent_partials():
     p = get_potential("bump_t_xy", 1)
-    assert not p.time_independent
+    assert p.time_radius is not None
     t, xs, u = 0.2, [np.array(0.1)], 0.0
     d = 1e-4
     gt = (p.q(t + d, xs, u) - p.q(t - d, xs, u)) / (2 * d)
     assert abs(float(gt) - float(p.grad_x(t, xs, u)[0])) < 1e-5
 
 
+def _pt(t, *x):
+    """A spacetime point as 0-d coordinate arrays: (t, [x1, ..., xn])."""
+    return np.array(t), [np.array(v) for v in x]
+
+
 def test_null_form_examples():
     p = get_potential("radial_bump", 2)
-    x = SpacetimePoint(0.0, (0.1, 0.0))
+    t, xs = _pt(0.0, 0.1, 0.0)
     # null gradient of a background annihilates Q
     V = LightVector(1, (0.6, 0.8))
     phi = bump(1.0, 1.0)
-    val, grad, _ = eval_background(phi, V, x)
-    assert abs(null_form(p, x, val, grad)) < 1e-14
+    s = phase_arg(t, xs, V)
+    grad = phi.df(s) * V.twin_array()
+    assert abs(null_form_grid(p, t, xs, phi.f(s), grad[0], grad[1:])) < 1e-14
     # q = 0 potential
     z = get_potential("zero", 2)
-    assert null_form(z, x, 0.5, np.array([2.0, 1.0, 0.0])) == 0.0
+    assert null_form_grid(z, t, xs, 0.5, 2.0, [1.0, 0.0]) == 0.0
     # direct arithmetic: q * (4 - 1)
-    qval = p.q_point(x, 0.5)
-    assert null_form(p, x, 0.5, np.array([2.0, 1.0, 0.0])) == pytest.approx(3 * qval)
+    qval = float(p.q(t, xs, 0.5))
+    assert qval > 0
+    assert null_form_grid(p, t, xs, 0.5, 2.0, [1.0, 0.0]) == \
+        pytest.approx(3 * qval)
 
 
 def test_scalar_F_examples():
@@ -88,21 +97,27 @@ def test_scalar_F_examples():
     V = LightVector(1, (0.0, 1.0))
     W = LightVector(-1, (1.0, 0.0))
     # outside supp q
-    assert scalar_F(p, phi, V, W, SpacetimePoint(0.0, (5.0, 0.0))) == 0.0
-    # phi' = 0 at the window center argument
-    x0 = SpacetimePoint(0.0, (0.1, -0.1))
-    s = -x0.x0 + x0.xp[1]  # <x,V>_M
-    # construct a point where phi' vanishes exactly: s = 0 at t = x2
-    xflat = SpacetimePoint(0.2, (0.1, 0.2))
-    assert scalar_F(p, phi, V, W, xflat) == pytest.approx(0.0, abs=1e-15)
+    assert scalar_F(p, phi, V, W, *_pt(0.0, 5.0, 0.0)) == 0.0
+    # phi' vanishes at the window centre argument s = <x,V>_M = 0 (t = x2)
+    assert scalar_F(p, phi, V, W, *_pt(0.2, 0.1, 0.2)) == \
+        pytest.approx(0.0, abs=1e-15)
     # independent per-factor oracle
-    x = SpacetimePoint(0.1, (0.2, -0.3))
     sarg = -0.1 + (-0.3)
     expect = float(p.q(0.1, [np.array(0.2), np.array(-0.3)], phi.f(sarg))) \
         * float(phi.df(sarg)) * (1.0 + 0.0)  # <Vt,Wt>_M = sV + theta.omega
-    assert scalar_F(p, phi, V, W, x) == pytest.approx(expect, rel=1e-13)
+    assert scalar_F(p, phi, V, W, *_pt(0.1, 0.2, -0.3)) == \
+        pytest.approx(expect, rel=1e-13)
+    # on a broadcast grid every entry is the point value, bit for bit
+    T = np.array([-0.1, 0.1])[:, None, None]
+    X = np.array([-0.2, 0.0, 0.2])[None, :, None]
+    Y = np.array([-0.3, 0.25])[None, None, :]
+    grid = scalar_F(p, phi, V, W, T, [X, Y])
+    assert grid.shape == (2, 3, 2) and np.any(grid != 0.0)
+    for (i, j, k), val in np.ndenumerate(grid):
+        pt = _pt(T[i, 0, 0], X[0, j, 0], Y[0, 0, k])
+        assert val == scalar_F(p, phi, V, W, *pt)
     with pytest.raises(ConfigError):
-        scalar_F(p, phi, V, LightVector(1, (1.0, 0.0)), x)
+        scalar_F(p, phi, V, LightVector(1, (1.0, 0.0)), *_pt(0.1, 0.2, -0.3))
 
 
 def test_scalar_F_sign_flip_with_phip():
@@ -112,45 +127,93 @@ def test_scalar_F_sign_flip_with_phip():
     W = LightVector(-1, (1.0, 0.0))
     phi = sbump(1.5, 1.0)
     phir = sbump(1.5, -1.0)  # phi(-s) has derivative -phi'(-s); odd profile: f(-s)=-f(s)
-    x = SpacetimePoint(0.05, (0.1, 0.2))
-    f1 = scalar_F(get_potential("radial_bump", 2), phi, V, W, x)
+    x = _pt(0.05, 0.1, 0.2)
+    f1 = scalar_F(get_potential("radial_bump", 2), phi, V, W, *x)
     # same point evaluated with the mirrored profile
     # (u-independent q, so only phi' enters)
-    f2 = scalar_F(p, phir, V, W, x)
+    f2 = scalar_F(p, phir, V, W, *x)
     assert f1 == pytest.approx(-f2, rel=1e-12)
 
 
-def test_vector_field_parallel_to_twin():
-    p = get_potential("radial_bump", 2)
-    phi = bump(1.5, 1.0)
-    V = LightVector(1, (0.6, 0.8))
-    F = VectorFieldF(p, phi, V)
-    v = F.at_point(SpacetimePoint(0.1, (0.1, -0.05)))
-    vt = V.twin_array()
-    # rank-one: components proportional to Vt
-    assert np.allclose(np.cross(np.append(v[1:], 0), np.append(vt[1:], 0)), 0,
-                       atol=1e-14)
-    assert v[0] * vt[1] == pytest.approx(v[1] * vt[0], abs=1e-14)
+def _eta(q, phi, V, t, xs):
+    """η_j = q(x, φ_V) φ'_V Vt_j, stacked over j."""
+    pref = VectorFieldF(q, phi, V).scalar_prefactor(t, xs)
+    return np.stack([pref * vj for vj in V.twin_array()])
+
+
+def _deta_central(q, phi, V, t, xs, delta):
+    """Reference dη: central differences of η in each coordinate."""
+    coords = [t] + list(xs)
+    partials = []
+    for m in range(len(coords)):
+        up, dn = list(coords), list(coords)
+        up[m] = coords[m] + delta
+        dn[m] = coords[m] - delta
+        partials.append((_eta(q, phi, V, up[0], up[1:])
+                         - _eta(q, phi, V, dn[0], dn[1:])) / (2.0 * delta))
+    d = np.stack(partials)  # d[m, j] = d_m η_j
+    return d - np.swapaxes(d, 0, 1)
 
 
 def test_exterior_derivative_analytic_vs_fd():
-    p = get_potential("gaussian_xy_cubic_u", 2)
+    # u-dependent and t-dependent q: the chain-rule and φ'' terms the
+    # kernel drops must cancel in the central differences too
     phi = bump(1.5, 1.0)
     V = LightVector(1, (0.6, 0.8))
-    eta = OneForm(p, phi, V)
-    x = SpacetimePoint(0.12, (0.21, -0.17))
-    da = exterior_derivative(eta, x, method="analytic")
-    for d in (1e-3, 5e-4):
-        dfd = exterior_derivative(eta, x, method="fd", delta=d)
-        assert np.max(np.abs(da - dfd)) < 80 * d**2
-    # exactly antisymmetric
-    assert np.all(da == -da.T)
+    t = np.array([0.12, -0.2, 0.05])
+    xs = [np.array([0.21, 0.1, -0.3]), np.array([-0.17, 0.25, 0.05])]
+    for key in ("gaussian_xy_cubic_u", "bump_t_xy"):
+        p = get_potential(key, 2)
+        da = exterior_derivative(p, phi, V, t, xs)
+        assert da.shape == (3, 3, 3) and np.max(np.abs(da)) > 0.1
+        errs = []
+        for d in (1e-3, 5e-4):
+            ref = _deta_central(p, phi, V, t, xs, d)
+            errs.append(np.max(np.abs(da - ref)))
+            assert errs[-1] < 80 * d**2, key
+        assert errs[1] < 0.3 * errs[0], key  # second order in the step
+        # exactly antisymmetric
+        assert np.all(da == -np.swapaxes(da, 0, 1))
+
+
+def _certificate_loop_entries(q, phi, V, t, xs):
+    """The m < j entries of dη as uniqueness_certificate computed them
+    inline before it called exterior_derivative."""
+    n = len(xs)
+    s = phase_arg(t, xs, V)
+    u0 = phi.f(s)
+    phip = phi.df(s)
+    dq = q.grad_x(t, xs, u0)
+    vt = V.twin_array()
+    out = {}
+    for m in range(n + 1):
+        for j in range(m + 1, n + 1):
+            out[m, j] = phip * (np.asarray(dq[m]) * vt[j]
+                                - np.asarray(dq[j]) * vt[m])
+    return out
+
+
+def test_exterior_derivative_matches_certificate_loop():
+    profiles, vecs = _families()
+    axis = np.linspace(-0.7, 0.7, 11)
+    t = axis.reshape(-1, 1, 1)
+    xs = [axis.reshape(1, -1, 1), (axis + 0.1).reshape(1, 1, -1)]
+    for key in ("gaussian_xy_cubic_u", "bump_t_xy", "offset_bump"):
+        q = get_potential(key, 2)
+        for phi in profiles:
+            for V in vecs:
+                da = exterior_derivative(q, phi, V, t, xs)
+                for (m, j), ref in _certificate_loop_entries(
+                        q, phi, V, t, xs).items():
+                    assert np.array_equal(da[m, j], ref)
+                    assert np.array_equal(da[j, m], -ref)
+                assert np.all(np.diagonal(da) == 0.0)
 
 
 def test_exterior_derivative_zero_potential():
-    eta = OneForm(get_potential("zero", 2), bump(1.0, 1.0), LightVector(1, (1.0, 0.0)))
-    da = exterior_derivative(eta, SpacetimePoint(0.0, (0.0, 0.0)))
-    assert np.all(da == 0.0)
+    da = exterior_derivative(get_potential("zero", 2), bump(1.0, 1.0),
+                             LightVector(1, (1.0, 0.0)), *_pt(0.0, 0.0, 0.0))
+    assert da.shape == (3, 3) and np.all(da == 0.0)
 
 
 def _families(n=2):

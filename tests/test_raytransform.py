@@ -14,8 +14,9 @@ from nullform.potential import Potential, VectorFieldF, get_potential
 from nullform.profiles import ramp
 from nullform.raytransform import (
     Sinogram, _adaptive_line_integral, _xray_matrix, invert_xray_2d,
-    lightray_forward, xray_forward_2d, xray_reduce,
+    lightray_forward, xray_reduce,
 )
+from oracles import xray_forward_2d
 
 PHI = ramp(1.5, 0.5, 1.0)
 W0 = LightVector(-1, (1.0, 0.0))
