@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from typing import Dict, Tuple
 
 import numpy as np
-from scipy.interpolate import CubicSpline, PPoly
+from scipy.interpolate import CubicSpline
 
 from .constants import CFL_LIMIT, PPW_MIN, RAY_QUAD_ABS_TOL
 from .errors import CFLError, ConfigError, QuadratureError, \
@@ -690,7 +690,7 @@ def residual_coefficients(spec: AnsatzSpec, q: Potential, table: CoeffTable):
 
 
 # time levels per block in _norms_from_coeffs: bounds the fine-grid
-# arrays to a few (block x nx_fine) complex arrays per call
+# arrays to a few (block x nx_fine) arrays per bin and call
 _NORM_BLOCK = 8
 
 
@@ -698,10 +698,13 @@ def _norms_from_coeffs(coeffs, table: CoeffTable, h: float, refine: int,
                        margin: int = 2):
     """sup-in-time L2 and global Linf of sum_m e^{im psi/h} g_m(h, x).
 
-    The smooth bin fields g_m = sum_p h^p C_{p,m} are refined in x with
-    one cubic spline per bin over all measured levels, evaluated a block
-    of levels at a time; the carriers are powers of e^{i psi/h}, which
-    is evaluated exactly at the fine points.
+    With g_m = sum_p h^p C_{p,m} and C_{p,-m} = conj(C_{p,m}), the real
+    residual is g_0 + 2 sum_{m>0} Re(e^{im psi/h} g_m).  Each g_m, m >= 0,
+    is one cubic spline in x over all measured levels.  The fine points
+    sit at refine fixed offsets in each cell, so a block of levels is one
+    matmul of the spline coefficients with the powers of those offsets
+    (a last constant cell gives the knot value at xf[-1]).  The carrier
+    e^{i psi/h} is a time factor times a space factor.
     """
     grid = table.grid
     x = grid.axis(0)
@@ -710,27 +713,32 @@ def _norms_from_coeffs(coeffs, table: CoeffTable, h: float, refine: int,
     om = table.W.direction[0]
     bins: Dict[int, np.ndarray] = {}
     for (p, m), arr in coeffs.items():
-        g = h ** p * arr
-        bins[m] = bins.get(m, 0) + g
+        if m >= 0:
+            bins[m] = bins.get(m, 0) + (2 if m else 1) * h ** p * arr
     levels = slice(margin, grid.nt - margin)
     t = grid.t[levels]
-    splines = {m: CubicSpline(x, g[levels], axis=1) for m, g in bins.items()}
-    mmax = max((abs(m) for m in bins), default=0)
-    sup_l2 = 0.0
-    sup_linf = 0.0
+    coef = {}  # per bin: (level, re/im, cell, power of x - x_cell)
+    for m, g in bins.items():
+        c = np.pad(CubicSpline(x, g[levels], axis=1).c,
+                   ((0, 0), (0, 1), (0, 0)))
+        c[3, -1] = g[levels, -1]
+        coef[m] = np.stack([c.real.T, c.imag.T], axis=1)
+    powers = (np.arange(refine) * dxf) ** np.arange(3, -1, -1)[:, None]
+    space = np.exp(1j * om * xf / h)
+    sup_l2 = sup_linf = 0.0
     for k0 in range(0, t.size, _NORM_BLOCK):
         blk = slice(k0, k0 + _NORM_BLOCK)
-        psi = t[blk, None] + om * xf
-        carrier = [1.0, np.exp(1j * psi / h)]
-        while len(carrier) <= mmax:
+        carrier = [1.0, np.exp(1j * t[blk, None] / h) * space]
+        while len(carrier) <= max(bins, default=0):
             carrier.append(carrier[-1] * carrier[1])
-        R = np.zeros(psi.shape, dtype=complex)
-        for m, sp in splines.items():
-            gm = PPoly.construct_fast(sp.c[..., blk], sp.x, axis=1)(xf)
-            R += (carrier[m] if m >= 0 else np.conj(carrier[-m])) * gm
-        l2 = np.sqrt(np.sum(R.real**2, axis=1) * dxf)
+        R = np.zeros(carrier[1].shape)
+        for m, c in coef.items():
+            g = (c[blk].reshape(-1, 4) @ powers).reshape(len(R), 2, -1)
+            R += carrier[m].real * g[:, 0, :xf.size] \
+                - carrier[m].imag * g[:, 1, :xf.size]
+        l2 = np.sqrt(np.sum(R**2, axis=1) * dxf)
         sup_l2 = max(sup_l2, float(np.max(l2)))
-        sup_linf = max(sup_linf, float(np.max(np.abs(R.real))))
+        sup_linf = max(sup_linf, float(np.max(np.abs(R))))
     return sup_l2, sup_linf
 
 

@@ -327,10 +327,11 @@ def uniqueness_certificate(q: Potential, profile_set, lightvector_set,
 
     per_pair = {}
     best = 0.0
+    upper = np.triu_indices(n + 1, 1)  # dη is antisymmetric, zero diagonal
     for phi in profile_set:
         for V in lightvector_set:
             deta = exterior_derivative(q, phi, V, t, xs)
-            pair_max = float(np.max(np.abs(deta)))
+            pair_max = float(np.max(np.abs(deta[upper])))
             per_pair[(phi.key, (V.sign, V.direction))] = pair_max
             best = max(best, pair_max)
     inconclusive = best == 0.0 and not any(

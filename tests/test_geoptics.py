@@ -339,14 +339,43 @@ def residual_table(request):
     return coeffs, table
 
 
+def test_residual_coefficients_conjugate_symmetric(residual_table):
+    # the half-sum over bins m >= 0 in _norms_from_coeffs rests on this
+    coeffs, _ = residual_table
+    assert any(m > 0 for (_, m) in coeffs)
+    for (p, m), arr in coeffs.items():
+        scale = max(np.max(np.abs(arr)), 1e-300)
+        if m == 0:
+            assert np.max(np.abs(arr.imag)) <= 1e-13 * scale
+        else:
+            mirror = coeffs[(p, -m)]
+            assert np.max(np.abs(mirror - np.conj(arr))) <= 1e-13 * scale
+
+
 @pytest.mark.parametrize("h", [1 / 8, 1 / 32])
 def test_norms_from_coeffs_match_per_level_splines(residual_table, h):
     coeffs, table = residual_table
     # the last block of measured levels is a partial one
     assert (table.grid.nt - 4) % _NORM_BLOCK != 0
-    got = _norms_from_coeffs(coeffs, table, h, refine=4)
-    want = _norms_per_level(coeffs, table, h, refine=4)
-    np.testing.assert_allclose(got, want, rtol=1e-12)
+    # refine = 27 (odd, not a power of two) is the benchmark's value
+    for refine in (4, 27):
+        got = _norms_from_coeffs(coeffs, table, h, refine=refine)
+        want = _norms_per_level(coeffs, table, h, refine=refine)
+        np.testing.assert_allclose(got, want, rtol=1e-12)
+
+
+def test_norms_from_coeffs_read_the_last_fine_point(residual_table):
+    # bin fields largest at x[-1], where the sup norm is then attained
+    _, table = residual_table
+    T, X = table.grid.coords()
+    g = np.broadcast_to((1 + 0.1 * T) * np.exp(4 * (X - X.max())),
+                        table.grid.shape)
+    coeffs = {(1, 0): g + 0j, (1, 1): (0.5 - 0.3j) * g,
+              (1, -1): (0.5 + 0.3j) * g}
+    for refine in (4, 27):
+        got = _norms_from_coeffs(coeffs, table, 1 / 8, refine=refine)
+        want = _norms_per_level(coeffs, table, 1 / 8, refine=refine)
+        np.testing.assert_allclose(got, want, rtol=1e-12)
 
 
 def test_residual_needs_polynomial_potential():

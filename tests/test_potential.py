@@ -242,6 +242,25 @@ def test_uniqueness_certificate_nonzero():
     assert not rep.inconclusive
 
 
+def test_uniqueness_certificate_max_over_upper_entries():
+    # the certificate reads only the m < j entries of dη; by exact
+    # antisymmetry every max equals the one over the whole stack
+    profiles, vecs = _families()
+    q = get_potential("bump_t_xy", 2)
+    rep = uniqueness_certificate(q, profiles, vecs, grid_points_per_axis=12,
+                                 box=[(-0.7, 0.7)] * 3)
+    axis = np.linspace(-0.7, 0.7, 12)
+    t, *xs = np.meshgrid(axis, axis, axis, indexing="ij", sparse=True)
+    full = {}
+    for phi in profiles:
+        for V in vecs:
+            deta = exterior_derivative(q, phi, V, t, xs)
+            full[(phi.key, (V.sign, V.direction))] = float(
+                np.max(np.abs(deta)))
+    assert rep.per_pair == full
+    assert rep.max_abs == max(full.values()) > 0
+
+
 def test_uniqueness_certificate_degenerate_family():
     # single profile with phi' == 0 on supp q: flat plateau ramp scaled so the
     # support of q sits entirely inside the flat window -> phi' is constant 1?
