@@ -160,7 +160,8 @@ def ray_exponent(q: Potential, phi: Profile, V: LightVector,
         tt = t - sig
         s = -tt * V.sign + pts @ th
         xs = [pts[..., j] for j in range(pts.shape[-1])]
-        return q.q(tt, xs, phi.f(s)) * phi.df(s) * pairing
+        f, df = phi.f_df(s)
+        return q.q(tt, xs, f) * df * pairing
 
     try:
         return _adaptive_line_integral(fvals, xp, omega, lo, hi - lo, abs_tol)
@@ -425,8 +426,8 @@ class _Frame:
         self.omega = spec.W.direction[0]
         self.pairing = spec.pairing
         sarg = phase_arg(Tgrid, [Xgrid], spec.V)
-        self.phi_v = np.broadcast_to(spec.phi.f(sarg), grid.shape)
-        self.phip = np.broadcast_to(spec.phi.df(sarg), grid.shape)
+        self.phi_v, self.phip = (np.broadcast_to(v, grid.shape)
+                                 for v in spec.phi.f_df(sarg))
         xs = [Xgrid]
         self.q0 = np.broadcast_to(q.q(Tb, xs, self.phi_v), grid.shape)
         self.q1 = np.broadcast_to(q.q_u(Tb, xs, self.phi_v), grid.shape)

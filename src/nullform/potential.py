@@ -255,8 +255,8 @@ class VectorFieldF:
 
     def scalar_prefactor(self, t, xs):
         """q(x, φ_V) φ'_V on broadcast coordinates."""
-        s = phase_arg(t, xs, self.V)
-        return self.q.q(t, xs, self.phi.f(s)) * self.phi.df(s)
+        f, df = self.phi.f_df(phase_arg(t, xs, self.V))
+        return self.q.q(t, xs, f) * df
 
 
 def scalar_F(q: Potential, phi: Profile, V: LightVector, W: LightVector,
@@ -277,9 +277,8 @@ def exterior_derivative(q: Potential, phi: Profile, V: LightVector, t, xs):
     (n+1, n+1) + the broadcast shape of (t, xs), exactly antisymmetric
     in its first two axes.
     """
-    s = phase_arg(t, xs, V)
-    phip = phi.df(s)
-    dq = [np.asarray(g) for g in q.grad_x(t, xs, phi.f(s))]
+    f, phip = phi.f_df(phase_arg(t, xs, V))
+    dq = [np.asarray(g) for g in q.grad_x(t, xs, f)]
     vt = V.twin_array()
     np1 = len(vt)
     out = np.zeros((np1, np1) + np.broadcast(phip, *dq).shape)
@@ -302,9 +301,9 @@ class CertificateReport:
 def _phi_prime_on_supp_q(q, phi, V, t, xs) -> bool:
     """Whether φ'_V is nonzero somewhere q is; only then does dη = 0
     show anything about q."""
-    s = phase_arg(t, xs, V)
-    qsupp = np.abs(q.q(t, xs, np.zeros_like(s) + phi.f(s))) > 0
-    return bool(np.any(np.abs(phi.df(s)) * qsupp > 1e-14))
+    f, df = phi.f_df(phase_arg(t, xs, V))
+    qsupp = np.abs(q.q(t, xs, np.zeros_like(f) + f)) > 0
+    return bool(np.any(np.abs(df) * qsupp > 1e-14))
 
 
 def uniqueness_certificate(q: Potential, profile_set, lightvector_set,

@@ -19,19 +19,23 @@ from .errors import ConfigError
 
 @dataclass(frozen=True)
 class Profile:
-    """One-variable C^k compactly supported function with two derivatives."""
+    """One-variable C^k compactly supported function with two derivatives;
+    f_df(s) is (f(s), f'(s)) from one support mask and one gather."""
 
     key: str
     support_radius: float
     _f: Callable
-    _df: Callable
+    _f_df: Callable
     _d2f: Callable
 
     def f(self, s):
         return self._f(np.asarray(s, dtype=float))
 
     def df(self, s):
-        return self._df(np.asarray(s, dtype=float))
+        return self._f_df(np.asarray(s, dtype=float))[1]
+
+    def f_df(self, s):
+        return self._f_df(np.asarray(s, dtype=float))
 
     def d2f(self, s):
         return self._d2f(np.asarray(s, dtype=float))
@@ -41,18 +45,19 @@ class Profile:
         return self.f(s)
 
 
-def _masked(radius, raw):
-    """Wrap a raw evaluator so it is exactly zero outside the open support."""
+def _masked(radius, raw, n=1):
+    """Wrap a raw evaluator of n outputs to be exactly 0 off the support."""
 
     def ev(s):
         s = np.asarray(s, dtype=float)
         inside = np.abs(s) < radius * (1.0 - 1e-14)
-        out = np.zeros_like(s)
+        out = [np.zeros_like(s) for _ in range(n)]
         if np.any(inside):
-            out[inside] = raw(s[inside])
-        if out.ndim == 0:
-            return float(out)
-        return out
+            vals = raw(s[inside])
+            for o, v in zip(out, vals if n > 1 else (vals,)):
+                o[inside] = v
+        out = [float(o) if s.ndim == 0 else o for o in out]
+        return out[0] if n == 1 else tuple(out)
 
     return ev
 
@@ -83,10 +88,11 @@ def bump(radius=1.0, amplitude=1.0, key=None):
         u = (s / r) ** 2
         return a * np.exp(1.0 - 1.0 / (1.0 - u))
 
-    def dval(s):
+    def fdval(s):
+        v = val(s)
         u = (s / r) ** 2
         w = 1.0 - u
-        return val(s) * (-(2.0 * s / r**2) / w**2)
+        return v, v * (-(2.0 * s / r**2) / w**2)
 
     def d2val(s):
         u = (s / r) ** 2
@@ -95,7 +101,8 @@ def bump(radius=1.0, amplitude=1.0, key=None):
         return val(s) * (g**2 / w**4 - (2.0 / r**2) / w**2 - 2.0 * g**2 / w**3)
 
     key = key or f"bump:r={r:g},a={a:g}"
-    return Profile(key, r, _masked(r, val), _masked(r, dval), _masked(r, d2val))
+    return Profile(key, r, _masked(r, val), _masked(r, fdval, 2),
+                   _masked(r, d2val))
 
 
 def sbump(radius=1.0, amplitude=1.0, key=None):
@@ -106,14 +113,16 @@ def sbump(radius=1.0, amplitude=1.0, key=None):
     def val(s):
         return (s / r) * b.f(s)
 
-    def dval(s):
-        return b.f(s) / r + (s / r) * b.df(s)
+    def fdval(s):
+        bf, bdf = b.f_df(s)
+        return (s / r) * bf, bf / r + (s / r) * bdf
 
     def d2val(s):
         return 2.0 * b.df(s) / r + (s / r) * b.d2f(s)
 
     key = key or f"sbump:r={r:g},a={a:g}"
-    return Profile(key, r, _masked(r, val), _masked(r, dval), _masked(r, d2val))
+    return Profile(key, r, _masked(r, val), _masked(r, fdval, 2),
+                   _masked(r, d2val))
 
 
 def cos4_window(radius=1.0, amplitude=1.0, key=None):
@@ -124,15 +133,17 @@ def cos4_window(radius=1.0, amplitude=1.0, key=None):
     def val(s):
         return a * np.cos(k * s) ** 4
 
-    def dval(s):
-        return -4.0 * a * k * np.cos(k * s) ** 3 * np.sin(k * s)
+    def fdval(s):
+        c = np.cos(k * s)
+        return a * c ** 4, -4.0 * a * k * c ** 3 * np.sin(k * s)
 
     def d2val(s):
         c, sn = np.cos(k * s), np.sin(k * s)
         return -4.0 * a * k**2 * c**2 * (c**2 - 3.0 * sn**2)
 
     key = key or f"cos4:r={r:g},a={a:g}"
-    return Profile(key, r, _masked(r, val), _masked(r, dval), _masked(r, d2val))
+    return Profile(key, r, _masked(r, val), _masked(r, fdval, 2),
+                   _masked(r, d2val))
 
 
 def _smoothstep7(tau):
@@ -182,14 +193,16 @@ def ramp(flat=1.5, taper=0.5, amplitude=1.0, key=None):
     def val(s):
         return a * s * window(s, 0)
 
-    def dval(s):
-        return a * (window(s, 0) + s * window(s, 1))
+    def fdval(s):
+        w0 = window(s, 0)
+        return a * s * w0, a * (w0 + s * window(s, 1))
 
     def d2val(s):
         return a * (2.0 * window(s, 1) + s * window(s, 2))
 
     key = key or f"ramp:flat={L0:g},taper={tp:g},a={a:g}"
-    return Profile(key, L1, _masked(L1, val), _masked(L1, dval), _masked(L1, d2val))
+    return Profile(key, L1, _masked(L1, val), _masked(L1, fdval, 2),
+                   _masked(L1, d2val))
 
 
 PROFILE_CATALOG = {

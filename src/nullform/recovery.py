@@ -218,13 +218,13 @@ def backpropagate_amplitude(amp: ExtractedAmplitude, offsets,
 def log_recover_ray_data(amp: ExtractedAmplitude, chi: Profile,
                          A: float, B: float,
                          chi_floor: Optional[float] = None) -> RayData:
-    """Ray-transform samples log(2 amp / (chi (A - iB))), real part.
+    """Ray data from ratio = 2 amp / (chi (A - iB)): values = log|ratio|,
+    imag_defect = arg(ratio) on the principal branch [-pi, pi].
 
     Points where |chi(psi)| falls below the floor (default
-    CHI_FLOOR_FRACTION of the window maximum) are marked missing rather
-    than extrapolated.  The imaginary part of the log ratio is returned
-    as a consistency diagnostic; it vanishes for exact data because F is
-    real.
+    CHI_FLOOR_FRACTION of the window maximum) or |ratio| <= 1e-300 are
+    marked missing, not extrapolated; both outputs hold 0 (log 1) there.
+    imag_defect is a diagnostic: F is real, so it vanishes for exact data.
     """
     coeff = 0.5 * (A - 1j * B)
     if coeff == 0:
@@ -240,9 +240,13 @@ def log_recover_ray_data(amp: ExtractedAmplitude, chi: Profile,
     valid = np.broadcast_to(np.abs(chiv) >= floor, amp.values.shape).copy()
     ratio = np.ones_like(amp.values)
     np.divide(amp.values, denom, out=ratio, where=valid)
-    valid &= np.abs(ratio) > 1e-300
-    logr = np.log(np.where(valid, ratio, 1.0))
-    return RayData(logr.real, logr.imag, valid, amp.r, dict(amp.meta))
+    mag = np.abs(ratio)
+    valid &= mag > 1e-300
+    imag = np.arctan2(ratio.imag, ratio.real, out=np.zeros_like(mag),
+                      where=valid)
+    values = np.log(mag, out=mag, where=valid)
+    values[~valid] = 0.0
+    return RayData(values, imag, valid, amp.r, dict(amp.meta))
 
 
 # ----------------------------------------------------------------------
@@ -478,10 +482,10 @@ def recover_potential_2d(probes, axes, method: str = "fbp",
     fit_residual = 0.0
     # a probe whose slice objects are the previous probe's (the FDTD
     # provider's all share one) reuses its work up to the division by
-    # the weight; demodulate reads only the sign of W.  The work stays
-    # inline: a helper returning only the column freed each slice's
-    # arrays before the next one, which doubled the page faults and
-    # slowed 180 distinct slices by ~8 %.
+    # the weight; demodulate reads only the sign of W.  A distinct slice
+    # allocates demodulate's complex (offsets x r) arrays, the complex
+    # ratio and the real log|ratio| and arg; the work stays inline, as a
+    # helper freeing them per slice doubled the page faults.
     last = None
     for p in probes:
         if offsets is None:
@@ -499,20 +503,18 @@ def recover_potential_2d(probes, axes, method: str = "fbp",
             have = np.any(ray.valid, axis=-1)
             col, imag = None, 0.0
             if np.mean(~have) <= max_missing:
-                # chi^2-weighted band average: points near the band centre
-                # carry the cleanest amplitude (division by chi amplifies
-                # edge noise)
-                wts = chi.f(p.slc.Tprime + ray.r) ** 2
+                # chi^2-weighted average over the valid band points (the
+                # weight damps the edges, where dividing by chi adds noise),
+                # summed by einsum without an (offsets x r) temporary
+                chi2 = chi.f(p.slc.Tprime + ray.r) ** 2
                 col = np.zeros(ray.values.shape[0])
-                for i in np.nonzero(have)[0]:
-                    v = ray.valid[i]
-                    col[i] = float(np.sum(wts[v] * ray.values[i, v])
-                                   / np.sum(wts[v]))
-                if np.any(ray.valid):
-                    imag = float(np.max(np.abs(ray.imag_defect[ray.valid])))
-                if not np.all(have):
-                    idx = np.arange(col.size)
-                    col[~have] = np.interp(idx[~have], idx[have], col[have])
+                np.divide(np.einsum("ij,ij,j->i", ray.valid, ray.values, chi2),
+                          np.einsum("ij,j->i", ray.valid, chi2), out=col,
+                          where=have)
+                imag = float(np.max(np.abs(ray.imag_defect), initial=0.0,
+                                    where=ray.valid))
+                idx = np.arange(col.size)
+                col[~have] = np.interp(idx[~have], idx[have], col[have])
             last = (key, col, int(np.sum(~have)), imag, amp.fit_residual)
         _, col, n_interp, imag, fit = last
         fit_residual = max(fit_residual, fit)

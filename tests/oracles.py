@@ -2,13 +2,13 @@
 
 Each one recomputes a quantity by a second route that no pipeline runs:
 the closed-form leading amplitude on a whole grid, straight-line
-integrals of an arbitrary integrand, and the d'Alembertian from the
-one-axis 4th-order stencils.
+integrals of an arbitrary integrand, the d'Alembertian from the
+one-axis 4th-order stencils, and log ray data by the complex log.
 """
 
 import numpy as np
 
-from nullform.constants import RAY_QUAD_ABS_TOL
+from nullform.constants import CHI_FLOOR_FRACTION, RAY_QUAD_ABS_TOL
 from nullform.geoptics import a10_points
 from nullform.grids import SpacetimeGrid, diff2
 from nullform.raytransform import Sinogram, _sweep
@@ -45,3 +45,21 @@ def dalembertian(f, grid: SpacetimeGrid):
     for j in range(grid.n):
         out = out + diff2(f, grid.dx[j], j + 1)
     return out
+
+
+def complex_log_ray_data(amp, chi, A, B):
+    """(Re, Im, valid) of the principal complex log of 2 amp/(chi (A - iB)).
+
+    The same missing-point rule as log_recover_ray_data (|chi| below
+    CHI_FLOOR_FRACTION of its window maximum, |ratio| <= 1e-300), with
+    np.log of the whole complex ratio, log 1 at missing points.
+    """
+    chiv = chi.f(amp.Tprime + amp.r)
+    floor = CHI_FLOOR_FRACTION * float(np.max(np.abs(chiv)))
+    valid = np.broadcast_to(np.abs(chiv) >= floor, amp.values.shape).copy()
+    ratio = np.ones_like(amp.values)
+    np.divide(amp.values, chiv * (0.5 * (A - 1j * B)), out=ratio,
+              where=valid)
+    valid &= np.abs(ratio) > 1e-300
+    logr = np.log(np.where(valid, ratio, 1.0))
+    return logr.real, logr.imag, valid

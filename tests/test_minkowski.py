@@ -5,7 +5,8 @@ import pytest
 
 from nullform.errors import ConfigError
 from nullform.minkowski import LightVector, mdot_vec, phase_arg
-from nullform.profiles import bump, cos4_window, get_profile, ramp, sbump
+from nullform.profiles import (PROFILE_CATALOG, bump, cos4_window, get_profile,
+                               ramp, sbump)
 
 ALL_PROFILES = [bump(0.7, 1.3), sbump(0.9, 0.8), cos4_window(1.1, 2.0),
                 ramp(1.5, 0.5, 1.0)]
@@ -83,6 +84,29 @@ def test_profile_derivative_consistency(prof):
             assert e[1] < 0.45 * e[0]
     scale = max(1.0, np.max(np.abs(prof.d2f(s))))
     assert errs[0] < 1e2 * FD_DELTAS[0] ** 2 * scale
+
+
+def test_profile_pair_is_f_and_df_bit_for_bit():
+    # f_df(s) == (f(s), df(s)) on arrays straddling the support, arrays
+    # wholly inside it, 0-d inputs, +-support radius and ramp's +-flat
+    assert {p.key.split(":")[0] for p in ALL_PROFILES} == set(PROFILE_CATALOG)
+    rng = np.random.default_rng(5)
+    for prof in ALL_PROFILES:
+        R = prof.support_radius
+        edge = [0.0, -0.0, R, -R, np.nextafter(R, 0.0), -np.nextafter(R, 0.0)]
+        if prof.key.startswith("ramp"):
+            up = np.nextafter(1.5, np.inf)
+            edge += [1.5, -1.5, up, -up]
+        cases = [rng.uniform(-1.2 * R, 1.2 * R, 300), np.array(edge),
+                 rng.uniform(-0.99 * R, 0.99 * R, (6, 7)),
+                 rng.uniform(-0.99 * R, 0.99 * R, (4, 9)).T]
+        cases += [np.float64(v) for v in edge] + [np.array(0.3 * R), 0.3 * R]
+        for s in cases:
+            f, df = prof.f_df(s)
+            for got, ref in ((f, prof.f(s)), (df, prof.df(s))):
+                assert type(got) is type(ref)
+                assert np.array_equal(got, ref)
+                assert np.array_equal(np.signbit(got), np.signbit(ref))
 
 
 def test_ramp_flat_window():

@@ -5,6 +5,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nullform.errors import ConfigError, UnresolvedCarrierError
 from nullform.geoptics import AnsatzSpec, assemble_uN, background_field, \
@@ -18,6 +20,7 @@ from nullform.recovery import (
     backpropagate_amplitude, demodulate, fdtd_measurements,
     log_recover_ray_data, recover_potential_2d, richardson_extract,
 )
+from oracles import complex_log_ray_data
 
 PHI = ramp(1.5, 0.5, 1.0)
 CHI = bump(0.3, 1.0)
@@ -163,6 +166,65 @@ def test_log_recover_rejects_zero_pulse():
     amp = _amp(np.ones((1, r.size), dtype=complex), r, 1 / 32)
     with pytest.raises(ConfigError):
         log_recover_ray_data(amp, CHI, 0.0, 0.0)
+
+
+# one sample of the log-ratio test: log10 |amp| in [-200, 200], a kind and
+# a phase.  "real" puts amp on the real axis with a signed-zero imaginary
+# part; with B = 0 the ratio then lies on the branch cut for one sign of A
+# (A > 0: amp < 0 gives ratio (-, +0); A < 0: amp > 0 gives ratio (-, -0)).
+_LOG_SAMPLE = st.tuples(
+    st.floats(-200.0, 200.0),
+    st.sampled_from(["polar", "real", "zero", "tiny"]),
+    st.floats(-np.pi, np.pi), st.booleans(), st.booleans(),
+    st.sampled_from([0.5, 1.0 - 1e-9, 1.0, 1.0 + 1e-9, 2.0]))
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.lists(_LOG_SAMPLE, min_size=2 * 41, max_size=2 * 41),
+       st.sampled_from([2.0, -2.0]), st.sampled_from([0.0, 0.5]))
+def test_log_ratio_matches_complex_log(samples, a_amp, b_amp):
+    # |r| reaches past the chi support, so chi-floor-masked points and
+    # chi == 0 points are always present; "tiny" puts |ratio| at
+    # fac * 1e-300, on both sides of the missing-point threshold
+    r = np.linspace(-0.45, 0.45, 41) - TP
+    denom = np.tile(CHI.f(TP + r) * (0.5 * (a_amp - 1j * b_amp)), 2)
+    vals = np.empty(len(samples), dtype=complex)
+    for k, (e, kind, th, neg, negzero, fac) in enumerate(samples):
+        mag = 10.0 ** e
+        if kind == "polar":
+            vals[k] = mag * np.exp(1j * th)
+        elif kind == "real":
+            vals[k] = complex(-mag if neg else mag, -0.0 if negzero else 0.0)
+        elif kind == "zero":
+            vals[k] = 0.0
+        else:
+            vals[k] = fac * 1e-300 * denom[k]
+    amp = _amp(vals.reshape(2, 41), r, 1 / 32)
+    ray = log_recover_ray_data(amp, CHI, a_amp, b_amp)
+    want_re, want_im, want_valid = complex_log_ray_data(amp, CHI, a_amp,
+                                                        b_amp)
+    assert np.array_equal(ray.valid, want_valid)
+    assert not np.any(ray.values[~ray.valid])
+    assert not np.any(ray.imag_defect[~ray.valid])
+    np.testing.assert_array_max_ulp(ray.imag_defect, want_im, 4)
+    # log(|ratio|) carries hypot's absolute rounding (~eps) where the log
+    # is near 0, which the complex log avoids, so near |ratio| = 1 its ulps
+    # are counted at 1: |diff| <= 4 ulp of max(|log|, 1)
+    scale = np.spacing(np.maximum(np.abs(want_re), 1.0))
+    assert np.all(np.abs(ray.values - want_re) <= 4 * scale)
+
+
+def test_log_ratio_branch_cut_signs():
+    # ratio (-x, +0) has arg +pi and (-x, -0) has arg -pi, as the complex log
+    r = np.linspace(-0.1, 0.1, 5) - TP
+    for a_amp, amp_re, sign in ((2.0, -3.0, 1.0), (-2.0, 3.0, -1.0)):
+        for zero in (0.0, -0.0):
+            amp = _amp(np.full((1, 5), complex(amp_re, zero)), r, 1 / 32)
+            ray = log_recover_ray_data(amp, CHI, a_amp, 0.0)
+            _, want_im, _ = complex_log_ray_data(amp, CHI, a_amp, 0.0)
+            assert np.all(ray.valid)
+            assert np.all(ray.imag_defect == sign * np.pi)
+            assert np.array_equal(ray.imag_defect, want_im)
 
 
 def test_probe_invariance_under_amplitude_scaling():
@@ -316,6 +378,77 @@ def test_recover_processes_each_shared_slice_once(monkeypatch):
     assert len(calls) == len(angles)
     assert np.array_equal(rec.values, rec_own.values)
     assert report == report_own
+
+
+def _captured_sinogram(monkeypatch):
+    """Sinogram samples recover_potential_2d hands to the inversion."""
+    seen = []
+
+    def capture(sino, *args, **kwargs):
+        seen.append(sino.samples.copy())
+        return invert(sino, *args, **kwargs)
+
+    invert = recovery.invert_xray_2d
+    monkeypatch.setattr(recovery, "invert_xray_2d", capture)
+    return seen
+
+
+def test_recover_interpolates_a_missing_offset(monkeypatch):
+    q = get_potential("radial_bump", 2)
+    offsets = np.linspace(-0.8, 0.8, 17)
+    angles = np.linspace(0, np.pi, 90, endpoint=False)
+    probes = ansatz_measurements(q, PHI, CHI, A, B, 1 / 32, offsets,
+                                 angles, TP)
+    i = 7  # offset -0.1, over supp q
+    for p in probes:
+        p.slc.u[i] = p.slc.background[i]  # row demodulates to exactly 0
+    seen = _captured_sinogram(monkeypatch)
+    ax = np.linspace(-0.8, 0.8, 17)
+    rec, report = recover_potential_2d(probes, (ax, ax), chi=CHI, A=A, B=B)
+    assert report["interpolated_offsets"] == len(angles)
+    assert report["n_angles_used"] == len(angles)
+    sino = seen[0]
+    assert np.min(np.abs(sino[i])) > 0.1
+    np.testing.assert_allclose(sino[i], 0.5 * (sino[i - 1] + sino[i + 1]),
+                               rtol=1e-14, atol=0)
+
+
+def test_recover_band_average_over_ragged_valid_points(monkeypatch):
+    # clear a random ragged subset of the valid points of every slice and
+    # check each column against a per-row chi^2-weighted average
+    q = get_potential("radial_bump", 2)
+    offsets = np.linspace(-0.8, 0.8, 17)
+    angles = np.linspace(0, np.pi, 90, endpoint=False)
+    probes = ansatz_measurements(q, PHI, CHI, A, B, 1 / 32, offsets,
+                                 angles, TP)
+    rng = np.random.default_rng(11)
+    rays = []
+
+    def ragged(amp, chi, A, B, chi_floor=None):
+        ray = log_recover_ray_data(amp, chi, A, B, chi_floor)
+        ray.valid &= rng.random(ray.valid.shape) < 0.6
+        ray.valid[5] = False  # one row with no valid point left
+        rays.append(ray)
+        return ray
+
+    monkeypatch.setattr(recovery, "log_recover_ray_data", ragged)
+    seen = _captured_sinogram(monkeypatch)
+    ax = np.linspace(-0.8, 0.8, 17)
+    rec, report = recover_potential_2d(probes, (ax, ax), chi=CHI, A=A, B=B)
+    assert report["interpolated_offsets"] == len(angles)
+    assert report["imag_defect_max"] == max(
+        np.max(np.abs(ray.imag_defect[ray.valid])) for ray in rays)
+    want = np.zeros((offsets.size, len(angles)))
+    for k, (p, ray) in enumerate(zip(probes, rays)):
+        wts = CHI.f(TP + ray.r) ** 2
+        for j in range(offsets.size):
+            v = ray.valid[j]
+            if np.any(v):
+                want[j, k] = np.sum(wts[v] * ray.values[j, v]) / np.sum(wts[v])
+        want[5, k] = 0.5 * (want[4, k] + want[6, k])
+        want[:, k] /= p.weight
+    np.testing.assert_allclose(seen[0], want, rtol=1e-14,
+                               atol=1e-14 * np.max(np.abs(want)))
 
 
 def test_recover_fdtd_small():
