@@ -9,7 +9,7 @@ UNIT_NORM_TOL = 1e-12          # |direction| == 1 check on LightVector
 
 # FDTD
 CFL_LEAPFROG = 0.45            # dt = CFL * dx / sqrt(n) for the leapfrog kernel
-CFL_LIMIT = 0.9                # hard WaveState invariant: dt*sqrt(n)/dx <= 0.9
+CFL_LIMIT = 0.9                # hard explicit-step limit: dt*sqrt(n)/dx <= 0.9
 CFL_RK4 = 0.5                  # dt = CFL_RK4 * dx for the rk4 scheme
 BLOWUP_FACTOR = 1e6            # norm growth guard in solve_semilinear
 FDTD_CONE_MARGIN = 32          # cells the rk4 light-cone window adds on each

@@ -2,12 +2,11 @@
 
 Wave operator convention (package-wide): box u = -d_t^2 u + Laplacian u,
 so the semilinear equation box u = Q(x,u,grad u) steps as
-u_tt = Lap u - Q.  step_linear_wave follows the contract
-u^{k+1} = 2u^k - u^{k-1} + dt^2 (Lap_h u^k + f^k), i.e. it solves
-u_tt = Lap u + f (equivalently box u = -f).
+u_tt = Lap u - Q.
 
 Two schemes:
-* "leapfrog": the 2nd-order kernel above, dt = 0.45 dx / sqrt(n);
+* "leapfrog": u^{k+1} = 2u^k - u^{k-1} + dt^2 (Lap_h u^k - Q^k) with the
+  2nd-order 3/5-point Laplacian, dt = 0.45 dx / sqrt(n);
 * "rk4": method-of-lines classical RK4 on (u, v=u_t) with 4th-order
   spatial stencils, dt = 0.5 dx -- used where 2nd-order dispersion on
   the h-carrier would swamp the O(h^2) quantities being measured.
@@ -15,10 +14,11 @@ Two schemes:
 Potentials are compactly supported: q must vanish wherever some
 |x_j - center_j| >= R (its declared `center` and `R`).  solve_semilinear
 relies on this and evaluates the gradient and the null form only on that
-box plus a stencil halo.  Given the cells a caller reads at the final
-time, the rk4 scheme also updates, Laplacian included, only the cells of
-their backward light cone (plus FDTD_CONE_MARGIN cells), so the grid it
-advances shrinks as the solve nears t_end.
+box plus a stencil halo; a q that depends on neither t nor u is
+evaluated there once per solve.  Given the cells a caller reads at the
+final time, the rk4 scheme also updates, Laplacian included, only the
+cells of their backward light cone (plus FDTD_CONE_MARGIN cells), so the
+grid it advances shrinks as the solve nears t_end.
 """
 
 from __future__ import annotations
@@ -37,33 +37,7 @@ from .potential import Potential
 
 
 # ----------------------------------------------------------------------
-# wave state and linear kernel
-
-
-@dataclass(frozen=True)
-class WaveState:
-    u: np.ndarray
-    u_prev: np.ndarray
-    dt: float
-    dx: tuple
-    time: float
-
-    def __post_init__(self):
-        n = len(self.dx)
-        if self.dt * np.sqrt(n) / min(self.dx) > CFL_LIMIT * (1 + 1e-12):
-            raise CFLError(
-                f"CFL {self.dt * np.sqrt(n) / min(self.dx):.3f} > {CFL_LIMIT}"
-            )
-        if self.u.shape != self.u_prev.shape:
-            raise ConfigError("WaveState: u and u_prev shapes differ")
-
-
-def step_linear_wave(state: WaveState, source=None) -> WaveState:
-    """One leapfrog step of u_tt = Lap u + f (2nd-order 3/5-point Laplacian)."""
-    lap = laplacian2(state.u, state.dx)
-    acc = lap if source is None else lap + source
-    unew = 2.0 * state.u - state.u_prev + state.dt**2 * acc
-    return WaveState(unew, state.u, state.dt, state.dx, state.time + state.dt)
+# leapfrog start-up
 
 
 def leapfrog_first_step(u0, v0, dt, dx, source0=None):
@@ -88,12 +62,12 @@ class Trajectory:
     dx: tuple
 
 
-def null_form_grid(q: Potential, t, xs, u, ut, grad_u):
-    """Q = q(x,u) (ut^2 - |grad' u|^2) on grid arrays."""
+def null_form_grid(qv, ut, grad_u):
+    """Q = q(x,u) (ut^2 - |grad' u|^2) on grid arrays, qv = q(x,u) there."""
     g2 = ut * ut
     for g in grad_u:
         g2 = g2 - g * g
-    return q.q(t, xs, u) * g2
+    return qv * g2
 
 
 def _space_coords(shape, x0, dx):
@@ -122,9 +96,10 @@ def _support_window(q: Potential, xs, halo=2):
     return tuple(win)
 
 
-def _null_form_window(support, w, xs):
+def _null_form_window(support, w, xs, q_box=None):
     """The part of `support` inside the step window `w`: its slices
-    relative to w and the coordinates on it, or None when it is empty."""
+    relative to w, the coordinates on it and the values of `q_box` (q on
+    the support box, or None) there; None when it is empty."""
     if support is None:
         return None
     lo = [max(a.start, b.start) for a, b in zip(support, w)]
@@ -135,7 +110,10 @@ def _null_form_window(support, w, xs):
                 for a, c, b in zip(lo, hi, w))
     xn = tuple(x[(slice(None),) * j + (slice(a, c),)]
                for j, (x, a, c) in enumerate(zip(xs, lo, hi)))
-    return rel, xn
+    if q_box is not None:
+        q_box = q_box[tuple(slice(a - b.start, c - b.start)
+                            for a, c, b in zip(lo, hi, support))]
+    return rel, xn, q_box
 
 
 def _region_bounds(region, shape):
@@ -159,14 +137,16 @@ def solve_semilinear(q: Potential, u0, v0, x0, dx, t0, t_end,
     """Explicit solve of box u = Q(x,u,grad u) on [t0, t_end].
 
     Initial data (u0, v0) at t0; the box must be sized so supports never
-    reach the boundary (zero-padding stencils).  With q == 0 and the
-    leapfrog scheme this reproduces step_linear_wave bit-for-bit.
+    reach the boundary (zero-padding stencils).  With q == 0 the leapfrog
+    scheme is the plain kernel u^{k+1} = 2u^k - u^{k-1} + dt^2 Lap_h u^k.
 
     q must vanish wherever some |x_j - q.center_j| >= q.R: the gradient
     and Q are evaluated only on that box (plus a stencil halo), and Q is
-    taken as zero elsewhere.  Non-finite u0 or v0 raise ConfigError; a
-    solution that leaves BLOWUP_FACTOR * max|u0| or turns non-finite
-    raises BlowUpError.
+    taken as zero elsewhere.  A static q (time_radius None, u_degree 0)
+    is evaluated on the box once and sliced to each step's window; any
+    other q is evaluated at every stage.  Non-finite u0 or v0 raise
+    ConfigError; a solution that leaves BLOWUP_FACTOR * max|u0| or turns
+    non-finite raises BlowUpError.
 
     `region` (rk4 only), a tuple of one unit-step slice per space axis,
     names the cells the caller reads at t_end.  A step from t then
@@ -185,6 +165,10 @@ def solve_semilinear(q: Potential, u0, v0, x0, dx, t0, t_end,
     n = len(dx)
     xs = _space_coords(u0.shape, x0, dx)
     support = _support_window(q, xs)
+    q_box = None  # q on the support box, when it depends on neither t nor u
+    if support is not None and q.time_radius is None and q.u_degree == 0:
+        box = _null_form_window(support, support, xs)
+        q_box = q.q(t0, box[1], u0[support])
     span = t_end - t0
     if span <= 0:
         raise ConfigError("solve_semilinear: empty time window")
@@ -203,12 +187,14 @@ def solve_semilinear(q: Potential, u0, v0, x0, dx, t0, t_end,
     nsteps = max(1, int(np.ceil(span / dt_target - 1e-12)))
     dtv = span / nsteps
     guard = BLOWUP_FACTOR * (np.max(np.abs(u0)) + 1e-30)
-    nf = None  # (slices, coordinates) of the null-form window, or None
+    nf = None  # (slices, coordinates, static q) of the null-form window
 
     def windowed_null_form(t, u, ut, grad):
-        win, xw = nf
+        win, xw, qw = nf
         uw = u[win]
-        return null_form_grid(q, t, xw, uw, ut[win], grad(uw, dx))
+        if qw is None:
+            qw = q.q(t, xw, uw)
+        return null_form_grid(qw, ut[win], grad(uw, dx))
 
     keep = set(range(0, nsteps + 1, sample_every)) | {nsteps}
     times, us, uts = [], [], []
@@ -241,7 +227,7 @@ def solve_semilinear(q: Potential, u0, v0, x0, dx, t0, t_end,
                              for (a, b), r, m in zip(bounds, reach, u0.shape))
             if step_win != w:
                 w = step_win
-                nf = _null_form_window(support, w, xs)
+                nf = _null_form_window(support, w, xs, q_box)
             # views: the in-place updates below write the window of u, v
             uw, vw = u[w], v[w]
             k1u, k1v = rhs(t, uw, vw)
@@ -259,7 +245,8 @@ def solve_semilinear(q: Potential, u0, v0, x0, dx, t0, t_end,
     # leapfrog
     if dtv * np.sqrt(n) / min(dx) > CFL_LIMIT:
         raise CFLError("leapfrog time step violates CFL")
-    nf = _null_form_window(support, tuple(slice(0, m) for m in u0.shape), xs)
+    nf = _null_form_window(support, tuple(slice(0, m) for m in u0.shape), xs,
+                           q_box)
 
     u_prev = u0
     f0 = None
@@ -373,6 +360,12 @@ class EnergyReport:
     times: np.ndarray
 
 
+def _cumulative_trapezoid(y, t):
+    """Running trapezoid integral of y over t, starting at 0."""
+    return np.concatenate(([0.0], np.cumsum(np.diff(t) * (y[1:] + y[:-1])
+                                            / 2.0)))
+
+
 def check_energy_estimate(traj: Trajectory, lam: float, m: int,
                           box_u: Optional[np.ndarray] = None) -> EnergyReport:
     """Empirical constant of the exp-weighted energy inequality.
@@ -382,16 +375,14 @@ def check_energy_estimate(traj: Trajectory, lam: float, m: int,
     RHS(t) = E(0) + lam^{-1/2} (int_0^t e^{-2 lam s} ||box u||_{H^m}^2)^{1/2}.
     Returns C = max_t LHS/RHS.  box_u defaults to zero (homogeneous solve).
     """
-    # imported here: scipy.integrate adds ~1.5 MB to every process
-    from scipy.integrate import cumulative_trapezoid
     t = traj.times - traj.times[0]
     E = (sobolev_norm(traj.ut, traj.dx, m)
          + sobolev_norm(traj.u, traj.dx, m + 1)
          + lam * sobolev_norm(traj.u, traj.dx, m))
     boxn = 0.0 if box_u is None else sobolev_norm(box_u, traj.dx, m)
     w = np.exp(-2.0 * lam * t)
-    ie = cumulative_trapezoid(w * E**2, t, initial=0.0)
-    ib = cumulative_trapezoid(w * boxn**2, t, initial=0.0)
+    ie = _cumulative_trapezoid(w * E**2, t)
+    ib = _cumulative_trapezoid(w * boxn**2, t)
     lhs = np.exp(-lam * t) * E + np.sqrt(lam) * np.sqrt(ie)
     rhs = E[0] + np.sqrt(ib) / np.sqrt(lam)
     C = float(np.max(lhs / rhs))
@@ -433,7 +424,7 @@ def _discrete_box(A, dt, dx):
 def _nullform_traj(q, times, xs, A, dt, dx):
     """Q(x, A, grad A) with leapfrog-consistent centered differences."""
     t = np.reshape(times, (-1,) + (1,) * len(dx))
-    return null_form_grid(q, t, xs, A, _centered_ut(A, dt), grad1_2(A, dx))
+    return null_form_grid(q.q(t, xs, A), _centered_ut(A, dt), grad1_2(A, dx))
 
 
 def _solve_forced_wave(source, dt, dx):

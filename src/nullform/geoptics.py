@@ -29,7 +29,6 @@ from dataclasses import dataclass
 from typing import Dict, Tuple
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .constants import CFL_LIMIT, PPW_MIN, RAY_QUAD_ABS_TOL
 from .errors import CFLError, ConfigError, QuadratureError, \
@@ -690,39 +689,109 @@ def residual_coefficients(spec: AnsatzSpec, q: Potential, table: CoeffTable):
     return coeffs, defects
 
 
+def _not_a_knot_slopes(dx, chord):
+    """Knot slopes of the not-a-knot cubic spline along the first axis,
+    from its n - 1 >= 3 interval widths dx > 0 and chord slopes
+    `chord` = diff(y) / dx.
+
+    The slopes solve the tridiagonal system of de Boor, A Practical Guide
+    to Splines, ch. IV, in scipy's CubicSpline form: the interior rows
+    match the second derivative at x[i], the end rows the third
+    derivative at x[1] and x[n-2].  One Thomas sweep along the first
+    axis solves it for every trailing column at once; for dx > 0 every
+    pivot is positive, so it needs no pivoting.
+    """
+    n = len(dx) + 1
+    if n < 4:
+        raise ValueError(f"not-a-knot spline needs >= 4 points, got {n}")
+    dxr = dx.reshape((-1,) + (1,) * (chord.ndim - 1))
+    d0, d1 = dx[0] + dx[1], dx[-2] + dx[-1]
+    lower = np.r_[0.0, dx[1:], d1].tolist()
+    diag = np.r_[dx[1], 2 * (dx[:-1] + dx[1:]), dx[-2]].tolist()
+    upper = np.r_[d0, dx[:-1], 0.0].tolist()
+    s = np.empty((n,) + chord.shape[1:], dtype=chord.dtype)
+    s[0] = ((dx[0] + 2 * d0) * dx[1] * chord[0] + dx[0]**2 * chord[1]) / d0
+    np.multiply(dxr[1:], chord[:-1], out=s[1:-1])
+    s[1:-1] += dxr[:-1] * chord[1:]
+    s[1:-1] *= 3
+    s[-1] = (dx[-1]**2 * chord[-2]
+             + (2 * d1 + dx[-1]) * dx[-2] * chord[-1]) / d1
+    cp = [0.0] * n  # upper diagonal after elimination
+    for i in range(n):
+        piv = diag[i]
+        if i:
+            piv -= lower[i] * cp[i - 1]
+            s[i] -= lower[i] * s[i - 1]
+        cp[i] = upper[i] / piv
+        s[i] /= piv
+    for i in range(n - 2, -1, -1):
+        s[i] -= cp[i] * s[i + 1]
+    return s
+
+
+def _hermite_coeffs(dx, y, s):
+    """PPoly coefficients (4, n-1, ...) of the piecewise cubic with values
+    y and slopes s at the knots, along the first axis: c[k, i]
+    multiplies (x - x[i])^(3-k) on [x[i], x[i+1]]."""
+    dxr = dx.reshape((-1,) + (1,) * (y.ndim - 1))
+    chord = np.diff(y, axis=0) / dxr
+    t = (s[:-1] + s[1:] - 2 * chord) / dxr
+    return np.stack([t / dxr, (chord - s[:-1]) / dxr - t, s[:-1], y[:-1]])
+
+
+def _bin_slopes(coeffs, grid: SpacetimeGrid):
+    """Not-a-knot knot slopes in x of every C_{p,m}, m >= 0, at every
+    time level: {(p, m): (level, x) array}.
+
+    Knot slopes and spline coefficients are linear in the data, so the
+    spline of a bin sum_p h^p C_{p,m} is built from the same sums of
+    values and slopes: one sweep serves every bin, level and h of a
+    table, and only the values-and-slopes step runs per bin and h.
+    """
+    dx = np.diff(grid.axis(0))
+    keys = [k for k in coeffs if k[1] >= 0]
+    chord = np.stack([np.diff(coeffs[k], axis=1).T for k in keys], axis=1)
+    chord /= dx[:, None, None]
+    s = _not_a_knot_slopes(dx, chord)  # (x, key, level)
+    return {k: s[:, i].T for i, k in enumerate(keys)}
+
+
 # time levels per block in _norms_from_coeffs: bounds the fine-grid
 # arrays to a few (block x nx_fine) arrays per bin and call
 _NORM_BLOCK = 8
 
 
-def _norms_from_coeffs(coeffs, table: CoeffTable, h: float, refine: int,
-                       margin: int = 2):
+def _norms_from_coeffs(coeffs, slopes, table: CoeffTable, h: float,
+                       refine: int, margin: int = 2):
     """sup-in-time L2 and global Linf of sum_m e^{im psi/h} g_m(h, x).
 
     With g_m = sum_p h^p C_{p,m} and C_{p,-m} = conj(C_{p,m}), the real
     residual is g_0 + 2 sum_{m>0} Re(e^{im psi/h} g_m).  Each g_m, m >= 0,
-    is one cubic spline in x over all measured levels.  The fine points
-    sit at refine fixed offsets in each cell, so a block of levels is one
-    matmul of the spline coefficients with the powers of those offsets
-    (a last constant cell gives the knot value at xf[-1]).  The carrier
-    e^{i psi/h} is a time factor times a space factor.
+    is one not-a-knot cubic spline in x over all measured levels, with
+    the same sums of the C_{p,m} and of their knot `slopes`
+    (_bin_slopes).  The fine points sit at refine fixed offsets in each
+    cell, so a block of levels is one matmul of the spline coefficients
+    with the powers of those offsets (a last constant cell gives the
+    knot value at xf[-1]).  The carrier e^{i psi/h} is a time factor
+    times a space factor.
     """
     grid = table.grid
     x = grid.axis(0)
+    dx = np.diff(x)
     xf = np.linspace(x[0], x[-1], (len(x) - 1) * refine + 1)
     dxf = xf[1] - xf[0]
     om = table.W.direction[0]
-    bins: Dict[int, np.ndarray] = {}
-    for (p, m), arr in coeffs.items():
-        if m >= 0:
-            bins[m] = bins.get(m, 0) + (2 if m else 1) * h ** p * arr
     levels = slice(margin, grid.nt - margin)
+    bins: Dict[int, tuple] = {}  # per bin: (values, knot slopes)
+    for (p, m), s in slopes.items():
+        w = (2 if m else 1) * h ** p
+        g, d = bins.get(m, (0, 0))
+        bins[m] = (g + w * coeffs[(p, m)][levels], d + w * s[levels])
     t = grid.t[levels]
     coef = {}  # per bin: (level, re/im, cell, power of x - x_cell)
-    for m, g in bins.items():
-        c = np.pad(CubicSpline(x, g[levels], axis=1).c,
-                   ((0, 0), (0, 1), (0, 0)))
-        c[3, -1] = g[levels, -1]
+    for m, (g, d) in bins.items():
+        c = np.pad(_hermite_coeffs(dx, g.T, d.T), ((0, 0), (0, 1), (0, 0)))
+        c[3, -1] = g[:, -1]
         coef[m] = np.stack([c.real.T, c.imag.T], axis=1)
     powers = (np.arange(refine) * dxf) ** np.arange(3, -1, -1)[:, None]
     space = np.exp(1j * om * xf / h)
@@ -730,7 +799,7 @@ def _norms_from_coeffs(coeffs, table: CoeffTable, h: float, refine: int,
     for k0 in range(0, t.size, _NORM_BLOCK):
         blk = slice(k0, k0 + _NORM_BLOCK)
         carrier = [1.0, np.exp(1j * t[blk, None] / h) * space]
-        while len(carrier) <= max(bins, default=0):
+        while len(carrier) <= max(coef, default=0):
             carrier.append(carrier[-1] * carrier[1])
         R = np.zeros(carrier[1].shape)
         for m, c in coef.items():
@@ -770,8 +839,9 @@ def measure_residual_order(spec: AnsatzSpec, q: Potential) -> ResidualReport:
             f"refinement of {refine} (> 64); coarsen h_list or the grid")
 
     l2s, linfs, floors = [], [], []
+    slopes = _bin_slopes(coeffs, table.grid)
     for h in hs:
-        a, b = _norms_from_coeffs(coeffs, table, h, refine)
+        a, b = _norms_from_coeffs(coeffs, slopes, table, h, refine)
         l2s.append(a)
         linfs.append(b)
         # both +-m rows carry the same defect magnitude
@@ -784,8 +854,9 @@ def measure_residual_order(spec: AnsatzSpec, q: Potential) -> ResidualReport:
         2 * spec.dx, spec.xlim)
     coarse = build_hierarchy(coarse_spec, q)
     ccoeffs, _ = residual_coefficients(coarse_spec, q, coarse)
+    cslopes = _bin_slopes(ccoeffs, coarse.grid)
     for i, h in enumerate(hs):
-        a, _ = _norms_from_coeffs(ccoeffs, coarse, h, 2 * refine)
+        a, _ = _norms_from_coeffs(ccoeffs, cslopes, coarse, h, 2 * refine)
         # |coarse - fine| tracks the coarse table's error; for an
         # order >= 2 method the fine error is at most a third of it
         floors[i] += abs(a - l2s[i]) / 3.0

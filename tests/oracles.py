@@ -3,14 +3,19 @@
 Each one recomputes a quantity by a second route that no pipeline runs:
 the closed-form leading amplitude on a whole grid, straight-line
 integrals of an arbitrary integrand, the d'Alembertian from the
-one-axis 4th-order stencils, and log ray data by the complex log.
+one-axis 4th-order stencils, log ray data by the complex log, and the
+linear leapfrog step on a CFL-checked state.
 """
+
+from dataclasses import dataclass
 
 import numpy as np
 
-from nullform.constants import CHI_FLOOR_FRACTION, RAY_QUAD_ABS_TOL
+from nullform.constants import (CFL_LIMIT, CHI_FLOOR_FRACTION,
+                                RAY_QUAD_ABS_TOL)
+from nullform.errors import CFLError, ConfigError
 from nullform.geoptics import a10_points
-from nullform.grids import SpacetimeGrid, diff2
+from nullform.grids import SpacetimeGrid, diff2, laplacian2
 from nullform.raytransform import Sinogram, _sweep
 
 
@@ -63,3 +68,32 @@ def complex_log_ray_data(amp, chi, A, B):
     valid &= np.abs(ratio) > 1e-300
     logr = np.log(np.where(valid, ratio, 1.0))
     return logr.real, logr.imag, valid
+
+
+@dataclass(frozen=True)
+class WaveState:
+    """Two leapfrog levels, u at `time` and u_prev one step earlier."""
+
+    u: np.ndarray
+    u_prev: np.ndarray
+    dt: float
+    dx: tuple
+    time: float
+
+    def __post_init__(self):
+        n = len(self.dx)
+        if self.dt * np.sqrt(n) / min(self.dx) > CFL_LIMIT * (1 + 1e-12):
+            raise CFLError(
+                f"CFL {self.dt * np.sqrt(n) / min(self.dx):.3f} > {CFL_LIMIT}"
+            )
+        if self.u.shape != self.u_prev.shape:
+            raise ConfigError("WaveState: u and u_prev shapes differ")
+
+
+def step_linear_wave(state: WaveState, source=None) -> WaveState:
+    """One leapfrog step of u_tt = Lap u + f (2nd-order 3/5-point Laplacian):
+    u^{k+1} = 2u^k - u^{k-1} + dt^2 (Lap_h u^k + f^k)."""
+    lap = laplacian2(state.u, state.dx)
+    acc = lap if source is None else lap + source
+    unew = 2.0 * state.u - state.u_prev + state.dt**2 * acc
+    return WaveState(unew, state.u, state.dt, state.dx, state.time + state.dt)

@@ -11,14 +11,14 @@ import nullform.fdtd as fdtd
 from nullform.constants import FDTD_CONE_MARGIN
 from nullform.errors import BlowUpError, CFLError, ConfigError
 from nullform.fdtd import (
-    IterationTrace, Trajectory, WaveState, WeightedNormSpec,
-    check_energy_estimate, leapfrog_first_step, picard_iterate,
-    sobolev_norm, solve_semilinear, spacetime_norm, step_linear_wave,
-    weighted_norm,
+    IterationTrace, Trajectory, WeightedNormSpec, check_energy_estimate,
+    leapfrog_first_step, picard_iterate, sobolev_norm, solve_semilinear,
+    spacetime_norm, weighted_norm,
 )
 from nullform.grids import diff1, grad1_4, laplacian4
 from nullform.potential import Potential, get_potential
 from nullform.profiles import bump
+from oracles import WaveState, step_linear_wave
 
 
 def _bump_arrays(x, prof, shift=0.0):
@@ -178,6 +178,53 @@ def test_semilinear_support_window_is_exact(key, x1_lo, t0, scheme):
     assert np.max(np.abs(win.u[-1] - free.u[-1])) > 1e-3
 
 
+class _PerStage(Potential):
+    """`inner` with the same support box but no declared t or u
+    dependence, so solve_semilinear evaluates it at every stage."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.center = inner.center
+        self.R = inner.R
+
+    def q(self, t, xs, u):
+        return self.inner.q(t, xs, u)
+
+
+@pytest.mark.parametrize("scheme", ["rk4", "leapfrog"])
+def test_semilinear_static_q_evaluated_once(scheme, monkeypatch):
+    # radial_bump depends on neither t nor u: q on its box is computed
+    # once and sliced per step window, and every sampled step matches
+    # the per-stage evaluation bit for bit
+    prof = bump(0.6, 1.0)
+    d = 0.05
+    x1 = -1.5 + d * np.arange(61)
+    x2 = -1.2 + d * np.arange(49)
+    u0 = 0.5 * prof.f(x1[:, None] - 0.3) * prof.f(x2[None, :])
+    v0 = -0.5 * prof.df(x1[:, None] - 0.3) * prof.f(x2[None, :])
+    q = get_potential("radial_bump", 2)
+    assert q.time_radius is None and q.u_degree == 0
+    # rk4 with a region: the step window shrinks across supp q's box
+    region = (slice(28, 32), slice(20, 26)) if scheme == "rk4" else None
+
+    def solve(pot):
+        return solve_semilinear(pot, u0, v0, (-1.5, -1.2), (d, d), 0.0,
+                                1.2, scheme=scheme, region=region)
+
+    calls = []
+    inner_q = q.q
+    monkeypatch.setattr(q, "q", lambda *a: calls.append(a) or inner_q(*a))
+    static = solve(q)
+    assert len(calls) == 1
+    calls.clear()
+    per_stage = solve(_PerStage(q))
+    assert len(calls) >= len(per_stage.times) - 1  # at least once a step
+    assert np.array_equal(static.u, per_stage.u)
+    assert np.array_equal(static.ut, per_stage.ut)
+    free = solve(get_potential("zero", 2))
+    assert np.max(np.abs(static.u[-1] - free.u[-1])) > 1e-3
+
+
 @pytest.mark.parametrize("name", ["u0", "v0"])
 def test_semilinear_rejects_nonfinite_data(name):
     data = {"u0": np.zeros(41), "v0": np.zeros(41)}
@@ -219,7 +266,7 @@ def _rk4_whole_grid(q, u0, v0, x0, dx, t0, t_end):
     def rhs(t, u, v):
         dv = laplacian4(u, dx)
         uw = u[win]
-        dv[win] -= fdtd.null_form_grid(q, t, xw, uw, v[win],
+        dv[win] -= fdtd.null_form_grid(q.q(t, xw, uw), v[win],
                                        grad1_4(uw, dx))
         return v, dv
 
@@ -396,6 +443,15 @@ def test_spacetime_norm_constant_in_time():
     spec = WeightedNormSpec(m=0, mu=1.0, lam=lam, T=T)
     expect = 2.0 * np.sqrt(nx * dx) * np.sqrt((1 - np.exp(-2 * lam * T)) / (2 * lam))
     assert spacetime_norm(traj, spec) == pytest.approx(expect, rel=1e-3)
+
+
+def test_cumulative_trapezoid_matches_scipy():
+    from scipy.integrate import cumulative_trapezoid
+    rng = np.random.default_rng(3)
+    t = np.cumsum(rng.uniform(0.01, 0.1, 57))
+    for y in (rng.standard_normal(57), np.zeros(57)):
+        want = cumulative_trapezoid(y, t, initial=0.0)
+        assert np.array_equal(fdtd._cumulative_trapezoid(y, t), want)
 
 
 def test_energy_estimate_linear_wave():

@@ -2,14 +2,17 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.interpolate import CubicSpline
 
 from nullform.errors import CFLError, ConfigError, UnresolvedCarrierError
 from nullform.geoptics import (
-    _NORM_BLOCK, AnsatzSpec, CoeffTable, ResidualReport, _norms_from_coeffs,
-    assemble_uN, a10_points, background_field, build_hierarchy,
-    measure_residual_order, ray_exponent, residual_coefficients,
-    solve_m0_wave, solve_transport, u_incident,
+    _NORM_BLOCK, AnsatzSpec, CoeffTable, ResidualReport, _bin_slopes,
+    _hermite_coeffs, _norms_from_coeffs, _not_a_knot_slopes, assemble_uN,
+    a10_points, background_field, build_hierarchy, measure_residual_order,
+    ray_exponent, residual_coefficients, solve_m0_wave, solve_transport,
+    u_incident,
 )
 from nullform.grids import SpacetimeGrid
 from nullform.minkowski import LightVector
@@ -309,6 +312,33 @@ def test_residual_order_leading(tmp_path=None):
     assert all(a > b for a, b in zip(rep.l2, rep.l2[1:]))
 
 
+@settings(deadline=None, max_examples=60)
+@given(n=st.integers(4, 1000), rhs=st.integers(1, 50),
+       uniform=st.booleans(), cplx=st.booleans(),
+       seed=st.integers(0, 2**32 - 1))
+def test_not_a_knot_matches_cubic_spline(n, rhs, uniform, cplx, seed):
+    rng = np.random.default_rng(seed)
+    x = (np.linspace(-1.0, 2.0, n) if uniform
+         else np.cumsum(rng.uniform(0.1, 1.0, n)))
+    y = rng.standard_normal((n, rhs))
+    if cplx:
+        y = y + 1j * rng.standard_normal((n, rhs))
+    dx = np.diff(x)
+    s = _not_a_knot_slopes(dx, np.diff(y, axis=0) / dx[:, None])
+    got = _hermite_coeffs(dx, y, s)
+    want = CubicSpline(x, y, axis=0).c
+    # c[k, i] (x - x[i])^(3-k) is compared on its interval, against the
+    # data's size: a single cubic (n = 4) can have a tiny leading term
+    powers = np.arange(3, -1, -1)[:, None, None]
+    scale = np.abs(want) + np.max(np.abs(y)) / dx[:, None] ** powers
+    assert np.max(np.abs(got - want) / scale) <= 1e-12
+
+
+def test_not_a_knot_needs_four_points():
+    with pytest.raises(ValueError):
+        _not_a_knot_slopes(np.ones(2), np.ones(2))
+
+
 def _norms_per_level(coeffs, table, h, refine, margin=2):
     # reference: one spline per level and bin, one exp per level and bin
     grid = table.grid
@@ -357,9 +387,10 @@ def test_norms_from_coeffs_match_per_level_splines(residual_table, h):
     coeffs, table = residual_table
     # the last block of measured levels is a partial one
     assert (table.grid.nt - 4) % _NORM_BLOCK != 0
+    slopes = _bin_slopes(coeffs, table.grid)
     # refine = 27 (odd, not a power of two) is the benchmark's value
     for refine in (4, 27):
-        got = _norms_from_coeffs(coeffs, table, h, refine=refine)
+        got = _norms_from_coeffs(coeffs, slopes, table, h, refine=refine)
         want = _norms_per_level(coeffs, table, h, refine=refine)
         np.testing.assert_allclose(got, want, rtol=1e-12)
 
@@ -372,8 +403,9 @@ def test_norms_from_coeffs_read_the_last_fine_point(residual_table):
                         table.grid.shape)
     coeffs = {(1, 0): g + 0j, (1, 1): (0.5 - 0.3j) * g,
               (1, -1): (0.5 + 0.3j) * g}
+    slopes = _bin_slopes(coeffs, table.grid)
     for refine in (4, 27):
-        got = _norms_from_coeffs(coeffs, table, 1 / 8, refine=refine)
+        got = _norms_from_coeffs(coeffs, slopes, table, 1 / 8, refine=refine)
         want = _norms_per_level(coeffs, table, 1 / 8, refine=refine)
         np.testing.assert_allclose(got, want, rtol=1e-12)
 

@@ -1,6 +1,11 @@
-"""Source hygiene without a linter: no dead imports, no unread constants."""
+"""Source hygiene without a linter: no dead imports, no unread constants,
+no heavy scipy subpackage on the import path."""
 
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -53,3 +58,19 @@ def test_every_constant_is_read():
             read |= _read_names(_tree(path))
     unread = [name for name in constants if name not in read]
     assert constants and not unread, f"constants nothing reads: {unread}"
+
+
+def test_cli_import_loads_no_heavy_scipy():
+    # scipy.interpolate alone once cost ~0.4 s and 30 MB in every process;
+    # only scipy.sparse (RLS) may come in with the package
+    path = [str(PACKAGE.parent), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    code = ("import json, sys, nullform.cli; "
+            "print(json.dumps(sorted(sys.modules)))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    heavy = ("scipy.interpolate", "scipy.integrate", "scipy.special",
+             "scipy.optimize")
+    loaded = [m for m in json.loads(out)
+              if any(m == h or m.startswith(h + ".") for h in heavy)]
+    assert not loaded, f"import nullform.cli loads {loaded}"

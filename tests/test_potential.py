@@ -80,14 +80,15 @@ def test_null_form_examples():
     phi = bump(1.0, 1.0)
     s = phase_arg(t, xs, V)
     grad = phi.df(s) * V.twin_array()
-    assert abs(null_form_grid(p, t, xs, phi.f(s), grad[0], grad[1:])) < 1e-14
+    u = phi.f(s)
+    assert abs(null_form_grid(p.q(t, xs, u), grad[0], grad[1:])) < 1e-14
     # q = 0 potential
     z = get_potential("zero", 2)
-    assert null_form_grid(z, t, xs, 0.5, 2.0, [1.0, 0.0]) == 0.0
+    assert null_form_grid(z.q(t, xs, 0.5), 2.0, [1.0, 0.0]) == 0.0
     # direct arithmetic: q * (4 - 1)
     qval = float(p.q(t, xs, 0.5))
     assert qval > 0
-    assert null_form_grid(p, t, xs, 0.5, 2.0, [1.0, 0.0]) == \
+    assert null_form_grid(p.q(t, xs, 0.5), 2.0, [1.0, 0.0]) == \
         pytest.approx(3 * qval)
 
 
