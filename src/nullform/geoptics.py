@@ -25,6 +25,7 @@ through grid points and the transport solves are exact index shifts plus a
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from typing import Dict, Tuple
 
@@ -254,20 +255,22 @@ def solve_transport(source_field, F_field, omega, inflow_data,
 # bin-0 wave solve with first-order coupling
 
 
-def solve_m0_wave(coupling_fields, source, grid: SpacetimeGrid,
-                  substeps: int = 2) -> np.ndarray:
+_M0_SUBSTEPS = 2   # leapfrog sub-steps per level: dt = dx needs >= 2
+
+
+def solve_m0_wave(coupling_fields, source, grid: SpacetimeGrid) -> np.ndarray:
     """Solve  A_tt = A_xx + c_t A_t + c_x A_x + S  with zero data.
 
     coupling_fields = (c_t, c_x) on the grid (either may be scalar 0).
-    The hierarchy grid has dt = dx, so the solve sub-steps at dt/substeps
-    to satisfy the CFL bound; the c_t term is handled implicitly (scalar
-    division), keeping the update 2nd-order.  Returns the field sampled
-    at the grid's own time levels.
+    The hierarchy grid has dt = dx, so the solve takes _M0_SUBSTEPS
+    sub-steps per level to satisfy the CFL bound; the c_t term is handled
+    implicitly (scalar division), keeping the update 2nd-order.  Returns
+    the field sampled at the grid's own time levels.
     """
     if grid.n != 1:
         raise ConfigError("solve_m0_wave: 1+1D only")
     dx = grid.dx[0]
-    dts = grid.dt / substeps
+    dts = grid.dt / _M0_SUBSTEPS
     if dts / dx > CFL_LIMIT:
         raise CFLError("solve_m0_wave: sub-step violates the CFL bound")
     c_t, c_x = coupling_fields
@@ -275,11 +278,11 @@ def solve_m0_wave(coupling_fields, source, grid: SpacetimeGrid,
     c_x = np.zeros(grid.shape) + np.asarray(c_x, dtype=float)
     S = np.zeros(grid.shape) + np.asarray(source, dtype=float)
     nt = grid.nt
-    nsub = (nt - 1) * substeps
+    nsub = (nt - 1) * _M0_SUBSTEPS
 
     def level_interp(G, j):
         """Linear-in-time sample of a per-level field at sub-level j."""
-        tau = j / substeps
+        tau = j / _M0_SUBSTEPS
         k = min(int(tau), nt - 2)
         a = tau - k
         return (1 - a) * G[k] + a * G[k + 1]
@@ -288,8 +291,6 @@ def solve_m0_wave(coupling_fields, source, grid: SpacetimeGrid,
     A_prev = np.zeros(grid.nx)
     # start-up from zero data: A(dts) = dts^2/2 * S(0)
     A_cur = 0.5 * dts**2 * S[0]
-    if substeps == 1 and nt > 1:
-        out[1] = A_cur
     for j in range(1, nsub):
         ct = level_interp(c_t, j)
         cx = level_interp(c_x, j)
@@ -300,8 +301,8 @@ def solve_m0_wave(coupling_fields, source, grid: SpacetimeGrid,
                - 0.5 * dts * ct * A_prev)
         A_next = rhs / (1.0 - 0.5 * dts * ct)
         A_prev, A_cur = A_cur, A_next
-        if (j + 1) % substeps == 0:
-            out[(j + 1) // substeps] = A_cur
+        if (j + 1) % _M0_SUBSTEPS == 0:
+            out[(j + 1) // _M0_SUBSTEPS] = A_cur
     return out
 
 
@@ -413,6 +414,14 @@ class _RowFields:
         self.Ax = diff1(A, grid.dx[0], 1)
         self.box = -d2t + diff2(A, grid.dx[0], 1)
 
+    def conj(self):
+        """Fields of the conjugate row: the stencils are real, so this
+        equals building them from conj(A)."""
+        cf = _RowFields.__new__(_RowFields)
+        cf.A, cf.At, cf.Ax, cf.box = (np.conj(f) for f in
+                                      (self.A, self.At, self.Ax, self.box))
+        return cf
+
 
 class _Frame:
     """Background fields shared by the build and the residual measurement."""
@@ -435,86 +444,65 @@ class _Frame:
         self.psi = phase_arg(Tgrid, [Xgrid], spec.W)
 
 
-def _series_parts(cache, fr: _Frame):
-    """Formal-series factors of the residual, as (order, bin, field) lists.
+def _series(cache, fr: _Frame, want):
+    """Residual series coefficients at the (order, bin) keys `want` accepts.
 
-    The residual of the ansatz is  box u_N + q(x, u_N)(2<grad phi, G>_M
-    + <G, G>_M)  with G = grad(u_N - phi_V).  Substituting the series and
-    collecting h-powers and carrier bins gives three part lists:
-
-      qparts — Taylor factors of q about phi_V (exact for polynomial-in-u
-               potentials of degree <= 2);
-      tparts — entries of 2<grad phi,G> + <G,G> (the -2im T A terms of
-               box u_N are NOT included; they form the transport operator);
-      boxparts — box A_{m,p} entries of box u_N at order p+1.
-
-    A residual coefficient at (order, bin) is the matching boxparts plus
-    all products qpart x tpart whose orders and bins add up to it.
+    The residual  box u_N + q(x, u_N)(2<grad phi, G>_M + <G, G>_M),
+    G = grad(u_N - phi_V), expands into (order, bin, thunk) factors: the
+    Taylor factors of q about phi_V (exact for polynomial-in-u potentials
+    of degree <= 2) and the entries of 2<grad phi,G> + <G,G> (the -2im T A
+    terms of box u_N form the transport operator and are left out).  A key
+    sums box A_{m,p} at (p+1, m), then every q-factor x t-factor product
+    landing on it, q outer and t inner.  Only the factors and products of
+    wanted keys are formed, and none is kept, so a t-factor is formed
+    again, with the same bits, for each q-factor it pairs with.  A key
+    nothing lands on reads as zeros.
     """
-    qparts = [(0, 0, fr.q0)]
     items = list(cache.items())
+    qf = [(0, 0, lambda: fr.q0)]
     if np.max(np.abs(fr.q1)) > 0:
-        for (k, r), rf in items:
-            qparts.append((1 + r, k, fr.q1 * rf.A))
+        qf += [(1 + r, k, lambda a=a: fr.q1 * a.A) for (k, r), a in items]
     if np.max(np.abs(fr.q2)) > 0:
-        for (k1, r1), rf1 in items:
-            for (k2, r2), rf2 in items:
-                qparts.append((2 + r1 + r2, k1 + k2,
-                               0.5 * fr.q2 * rf1.A * rf2.A))
-    tparts = []
-    for (l, s), rf in items:
+        qf += [(2 + r1 + r2, k1 + k2,
+                lambda a=a, b=b: 0.5 * fr.q2 * a.A * b.A)
+               for (k1, r1), a in items for (k2, r2), b in items]
+
+    def wgrad(a):   # <Wt, grad A>_M
+        return -a.At + fr.omega * a.Ax
+
+    tf = []
+    for (l, s), a in items:
         if l != 0:
-            tparts.append((s, l, 2j * l * fr.phip * fr.pairing * rf.A))
-        tparts.append((s + 1, l,
-                       2.0 * fr.phip * (fr.sV * rf.At + fr.th * rf.Ax)))
-    for (ma, sa), ra in items:
-        for (mb, sb), rb in items:
-            wb = -rb.At + fr.omega * rb.Ax   # <Wt, grad A_b>_M
-            wa = -ra.At + fr.omega * ra.Ax
+            tf.append((s, l, lambda l=l, a=a:
+                       2j * l * fr.phip * fr.pairing * a.A))
+        tf.append((s + 1, l, lambda a=a:
+                   2.0 * fr.phip * (fr.sV * a.At + fr.th * a.Ax)))
+    for (ma, sa), a in items:
+        for (mb, sb), b in items:
             if ma != 0 or mb != 0:
-                tparts.append((1 + sa + sb, ma + mb,
-                               1j * (ma * ra.A * wb + mb * rb.A * wa)))
-            tparts.append((2 + sa + sb, ma + mb,
-                           -ra.At * rb.At + ra.Ax * rb.Ax))
-    boxparts = [(s + 1, m, rf.box) for (m, s), rf in items]
-    return qparts, tparts, boxparts
+                tf.append((1 + sa + sb, ma + mb, lambda ma=ma, mb=mb, a=a, b=b:
+                           1j * (ma * a.A * wgrad(b) + mb * b.A * wgrad(a))))
+            tf.append((2 + sa + sb, ma + mb, lambda a=a, b=b:
+                       -a.At * b.At + a.Ax * b.Ax))
 
+    out = defaultdict(lambda: np.zeros(fr.q0.shape, dtype=complex))
 
-def _series_at(parts, p, m, shape):
-    """Sum of all series contributions landing at (order p, bin m)."""
-    qparts, tparts, boxparts = parts
-    contribs = [arr for (o, b, arr) in boxparts if o == p and b == m]
-    for (qo, qm, qarr) in qparts:
-        if qo > p:
-            continue
-        for (to, tm, tarr) in tparts:
-            if qo + to == p and qm + tm == m:
-                contribs.append(qarr * tarr)
-    acc = np.zeros(shape, dtype=complex)
-    for c in contribs:
-        acc = acc + c
-    return acc
-
-
-def _series_above(parts, N, shape):
-    """All series coefficients with order > N, keyed (order, bin)."""
-    qparts, tparts, boxparts = parts
-    out: Dict[Tuple[int, int], np.ndarray] = {}
-
-    def put(o, b, arr):
-        key = (o, b)
+    def put(key, arr):
         if key in out:
-            out[key] = out[key] + arr
+            out[key] += arr
         else:
             out[key] = arr.astype(complex)
 
-    for (o, b, arr) in boxparts:
-        if o > N:
-            put(o, b, arr)
-    for (qo, qm, qarr) in qparts:
-        for (to, tm, tarr) in tparts:
-            if qo + to > N:
-                put(qo + to, qm + tm, qarr * tarr)
+    for (m, s), a in items:
+        if want(s + 1, m):
+            put((s + 1, m), a.box)
+    for qo, qm, qthunk in qf:
+        qarr = None
+        for to, tm, tthunk in tf:
+            if want(qo + to, qm + tm):
+                if qarr is None:
+                    qarr = qthunk()
+                put((qo + to, qm + tm), qarr * tthunk())
     return out
 
 
@@ -534,13 +522,11 @@ def build_hierarchy(spec: AnsatzSpec, q: Potential) -> CoeffTable:
         rows[(m, p)] = arr
         cache[(m, p)] = _RowFields(arr, grid, ray_shift=w if m else None)
         if m != 0:
-            rows[(-m, p)] = np.conj(arr)
-            cf = _RowFields.__new__(_RowFields)
-            cf.A = rows[(-m, p)]
-            cf.At = np.conj(cache[(m, p)].At)
-            cf.Ax = np.conj(cache[(m, p)].Ax)
-            cf.box = np.conj(cache[(m, p)].box)
-            cache[(-m, p)] = cf
+            cache[(-m, p)] = cache[(m, p)].conj()
+            rows[(-m, p)] = cache[(-m, p)].A
+
+    def series_at(o, b):
+        return _series(cache, fr, lambda *key: key == (o, b))[(o, b)]
 
     for p in range(spec.N + 1):
         for m in range(1, p + 2):
@@ -548,15 +534,13 @@ def build_hierarchy(spec: AnsatzSpec, q: Potential) -> CoeffTable:
                 continue  # homogeneous transport, zero inflow -> zero
             # source from rows already known; the unknown row enters only
             # through the transport operator T - F
-            parts = _series_parts(cache, fr)
-            src = _series_at(parts, p, m, grid.shape) / (2j * m)
+            src = series_at(p, m) / (2j * m)
             inflow = inflow_10 if (m == 1 and p == 0) \
                 else np.zeros(grid.nx, dtype=complex)
             A = solve_transport(src, fr.F, fr.omega, inflow, grid)
             add_row(m, p, A)
         # bin-0 row at this order: box A + 2 q0 phi' <Vt, grad A>_M = -S
-        parts = _series_parts(cache, fr)
-        S0 = _series_at(parts, p + 1, 0, grid.shape)
+        S0 = series_at(p + 1, 0)
         if np.max(np.abs(S0.imag)) > 1e-10 * max(1.0, np.max(np.abs(S0))):
             raise ConfigError("bin-0 source has a non-real part; "
                               "conjugate symmetry broken upstream")
@@ -667,17 +651,19 @@ def residual_coefficients(spec: AnsatzSpec, q: Potential, table: CoeffTable):
     grid = table.grid
     fr = _Frame(spec, q, grid)
     w = int(round(fr.omega))
-    cache = {key: _RowFields(arr, grid, ray_shift=w if key[0] else None)
-             for key, arr in table.rows.items()}
-    parts = _series_parts(cache, fr)
-    coeffs = _series_above(parts, table.N, grid.shape)
+    fields = {key: _RowFields(arr, grid, ray_shift=w if key[0] else None)
+              for key, arr in table.rows.items() if key[0] >= 0}
+    cache = {(m, p): fields[(m, p)] if m >= 0 else fields[(-m, p)].conj()
+             for (m, p) in table.rows}
+    N = table.N
+    checked = [(m, p) for (m, p) in table.rows if m > 0]
+    series = _series(cache, fr, lambda o, b: o > N or (b, o) in checked)
+    coeffs = {key: arr for key, arr in series.items() if key[0] > N}
 
     defects = {}
     margin = 2
-    for (m, p) in table.rows:
-        if m <= 0:
-            continue
-        TA = _series_at(parts, p, m, grid.shape) / (2j * m)  # = F A + src
+    for (m, p) in checked:
+        TA = series[(p, m)] / (2j * m)  # = F A + src
         A = table.rows[(m, p)]
         ray_A = np.stack([shift(A[k], -k * w) for k in range(grid.nt)])
         ray_T = np.stack([shift(TA[k], -k * w) for k in range(grid.nt)])

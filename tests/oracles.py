@@ -3,18 +3,20 @@
 Each one recomputes a quantity by a second route that no pipeline runs:
 the closed-form leading amplitude on a whole grid, straight-line
 integrals of an arbitrary integrand, the d'Alembertian from the
-one-axis 4th-order stencils, log ray data by the complex log, and the
-linear leapfrog step on a CFL-checked state.
+one-axis 4th-order stencils, log ray data by the complex log, the
+linear leapfrog step on a CFL-checked state, and the residual series of
+the ansatz hierarchy from eagerly built factor lists.
 """
 
 from dataclasses import dataclass
+from typing import Dict, Tuple
 
 import numpy as np
 
 from nullform.constants import (CFL_LIMIT, CHI_FLOOR_FRACTION,
                                 RAY_QUAD_ABS_TOL)
 from nullform.errors import CFLError, ConfigError
-from nullform.geoptics import a10_points
+from nullform.geoptics import _Frame, a10_points
 from nullform.grids import SpacetimeGrid, diff2, laplacian2
 from nullform.raytransform import Sinogram, _sweep
 
@@ -97,3 +99,86 @@ def step_linear_wave(state: WaveState, source=None) -> WaveState:
     acc = lap if source is None else lap + source
     unew = 2.0 * state.u - state.u_prev + state.dt**2 * acc
     return WaveState(unew, state.u, state.dt, state.dx, state.time + state.dt)
+
+
+def _series_parts(cache, fr: _Frame):
+    """Formal-series factors of the residual, as (order, bin, field) lists.
+
+    The residual of the ansatz is  box u_N + q(x, u_N)(2<grad phi, G>_M
+    + <G, G>_M)  with G = grad(u_N - phi_V).  Substituting the series and
+    collecting h-powers and carrier bins gives three part lists:
+
+      qparts — Taylor factors of q about phi_V (exact for polynomial-in-u
+               potentials of degree <= 2);
+      tparts — entries of 2<grad phi,G> + <G,G> (the -2im T A terms of
+               box u_N are NOT included; they form the transport operator);
+      boxparts — box A_{m,p} entries of box u_N at order p+1.
+
+    A residual coefficient at (order, bin) is the matching boxparts plus
+    all products qpart x tpart whose orders and bins add up to it.
+    """
+    qparts = [(0, 0, fr.q0)]
+    items = list(cache.items())
+    if np.max(np.abs(fr.q1)) > 0:
+        for (k, r), rf in items:
+            qparts.append((1 + r, k, fr.q1 * rf.A))
+    if np.max(np.abs(fr.q2)) > 0:
+        for (k1, r1), rf1 in items:
+            for (k2, r2), rf2 in items:
+                qparts.append((2 + r1 + r2, k1 + k2,
+                               0.5 * fr.q2 * rf1.A * rf2.A))
+    tparts = []
+    for (l, s), rf in items:
+        if l != 0:
+            tparts.append((s, l, 2j * l * fr.phip * fr.pairing * rf.A))
+        tparts.append((s + 1, l,
+                       2.0 * fr.phip * (fr.sV * rf.At + fr.th * rf.Ax)))
+    for (ma, sa), ra in items:
+        for (mb, sb), rb in items:
+            wb = -rb.At + fr.omega * rb.Ax   # <Wt, grad A_b>_M
+            wa = -ra.At + fr.omega * ra.Ax
+            if ma != 0 or mb != 0:
+                tparts.append((1 + sa + sb, ma + mb,
+                               1j * (ma * ra.A * wb + mb * rb.A * wa)))
+            tparts.append((2 + sa + sb, ma + mb,
+                           -ra.At * rb.At + ra.Ax * rb.Ax))
+    boxparts = [(s + 1, m, rf.box) for (m, s), rf in items]
+    return qparts, tparts, boxparts
+
+
+def _series_at(parts, p, m, shape):
+    """Sum of all series contributions landing at (order p, bin m)."""
+    qparts, tparts, boxparts = parts
+    contribs = [arr for (o, b, arr) in boxparts if o == p and b == m]
+    for (qo, qm, qarr) in qparts:
+        if qo > p:
+            continue
+        for (to, tm, tarr) in tparts:
+            if qo + to == p and qm + tm == m:
+                contribs.append(qarr * tarr)
+    acc = np.zeros(shape, dtype=complex)
+    for c in contribs:
+        acc = acc + c
+    return acc
+
+
+def _series_above(parts, N, shape):
+    """All series coefficients with order > N, keyed (order, bin)."""
+    qparts, tparts, boxparts = parts
+    out: Dict[Tuple[int, int], np.ndarray] = {}
+
+    def put(o, b, arr):
+        key = (o, b)
+        if key in out:
+            out[key] = out[key] + arr
+        else:
+            out[key] = arr.astype(complex)
+
+    for (o, b, arr) in boxparts:
+        if o > N:
+            put(o, b, arr)
+    for (qo, qm, qarr) in qparts:
+        for (to, tm, tarr) in tparts:
+            if qo + to > N:
+                put(qo + to, qm + tm, qarr * tarr)
+    return out

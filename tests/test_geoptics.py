@@ -6,19 +6,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.interpolate import CubicSpline
 
+from nullform import geoptics
 from nullform.errors import CFLError, ConfigError, UnresolvedCarrierError
 from nullform.geoptics import (
     _NORM_BLOCK, AnsatzSpec, CoeffTable, ResidualReport, _bin_slopes,
-    _hermite_coeffs, _norms_from_coeffs, _not_a_knot_slopes, assemble_uN,
-    a10_points, background_field, build_hierarchy, measure_residual_order,
-    ray_exponent, residual_coefficients, solve_m0_wave, solve_transport,
-    u_incident,
+    _Frame, _hermite_coeffs, _norms_from_coeffs, _not_a_knot_slopes,
+    _RowFields, assemble_uN, a10_points, background_field, build_hierarchy,
+    measure_residual_order, ray_exponent, residual_coefficients,
+    solve_m0_wave, solve_transport, u_incident,
 )
 from nullform.grids import SpacetimeGrid
 from nullform.minkowski import LightVector
-from nullform.potential import get_potential
+from nullform.potential import (SeparablePotential, get_potential,
+                                radial_bump_factor)
 from nullform.profiles import bump, get_profile, ramp
-from oracles import solve_A10_closed_form
+from oracles import (_series_above, _series_at, _series_parts,
+                     solve_A10_closed_form)
 
 
 V1 = LightVector(-1, (-1.0,))
@@ -30,6 +33,19 @@ CHI = bump(0.3, 1.0)
 def _spec(N=0, dx=0.04, h_list=(1 / 8, 1 / 16, 1 / 32, 1 / 64)):
     return AnsatzSpec(V1, W1, PHI, CHI, 1.0, 0.5, N, h_list,
                       -2.0, 2.0, 1.5, dx, ((-4.0, 4.0),))
+
+
+def _potential(key):
+    """A catalog potential, or the test-local one quadratic in u."""
+    if key == "bump_quadratic_u":
+        return SeparablePotential(key, radial_bump_factor(0.5, 1.0), 1,
+                                  u_coeffs=(1.0, 0.5, 0.25))
+    return get_potential(key, 1)
+
+
+# radial_bump is static in u; the other two exercise the q1 (and q2)
+# Taylor factors of the residual series
+U_POTENTIALS = ["bump_linear_u", "bump_quadratic_u"]
 
 
 # ----------------------------------------------------------------------
@@ -163,9 +179,11 @@ def test_m0_wave_zero_source():
 
 
 def test_m0_wave_substep_cfl_guard():
-    grid = _ray_grid(nx=51, nt=11)
+    # two sub-steps of dt = 2 dx still step at dx, past the CFL bound
+    d = 0.04
+    grid = SpacetimeGrid(-1.0, 2 * d, 11, (-1.0,), (d,), (51,))
     with pytest.raises(CFLError):
-        solve_m0_wave((0.0, 0.0), np.zeros(grid.shape), grid, substeps=1)
+        solve_m0_wave((0.0, 0.0), np.zeros(grid.shape), grid)
 
 
 def test_m0_wave_manufactured_convergence():
@@ -310,6 +328,50 @@ def test_residual_order_leading(tmp_path=None):
     assert len(rep.used) >= 2
     # residual decays monotonically across the sweep
     assert all(a > b for a, b in zip(rep.l2, rep.l2[1:]))
+
+
+@pytest.mark.parametrize("key", U_POTENTIALS)
+def test_residual_order_u_dependent(key):
+    rep = measure_residual_order(_spec(N=0, dx=0.04), _potential(key))
+    assert rep.passed  # slope >= 0.75
+    assert len(rep.used) >= 2
+
+
+@pytest.mark.parametrize("N", [0, 1])
+@pytest.mark.parametrize("key", ["radial_bump"] + U_POTENTIALS)
+def test_series_matches_eager_oracle(monkeypatch, key, N):
+    # _series against the eager part lists it replaced, bit for bit: each
+    # one-key request of build_hierarchy, then residual_coefficients'
+    # order > N request (whose m < 0 rows are conjugated fields)
+    spec, q = _spec(N=N, dx=0.08), _potential(key)
+    calls = []
+    series = geoptics._series
+
+    def spy(cache, fr, want):
+        out = series(cache, fr, want)
+        calls.append((dict(cache), fr, want, out))
+        return out
+
+    monkeypatch.setattr(geoptics, "_series", spy)
+    table = build_hierarchy(spec, q)
+    shape = table.grid.shape
+    assert len(calls) == (2 if N == 0 else 5)
+    for cache, fr, want, out in calls:
+        parts = _series_parts(cache, fr)
+        (key_read,) = out           # the one key build_hierarchy read
+        assert [k for k in _series_above(parts, -1, shape)
+                if want(*k)] in ([], [key_read])
+        assert np.array_equal(out[key_read],
+                              _series_at(parts, *key_read, shape))
+
+    coeffs, _ = residual_coefficients(spec, q, table)
+    w = int(round(W1.direction[0]))
+    cache = {key: _RowFields(arr, table.grid, ray_shift=w if key[0] else None)
+             for key, arr in table.rows.items()}
+    oracle = _series_above(_series_parts(cache, _Frame(spec, q, table.grid)),
+                           N, shape)
+    assert list(coeffs) == list(oracle)
+    assert all(np.array_equal(coeffs[k], oracle[k]) for k in oracle)
 
 
 @settings(deadline=None, max_examples=60)

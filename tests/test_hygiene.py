@@ -1,5 +1,6 @@
 """Source hygiene without a linter: no dead imports, no unread constants,
-no heavy scipy subpackage on the import path."""
+no unread private functions or classes, no heavy scipy subpackage on the
+import path."""
 
 import ast
 import json
@@ -18,14 +19,20 @@ def _tree(path):
     return ast.parse(path.read_text(), filename=str(path))
 
 
-def _read_names(tree):
-    """Every name the module reads: bare names and attribute names."""
+def _read_names(tree, skip=None):
+    """Every name the module reads: bare names and attribute names, outside
+    the subtree `skip` if one is given."""
     names = set()
-    for node in ast.walk(tree):
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        if node is skip:
+            continue
         if isinstance(node, ast.Name):
             names.add(node.id)
         elif isinstance(node, ast.Attribute):
             names.add(node.attr)
+        stack.extend(ast.iter_child_nodes(node))
     return names
 
 
@@ -58,6 +65,24 @@ def test_every_constant_is_read():
             read |= _read_names(_tree(path))
     unread = [name for name in constants if name not in read]
     assert constants and not unread, f"constants nothing reads: {unread}"
+
+
+def test_every_private_def_is_read():
+    # a module-level _name def or class must be read somewhere in src/,
+    # its own body aside (tests and oracles do not count)
+    trees = {path.name: _tree(path) for path in MODULES}
+    dead = []
+    for name, tree in trees.items():
+        for node in tree.body:
+            if not (isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    and node.name.startswith("_")):
+                continue
+            read = set()
+            for other, t in trees.items():
+                read |= _read_names(t, skip=node if other == name else None)
+            if node.name not in read:
+                dead.append(f"{name}:{node.name}")
+    assert not dead, f"private definitions nothing in src/ reads: {dead}"
 
 
 def test_cli_import_loads_no_heavy_scipy():
