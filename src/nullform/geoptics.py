@@ -197,6 +197,8 @@ def solve_transport(source_field, F_field, omega, inflow_data,
     dt equals the spacing along it, so each ray advances one cell per
     level (transverse coordinates are spectators).  Classical RK4 with
     midpoint coefficients from a 4-point cubic along the ray; O(dt^4).
+    Where the cubic would read the ray's later points beyond the outflow
+    edge, the midpoint is the two-point average instead.
     """
     om = np.atleast_1d(np.asarray(omega, dtype=float))
     if om.size != grid.n:
@@ -222,19 +224,26 @@ def solve_transport(source_field, F_field, omega, inflow_data,
     def sh(a, s):
         return shift(a, s, ax)
 
+    # columns whose ray has left the grid 1 and 2 levels later
+    ones = np.ones(grid.nx)
+    gone = {r: sh(ones, -r * w) == 0 for r in (1, 2)}
+
     def ray_mid(G, k):
         """G on the ray at level k + 1/2, for rays indexed at level k+1."""
+        two = 0.5 * (sh(G[k], w) + G[k + 1])
         if 1 <= k <= nt - 3:
-            return (-sh(G[k - 1], 2 * w) + 9.0 * sh(G[k], w)
-                    + 9.0 * G[k + 1] - sh(G[k + 2], -w)) / 16.0
+            return np.where(gone[1], two, (
+                -sh(G[k - 1], 2 * w) + 9.0 * sh(G[k], w)
+                + 9.0 * G[k + 1] - sh(G[k + 2], -w)) / 16.0)
         if k == 0 and nt >= 4:
-            return (0.3125 * sh(G[0], w) + 0.9375 * G[1]
-                    - 0.3125 * sh(G[2], -w) + 0.0625 * sh(G[3], -2 * w))
+            return np.where(gone[2], two, (
+                0.3125 * sh(G[0], w) + 0.9375 * G[1]
+                - 0.3125 * sh(G[2], -w) + 0.0625 * sh(G[3], -2 * w)))
         if k == nt - 2 and nt >= 4:
             return (0.0625 * sh(G[nt - 4], 3 * w)
                     - 0.3125 * sh(G[nt - 3], 2 * w)
                     + 0.9375 * sh(G[nt - 2], w) + 0.3125 * G[nt - 1])
-        return 0.5 * (sh(G[k], w) + G[k + 1])  # tiny grids: trapezoid
+        return two  # tiny grids
 
     for k in range(nt - 1):
         A0 = sh(A[k], w)

@@ -258,18 +258,23 @@ def test_transport_annihilates_carrier_functions():
 
 
 def test_transport_on_time_coordinate():
-    # f = x0 - t0 solves T f = 1 with zero inflow, and the transport
-    # solver marches it exactly on the rays whose stencils stay clear of
-    # the x boundaries (zeros flow in there)
+    # f = x0 - t0 solves T f = 1 with zero inflow.  The source is 1 on the
+    # rays that start on the grid and 0 on those that enter through the
+    # inflow edge (zeros flow in there), so on every column the solver
+    # must march t - t0 or 0 exactly, through the outflow edge included
     from nullform.geoptics import solve_transport
     from nullform.grids import SpacetimeGrid
 
     nt, nx = 9, 24
     g = SpacetimeGrid(-1.0, 0.05, nt, (0.0,), (0.05,), (nx,))
-    A = solve_transport(1.0, np.zeros(g.shape), (1.0,), np.zeros(nx), g)
-    clear = A[:, 2:nx - nt - 3]
-    want = np.broadcast_to((g.t - g.t0)[:, None], clear.shape)
-    assert np.allclose(clear, want, rtol=0, atol=1e-14)
+    for w in (1, -1):
+        # column j at level k lies on the ray that starts at column j + k w
+        start = np.arange(nx)[None, :] + w * np.arange(nt)[:, None]
+        on_grid = (start >= 0) & (start < nx)
+        A = solve_transport(on_grid + 0j, np.zeros(g.shape), (float(w),),
+                            np.zeros(nx), g)
+        want = np.where(on_grid, (g.t - g.t0)[:, None], 0.0)
+        assert np.allclose(A, want, rtol=0, atol=1e-14)
 
 
 def test_background_discrete_dalembertian_converges():
