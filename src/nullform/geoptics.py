@@ -25,6 +25,7 @@ through grid points and the transport solves are exact index shifts plus a
 
 from __future__ import annotations
 
+import functools
 from collections import defaultdict
 from dataclasses import dataclass
 from typing import Dict, Tuple
@@ -230,19 +231,20 @@ def solve_transport(source_field, F_field, omega, inflow_data,
 
     def ray_mid(G, k):
         """G on the ray at level k + 1/2, for rays indexed at level k+1."""
-        two = 0.5 * (sh(G[k], w) + G[k + 1])
+        g0 = sh(G[k], w)
+        two = 0.5 * (g0 + G[k + 1])
         if 1 <= k <= nt - 3:
             return np.where(gone[1], two, (
-                -sh(G[k - 1], 2 * w) + 9.0 * sh(G[k], w)
+                -sh(G[k - 1], 2 * w) + 9.0 * g0
                 + 9.0 * G[k + 1] - sh(G[k + 2], -w)) / 16.0)
         if k == 0 and nt >= 4:
             return np.where(gone[2], two, (
-                0.3125 * sh(G[0], w) + 0.9375 * G[1]
+                0.3125 * g0 + 0.9375 * G[1]
                 - 0.3125 * sh(G[2], -w) + 0.0625 * sh(G[3], -2 * w)))
         if k == nt - 2 and nt >= 4:
             return (0.0625 * sh(G[nt - 4], 3 * w)
                     - 0.3125 * sh(G[nt - 3], 2 * w)
-                    + 0.9375 * sh(G[nt - 2], w) + 0.3125 * G[nt - 1])
+                    + 0.9375 * g0 + 0.3125 * G[nt - 1])
         return two  # tiny grids
 
     for k in range(nt - 1):
@@ -463,9 +465,9 @@ def _series(cache, fr: _Frame, want):
     terms of box u_N form the transport operator and are left out).  A key
     sums box A_{m,p} at (p+1, m), then every q-factor x t-factor product
     landing on it, q outer and t inner.  Only the factors and products of
-    wanted keys are formed, and none is kept, so a t-factor is formed
-    again, with the same bits, for each q-factor it pairs with.  A key
-    nothing lands on reads as zeros.
+    wanted keys are formed, and a t-factor is dropped after its product,
+    so one that pairs with several q-factors is formed again, with the
+    same bits, each time.  A key nothing lands on reads as zeros.
     """
     items = list(cache.items())
     qf = [(0, 0, lambda: fr.q0)]
@@ -476,7 +478,8 @@ def _series(cache, fr: _Frame, want):
                 lambda a=a, b=b: 0.5 * fr.q2 * a.A * b.A)
                for (k1, r1), a in items for (k2, r2), b in items]
 
-    def wgrad(a):   # <Wt, grad A>_M
+    @functools.cache
+    def wgrad(a):   # <Wt, grad A>_M: a row field, formed once per call
         return -a.At + fr.omega * a.Ax
 
     tf = []
