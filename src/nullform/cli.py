@@ -47,6 +47,9 @@ from .recovery import (ansatz_measurements, fdtd_measurements,
 
 PIPELINES = ("forward", "ansatz", "residual", "picard", "energy",
              "recover", "certify")
+# the one dimension a pipeline runs in; the others take any
+PIPELINE_DIMENSION = {"ansatz": 1, "residual": 1, "picard": 1, "energy": 1,
+                      "recover": 2}
 
 
 # ----------------------------------------------------------------------
@@ -195,18 +198,23 @@ def _scenario_header(cfg: ScenarioConfig):
     n = cfg.int("scenario", "dimension")
     if n < 1:
         raise ConfigError("[scenario] dimension: must be >= 1")
+    need = PIPELINE_DIMENSION.get(pipeline, n)
+    if n != need:
+        raise ConfigError(f"[scenario] dimension: the {pipeline} pipeline "
+                          f"runs in dimension {need}, got {n}")
     return name, pipeline, n
 
 
-def _potential(cfg: ScenarioConfig, n: int, sec="potential"):
-    key = cfg.str(sec, "key")
-    amp = cfg.float(sec, "amplitude", None)
+def _potential(cfg: ScenarioConfig, n: int):
+    key = cfg.str("potential", "key")
+    amp = cfg.float("potential", "amplitude", None)
     if amp is not None and not np.isfinite(amp):
-        raise ConfigError(f"[{sec}] amplitude: must be finite, got {amp!r}")
+        raise ConfigError(f"[potential] amplitude: must be finite, "
+                          f"got {amp!r}")
     try:
         return get_potential(key, n, amplitude=amp)
     except ConfigError as exc:
-        raise ConfigError(f"[{sec}] key: {exc}") from None
+        raise ConfigError(f"[potential] key: {exc}") from None
 
 
 def _profile(cfg: ScenarioConfig, which: str):
@@ -284,9 +292,6 @@ def run_forward(cfg, n, outdir, jobs):
 
 
 def run_ansatz(cfg, n, outdir, jobs):
-    if n != 1:
-        raise ConfigError("[scenario] dimension: the ansatz pipeline "
-                          "builds 1+1D hierarchies")
     q = _potential(cfg, n)
     N = cfg.int("grid", "n_terms", 1)
     spec = _ansatz_spec(cfg, n, N)
@@ -316,9 +321,6 @@ def run_ansatz(cfg, n, outdir, jobs):
 
 
 def run_residual(cfg, n, outdir, jobs):
-    if n != 1:
-        raise ConfigError("[scenario] dimension: the residual pipeline "
-                          "measures 1+1D hierarchies")
     q = _potential(cfg, n)
     N = cfg.int("grid", "n_terms", 1)
     spec = _ansatz_spec(cfg, n, N)
@@ -339,9 +341,6 @@ def run_residual(cfg, n, outdir, jobs):
 
 
 def run_picard(cfg, n, outdir, jobs):
-    if n != 1:
-        raise ConfigError("[scenario] dimension: the picard pipeline "
-                          "runs in 1+1D")
     q = _potential(cfg, n)
     h = cfg.positive("picard", "h")
     lam = cfg.positive("picard", "lam")
@@ -398,9 +397,6 @@ def _random_compact_data(rng, x, inner):
 
 
 def run_energy(cfg, n, outdir, jobs):
-    if n != 1:
-        raise ConfigError("[scenario] dimension: the energy pipeline "
-                          "runs in 1+1D")
     q = _potential(cfg, n)
     if q.key != "zero":
         raise ConfigError("[potential] key: the energy pipeline checks "
@@ -441,9 +437,6 @@ def run_energy(cfg, n, outdir, jobs):
 
 
 def run_recover(cfg, n, outdir, jobs):
-    if n != 2:
-        raise ConfigError("[scenario] dimension: tomographic recovery "
-                          "needs dimension = 2")
     q = _potential(cfg, n)
     phi = _profile(cfg, "phi")
     chi = _profile(cfg, "chi")
@@ -676,14 +669,11 @@ def compare_golden(out_dir, golden_dir):
     return failures
 
 
-def list_catalog(stream=None):
-    stream = stream or sys.stdout
-    print("pipelines:", ", ".join(PIPELINES), file=stream)
-    print("potentials (any dimension):", ", ".join(list_potentials()),
-          file=stream)
+def list_catalog():
+    print("pipelines:", ", ".join(PIPELINES))
+    print("potentials (any dimension):", ", ".join(list_potentials()))
     print("profiles:", ", ".join(sorted(PROFILE_CATALOG)),
-          "(parameters: name:r=...,a=... ; ramp:flat=...,taper=...)",
-          file=stream)
+          "(parameters: name:r=...,a=... ; ramp:flat=...,taper=...)")
 
 
 # ----------------------------------------------------------------------

@@ -25,6 +25,7 @@ RAY_QUAD_MAX_NODES = 2 ** 22   # active lines x nodes a doubling may reach;
 PPW_MIN = 16                   # samples per carrier wavelength required
 CHI_FLOOR_FRACTION = 0.1       # |chi_W| >= 0.1*max|chi| for log recovery
 MISSING_ANGLE_FRACTION = 0.3   # drop an angle if more samples than this missing
+BAND_PAD = 0.15                # slice r window: chi support radius + this
 
 # tomography
 FBP_MIN_ANGLES = 90

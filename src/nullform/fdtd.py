@@ -444,9 +444,8 @@ def _solve_forced_wave(source, dt, dx):
     return w
 
 
-def picard_iterate(q: Potential, v_traj: Trajectory, residual=None,
-                   M: int = 2, spec: WeightedNormSpec = None,
-                   tol: float = 1e-10, j_max: int = 12):
+def picard_iterate(q: Potential, v_traj: Trajectory, spec: WeightedNormSpec,
+                   residual=None, tol: float = 1e-10, j_max: int = 12):
     """Fixed-point iteration upgrading v to a discrete exact solution.
 
     box w_0 = -r;  box w_j = [Q(v+w_{j-1}) - Q(v)] - r,  zero data,
@@ -457,8 +456,6 @@ def picard_iterate(q: Potential, v_traj: Trajectory, residual=None,
 
     Returns (IterationTrace, limit Trajectory).
     """
-    if spec is None:
-        raise ConfigError("picard_iterate: WeightedNormSpec required")
     times = v_traj.times
     dt = float(times[1] - times[0])
     dx = v_traj.dx

@@ -32,12 +32,12 @@ from typing import Dict, Tuple
 
 import numpy as np
 
-from .constants import CFL_LIMIT, PPW_MIN, RAY_QUAD_ABS_TOL
+from .constants import CFL_LIMIT, PPW_MIN
 from .errors import CFLError, ConfigError, QuadratureError, \
     UnresolvedCarrierError
 from .grids import (SpacetimeGrid, diff1, diff2, grad1_2, l2_norm,
                     laplacian2, shift)
-from .minkowski import LightVector, phase_arg
+from .minkowski import LightVector, phase_arg, twin_pairing
 from .potential import Potential
 from .profiles import Profile
 from .raytransform import _adaptive_line_integral, _line_bounds
@@ -91,9 +91,7 @@ class AnsatzSpec:
     @property
     def pairing(self) -> float:
         """<Vt,Wt>_M = sign(V) + theta.omega (the transversality factor)."""
-        th = np.array(self.V.direction)
-        om = np.array(self.W.direction)
-        return float(self.V.sign + th @ om)
+        return twin_pairing(self.V, self.W.direction)
 
     @property
     def pulse_coeff(self) -> complex:
@@ -143,17 +141,16 @@ def _ray_sigma_bounds(q: Potential, t, xp, omega):
 
 
 def ray_exponent(q: Potential, phi: Profile, V: LightVector,
-                 W: LightVector, t, xp,
-                 abs_tol: float = RAY_QUAD_ABS_TOL) -> np.ndarray:
+                 W: LightVector, t, xp) -> np.ndarray:
     """I(t,x') = int_0^inf F(t - sigma, x' + sigma omega) d sigma.
 
     Vectorized adaptive composite Simpson over the sigma interval where
     the ray meets supp q; doubles the node count until the update is
-    below abs_tol.  t is a scalar; xp has shape (npts, n).
+    below RAY_QUAD_ABS_TOL.  t is a scalar; xp has shape (npts, n).
     """
     th = np.array(V.direction)
     omega = np.array(W.direction)
-    pairing = float(V.sign + th @ omega)
+    pairing = twin_pairing(V, omega)
     lo, hi = _ray_sigma_bounds(q, t, xp, omega)
 
     def fvals(sig, pts):
@@ -165,7 +162,7 @@ def ray_exponent(q: Potential, phi: Profile, V: LightVector,
         return q.q(tt, xs, f) * df * pairing
 
     try:
-        return _adaptive_line_integral(fvals, xp, omega, lo, hi - lo, abs_tol)
+        return _adaptive_line_integral(fvals, xp, omega, lo, hi - lo)
     except QuadratureError as exc:
         raise QuadratureError(f"ray quadrature at x'={xp[exc.ray]} "
                               f"(t={t}): {exc}", exc.ray) from None
@@ -618,6 +615,11 @@ def dt_u_incident(spec: AnsatzSpec, h: float, t, xs):
 # residual measurement
 
 
+# time levels left out at each end of the grid by the transport defects
+# and the residual norms, clear of the edge rows of the time stencils
+_EDGE_LEVELS = 2
+
+
 @dataclass
 class ResidualReport:
     h_list: tuple
@@ -673,7 +675,6 @@ def residual_coefficients(spec: AnsatzSpec, q: Potential, table: CoeffTable):
     coeffs = {key: arr for key, arr in series.items() if key[0] > N}
 
     defects = {}
-    margin = 2
     for (m, p) in checked:
         TA = series[(p, m)] / (2j * m)  # = F A + src
         A = table.rows[(m, p)]
@@ -681,7 +682,7 @@ def residual_coefficients(spec: AnsatzSpec, q: Potential, table: CoeffTable):
         ray_T = np.stack([shift(TA[k], -k * w) for k in range(grid.nt)])
         D = diff1(ray_A, grid.dt, 0) - ray_T
         worst = 0.0
-        for k in range(margin, grid.nt - margin):
+        for k in range(_EDGE_LEVELS, grid.nt - _EDGE_LEVELS):
             worst = max(worst, l2_norm(D[k], grid.dx[0]))
         defects[(m, p)] = worst
     return coeffs, defects
@@ -760,7 +761,7 @@ _NORM_BLOCK = 8
 
 
 def _norms_from_coeffs(coeffs, slopes, table: CoeffTable, h: float,
-                       refine: int, margin: int = 2):
+                       refine: int):
     """sup-in-time L2 and global Linf of sum_m e^{im psi/h} g_m(h, x).
 
     With g_m = sum_p h^p C_{p,m} and C_{p,-m} = conj(C_{p,m}), the real
@@ -779,7 +780,7 @@ def _norms_from_coeffs(coeffs, slopes, table: CoeffTable, h: float,
     xf = np.linspace(x[0], x[-1], (len(x) - 1) * refine + 1)
     dxf = xf[1] - xf[0]
     om = table.W.direction[0]
-    levels = slice(margin, grid.nt - margin)
+    levels = slice(_EDGE_LEVELS, grid.nt - _EDGE_LEVELS)
     bins: Dict[int, tuple] = {}  # per bin: (values, knot slopes)
     for (p, m), s in slopes.items():
         w = (2 if m else 1) * h ** p

@@ -77,13 +77,16 @@ def read_bundle(path):
     return arrays, header["meta"]
 
 
-def write_pgm(path, array2d, levels: int = 255):
+_PGM_MAXVAL = 255  # grey levels 0 .. 255
+
+
+def write_pgm(path, array2d):
     """ASCII PGM preview of a 2-D array (row 0 at top)."""
     a = np.asarray(array2d, dtype=float)
     lo, hi = float(a.min()), float(a.max())
-    scale = (levels / (hi - lo)) if hi > lo else 0.0
+    scale = (_PGM_MAXVAL / (hi - lo)) if hi > lo else 0.0
     img = np.round((a - lo) * scale).astype(int)
-    lines = [f"P2", f"{a.shape[1]} {a.shape[0]}", f"{levels}"]
+    lines = [f"P2", f"{a.shape[1]} {a.shape[0]}", f"{_PGM_MAXVAL}"]
     for row in img:
         lines.append(" ".join(str(v) for v in row))
     Path(path).write_text("\n".join(lines) + "\n")

@@ -5,8 +5,13 @@ Conventions used throughout the package (fixed here once):
 * metric signature (-1, +1, ..., +1); pairing <a,b>_M = -a0*b0 + a'.b'
 * a light vector V = (s, theta) with s = +-1 and |theta| = 1; its twin is
   Vt = (-s, theta).  Both are null.
-* phase_arg(t, xs, V) is <x,V>_M on broadcast coordinates; every
-  plane-wave phase in the package is computed by it.
+* phase_arg(t, xs, V) is <x,V>_M on broadcast coordinates; the
+  hierarchy fields and the incident pulse use it, while the ray
+  integrand and the probe slices, which hold a fixed time or offset,
+  write the same sum inline.
+* twin_pairing(V, omega) is <Vt,Wt>_M = sign(V) + theta.omega for the
+  twin Wt = (1, omega) of a carrier W = (-1, omega): the transversality
+  factor of the transport coefficient and of the ray integrand.
 * for a profile g, the background g_V(x) = g(<x,V>_M) satisfies
   grad g_V = g'_V * Vt  and  box g_V = 0  with box = -d_t^2 + Laplacian,
   so the null form q*((d_t u)^2 - |grad' u|^2) annihilates it exactly.
@@ -66,3 +71,8 @@ def phase_arg(t, xs, V: LightVector):
     for th, xj in zip(V.direction, xs):
         out = out + th * xj
     return out
+
+
+def twin_pairing(V: LightVector, omega) -> float:
+    """<Vt,Wt>_M = sign(V) + theta.omega with Wt = (1, omega)."""
+    return float(V.sign + np.array(V.direction) @ np.asarray(omega))

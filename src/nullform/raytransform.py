@@ -1,7 +1,7 @@
 """Light-ray transform of the rank-one field, X-ray reduction, 2-D tomography.
 
 The forward transform integrates the covector field F(V,x) = q(x, phi_V)
-phi'_V Vt along null lines nu -> (t0 + nu, x' + nu omega), paired with
+phi'_V Vt along null lines nu -> (nu, x' + nu omega), paired with
 Wt = (1, omega).  The pairing is the metric one, <Vt, Wt>_M = sign(V) +
 theta.omega — the same factor that drives the transport hierarchy and the
 closed-form amplitude exponent, so sinogram samples equal the log of the
@@ -26,7 +26,7 @@ from .constants import (FBP_APODIZATION_NYQUIST, FBP_MIN_ANGLES,
                         RAY_QUAD_ABS_TOL, RAY_QUAD_MAX_DOUBLINGS,
                         RAY_QUAD_MAX_NODES)
 from .errors import ConfigError, QuadratureError
-from .minkowski import LightVector
+from .minkowski import LightVector, twin_pairing
 from .potential import Potential, VectorFieldF
 from .profiles import Profile
 
@@ -109,13 +109,14 @@ def _line_bounds(center, R, base, direction):
     return lo, hi
 
 
-def _adaptive_line_integral(fvals, base, direction, lo, length, abs_tol):
+def _adaptive_line_integral(fvals, base, direction, lo, length):
     """Integrals of fvals(sig, pts) along pts = base + sig*direction.
 
     Each line runs over lo <= sig <= lo + length; lines with length <= 0
     give 0 and are never evaluated.  Composite Simpson, doubling the
-    nodes until the largest update is below abs_tol.  Every node is
-    evaluated once: a doubling evaluates fvals only at the new midpoints
+    nodes until the largest update is below RAY_QUAD_ABS_TOL.  Every
+    node is evaluated once: a doubling evaluates fvals only at the new
+    midpoints
     and interleaves them with the stored values, which are the even
     nodes of the finer rule (linspace is dyadic for these power-of-two
     node counts, so they are the values a fresh evaluation would give).
@@ -157,7 +158,7 @@ def _adaptive_line_integral(fvals, base, direction, lo, length, abs_tol):
         g = finer
         cur = simpson(g)
         update = np.abs(cur - prev)
-        if np.max(update) < abs_tol:
+        if np.max(update) < RAY_QUAD_ABS_TOL:
             out[act] = cur
             return out
         bad = ~np.isfinite(update)
@@ -171,7 +172,7 @@ def _adaptive_line_integral(fvals, base, direction, lo, length, abs_tol):
         ray=int(act[np.argmax(update)]))
 
 
-def _sweep(offsets, angles, center, R, fvals, window, abs_tol):
+def _sweep(offsets, angles, center, R, fvals, window):
     """Integrals of fvals(sig, pts, omega) along every sweep line.
 
     The line for (s, a) is s*(-sin a, cos a) + nu*(cos a, sin a); nu runs
@@ -187,18 +188,16 @@ def _sweep(offsets, angles, center, R, fvals, window, abs_tol):
         lo = np.maximum(lo, window[0])
         length = np.maximum(np.minimum(hi, window[1]) - lo, 0.0)
         samples[:, ja] = _adaptive_line_integral(
-            lambda sig, pts: fvals(sig, pts, om), base, om, lo, length,
-            abs_tol)
+            lambda sig, pts: fvals(sig, pts, om), base, om, lo, length)
     return samples
 
 
 def lightray_forward(fld: VectorFieldF, V: LightVector, W: LightVector,
-                     offsets, angles, t0: float = 0.0,
-                     abs_tol: float = RAY_QUAD_ABS_TOL) -> Sinogram:
+                     offsets, angles) -> Sinogram:
     """Sinogram of the light-ray transform of F over an angle sweep.
 
     W fixes the sign convention (must be -1, incoming); the direction
-    omega is swept over `angles`.  t0 is the time coordinate at nu = 0.
+    omega is swept over `angles`.  Each line is at time 0 at nu = 0.
     """
     if V is not fld.V and V != fld.V:
         raise ConfigError("lightray_forward: V does not match the field")
@@ -206,19 +205,17 @@ def lightray_forward(fld: VectorFieldF, V: LightVector, W: LightVector,
         raise ConfigError("lightray_forward: W must have sign -1")
     if fld.q.n != 2:
         raise ConfigError("lightray_forward: sinogram sweep is 2-D only")
-    th = np.array(V.direction)
     tr = fld.q.time_radius
-    window = (-np.inf, np.inf) if tr is None else (-tr - t0, tr - t0)
+    window = (-np.inf, np.inf) if tr is None else (-tr, tr)
 
     def fvals(sig, pts, om):
-        pair = float(V.sign + th @ om)  # <Vt, Wt>_M with Wt = (1, omega)
-        pref = fld.scalar_prefactor(t0 + sig, [pts[..., 0], pts[..., 1]])
-        return pref * pair
+        pref = fld.scalar_prefactor(sig, [pts[..., 0], pts[..., 1]])
+        return pref * twin_pairing(V, om)
 
     samples = _sweep(offsets, angles, np.array(fld.q.center), fld.q.R,
-                     fvals, window, abs_tol)
+                     fvals, window)
     meta = {"V": [V.sign, list(V.direction)], "W_sign": W.sign,
-            "phi": fld.phi.key, "q": getattr(fld.q, "key", "?"), "t0": t0}
+            "phi": fld.phi.key, "q": getattr(fld.q, "key", "?")}
     return Sinogram(offsets, angles, samples, meta)
 
 
@@ -269,8 +266,7 @@ def xray_reduce(q: Potential, phi: Profile, V: LightVector,
     if np.max(np.abs(phi.df(s) - slope)) > 1e-12:
         raise ConfigError("xray_reduce: phi' not constant over the "
                           "interaction window (unreduced configuration)")
-    pair = float(V.sign + th @ om)  # theta.omega = 0 here
-    return ReducedIntegrand(q, slope * pair)
+    return ReducedIntegrand(q, slope * twin_pairing(V, om))
 
 
 # ----------------------------------------------------------------------

@@ -30,7 +30,7 @@ from typing import Optional
 
 import numpy as np
 
-from .constants import (CHI_FLOOR_FRACTION, FBP_MIN_ANGLES,
+from .constants import (BAND_PAD, CHI_FLOOR_FRACTION, FBP_MIN_ANGLES,
                         MISSING_ANGLE_FRACTION, PPW_MIN)
 from .errors import ConfigError, UnresolvedCarrierError
 from .fdtd import solve_semilinear
@@ -122,21 +122,19 @@ class RayData:
 # demodulation
 
 
-def demodulate(slc: TimeSliceMeasurement, W: LightVector,
-               h: Optional[float] = None) -> ExtractedAmplitude:
+def demodulate(slc: TimeSliceMeasurement,
+               W: LightVector) -> ExtractedAmplitude:
     """Extract the order-h oscillatory coefficient from a time slice.
 
     Multiplies by e^{-i psi/h} (psi = Tprime + r along the last axis),
     removes everything at or above half the carrier frequency with a
-    sharp FFT mask, and divides by h.  The plane-wave background lands
+    sharp FFT mask, and divides by h = slc.h.  The plane-wave background lands
     at -1/h after demodulation and is filtered out even when it is not
     subtracted explicitly.
     """
     if W.sign != -1:
         raise ConfigError("demodulate: carrier W must have sign -1")
-    h = float(h if h is not None else slc.h)
-    if abs(h - slc.h) > 1e-12 * h:
-        raise ConfigError("demodulate: h disagrees with the measurement")
+    h = float(slc.h)
     ppw = 2.0 * np.pi * h / slc.dr
     if ppw < PPW_MIN - 1e-9:
         raise UnresolvedCarrierError(
@@ -216,13 +214,12 @@ def backpropagate_amplitude(amp: ExtractedAmplitude, offsets,
 
 
 def log_recover_ray_data(amp: ExtractedAmplitude, chi: Profile,
-                         A: float, B: float,
-                         chi_floor: Optional[float] = None) -> RayData:
+                         A: float, B: float) -> RayData:
     """Ray data from ratio = 2 amp / (chi (A - iB)): values = log|ratio|,
     imag_defect = arg(ratio) on the principal branch [-pi, pi].
 
-    Points where |chi(psi)| falls below the floor (default
-    CHI_FLOOR_FRACTION of the window maximum) or |ratio| <= 1e-300 are
+    Points where |chi(psi)| falls below CHI_FLOOR_FRACTION of its
+    window maximum or |ratio| <= 1e-300 are
     marked missing, not extrapolated; both outputs hold 0 (log 1) there.
     imag_defect is a diagnostic: F is real, so it vanishes for exact data.
     """
@@ -234,8 +231,7 @@ def log_recover_ray_data(amp: ExtractedAmplitude, chi: Profile,
     if peak == 0.0:
         raise ConfigError("log_recover_ray_data: chi vanishes on the "
                           "whole measurement window")
-    floor = CHI_FLOOR_FRACTION * peak if chi_floor is None \
-        else float(chi_floor)
+    floor = CHI_FLOOR_FRACTION * peak
     denom = chiv * coeff
     valid = np.broadcast_to(np.abs(chiv) >= floor, amp.values.shape).copy()
     ratio = np.ones_like(amp.values)
@@ -278,9 +274,9 @@ def _sweep_vectors(angle: float):
     return om, th, LightVector(-1, tuple(th)), LightVector(-1, tuple(om))
 
 
-def _r_window(chi: Profile, Tprime: float, h: float, ppw: int, pad: float):
+def _r_window(chi: Profile, Tprime: float, h: float, ppw: int):
     """Uniform r axis covering the pulse band at time Tprime."""
-    half = chi.support_radius + pad
+    half = chi.support_radius + BAND_PAD
     dr = 2.0 * np.pi * h / ppw
     n = 2 * int(np.ceil(half / dr)) + 1
     return -Tprime + dr * (np.arange(n) - (n - 1) // 2)
@@ -289,8 +285,7 @@ def _r_window(chi: Profile, Tprime: float, h: float, ppw: int, pad: float):
 def ansatz_measurements(q: Potential, phi: Profile, chi: Profile,
                         A: float, B: float, h: float,
                         offsets, angles, Tprime: float,
-                        ppw: int = 20, pad: float = 0.15,
-                        richardson: bool = False):
+                        ppw: int = 20, richardson: bool = False):
     """Synthetic slices u = phi_V + 2h Re(A_{1,0} e^{i psi/h}) per angle.
 
     Uses the closed-form leading amplitude (adaptive ray quadrature).
@@ -310,9 +305,9 @@ def ansatz_measurements(q: Potential, phi: Profile, chi: Profile,
     for a in np.asarray(angles, dtype=float):
         om, th, V, W = _sweep_vectors(float(a))
         red = xray_reduce(q, phi, V, W)  # validates the reduced config
-        r = _r_window(chi, Tprime, h_fine, ppw, pad)
-        if -Tprime + chi.support_radius + pad >= -(om @ np.asarray(q.center)
-                                                   + q.R):
+        r = _r_window(chi, Tprime, h_fine, ppw)
+        if -Tprime + chi.support_radius + BAND_PAD >= \
+                -(om @ np.asarray(q.center) + q.R):
             raise ConfigError("ansatz_measurements: band overlaps supp q "
                               "at Tprime; increase Tprime")
         ctr = offsets[:, None] * th - Tprime * om
@@ -355,7 +350,7 @@ def _assert_radial(q: Potential):
 def fdtd_measurements(q: Potential, phi: Profile, chi: Profile,
                       A: float, B: float, h: float,
                       offsets, angles, Tprime: float, T0: float,
-                      ppw: int = PPW_MIN, pad: float = 0.15):
+                      ppw: int = PPW_MIN):
     """Slices from one full semilinear solve, replicated over the sweep.
 
     Requires a radially symmetric (time- and u-independent) potential:
@@ -385,7 +380,7 @@ def fdtd_measurements(q: Potential, phi: Profile, chi: Profile,
     red = xray_reduce(q, phi, V0, W0)
     d = 2.0 * np.pi * h / ppw
     span = Tprime - T0
-    band = chi.support_radius + pad
+    band = chi.support_radius + BAND_PAD
     # x1 runs along omega; left edge far enough that boundary garbage
     # (phi_V is nonzero there) cannot reach the sampled band by Tprime.
     # This box is the bounding box of the band's backward light cone at
@@ -405,7 +400,7 @@ def fdtd_measurements(q: Potential, phi: Profile, chi: Profile,
     spec = AnsatzSpec(V0, W0, phi, chi, A, B, 0, (h,), T0, Tprime + 1.0,
                       Tprime, d, ((x1_lo, x1_hi), (x2_lo, x2_hi)))
     spec.validate_against(q)
-    r = _r_window(chi, Tprime, h, ppw, pad)
+    r = _r_window(chi, Tprime, h, ppw)
     ir = np.clip(np.round((r - x1_lo) / d).astype(int), 0, n1 - 1)
     r = x1[ir]  # snap to solver columns; spacing preserved (same grid)
     # linear interpolation across x2 onto the requested offsets
@@ -446,8 +441,7 @@ def fdtd_measurements(q: Potential, phi: Profile, chi: Profile,
 def recover_potential_2d(probes, axes, method: str = "fbp",
                          reg: float = 1e-8, truth=None,
                          chi: Optional[Profile] = None,
-                         A: float = 1.0, B: float = 0.5,
-                         max_missing: float = MISSING_ANGLE_FRACTION):
+                         A: float = 1.0, B: float = 0.5):
     """Reconstruct the spatial factor of q from a probe sweep.
 
     Each probe is demodulated (with the two-h Richardson step when a
@@ -458,9 +452,9 @@ def recover_potential_2d(probes, axes, method: str = "fbp",
     per run of consecutive probes with the same slice objects, so probes
     sharing a slice (the FDTD provider's) share that work.
 
-    Angles with more than `max_missing` missing offsets are dropped with
-    a warning; isolated missing offsets are interpolated from their
-    neighbours and counted in the report.
+    Angles with more than MISSING_ANGLE_FRACTION missing offsets are
+    dropped with a warning; isolated missing offsets are interpolated
+    from their neighbours and counted in the report.
 
     Returns (Reconstruction, report dict).
     """
@@ -502,7 +496,7 @@ def recover_potential_2d(probes, axes, method: str = "fbp",
             ray = log_recover_ray_data(amp, chi, A, B)
             have = np.any(ray.valid, axis=-1)
             col, imag = None, 0.0
-            if np.mean(~have) <= max_missing:
+            if np.mean(~have) <= MISSING_ANGLE_FRACTION:
                 # chi^2-weighted average over the valid band points (the
                 # weight damps the edges, where dividing by chi adds noise),
                 # summed by einsum without an (offsets x r) temporary

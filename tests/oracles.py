@@ -13,8 +13,7 @@ from typing import Dict, Tuple
 
 import numpy as np
 
-from nullform.constants import (CFL_LIMIT, CHI_FLOOR_FRACTION,
-                                RAY_QUAD_ABS_TOL)
+from nullform.constants import CFL_LIMIT, CHI_FLOOR_FRACTION
 from nullform.errors import CFLError, ConfigError
 from nullform.geoptics import _Frame, a10_points
 from nullform.grids import SpacetimeGrid, diff2, laplacian2
@@ -35,14 +34,14 @@ def solve_A10_closed_form(q, phi, chi, V, W, A, B,
 
 
 def xray_forward_2d(integrand, offsets, angles, support_center,
-                    support_R, abs_tol: float = RAY_QUAD_ABS_TOL) -> Sinogram:
+                    support_R) -> Sinogram:
     """Straight-line integrals of a scalar integrand (phantom path)."""
     def fvals(sig, pts, om):
         return integrand(pts[..., 0], pts[..., 1])
 
     samples = _sweep(offsets, angles,
                      np.asarray(support_center, dtype=float), support_R,
-                     fvals, (-np.inf, np.inf), abs_tol)
+                     fvals, (-np.inf, np.inf))
     return Sinogram(offsets, angles, samples, {"kind": "xray"})
 
 

@@ -546,10 +546,3 @@ def test_picard_upgrades_approximate_solution():
     assert trace.limit_residual < 1e-7
     # the correction is genuinely nonzero but small relative to v
     assert 0.0 < trace.norms[-1] < 0.2 * spacetime_norm(traj, spec)
-
-
-def test_picard_requires_spec():
-    q0 = get_potential("zero", 1)
-    traj = _pulse_trajectory(0.0, nx=40, t1=0.2)
-    with pytest.raises(ConfigError):
-        picard_iterate(q0, traj)

@@ -98,7 +98,7 @@ def test_line_integral_reports_nonconvergence(monkeypatch):
     base = np.zeros((3, 2))
     with pytest.raises(QuadratureError) as exc:
         _adaptive_line_integral(step, base, np.array([1.0, 0.0]),
-                                np.zeros(3), np.array([0.0, 1.0, 0.1]), 1e-9)
+                                np.zeros(3), np.array([0.0, 1.0, 0.1]))
     assert exc.value.ray == 1
     xp = np.array([[-0.4, 0.0]])  # crosses the jump at sigma = 0.4
     with pytest.raises(QuadratureError) as exc:
@@ -108,10 +108,11 @@ def test_line_integral_reports_nonconvergence(monkeypatch):
     assert "x'=[-0.4" in msg and "t=0.25" in msg
 
 
-def _reevaluating_line_integral(fvals, base, direction, lo, length, abs_tol):
+def _reevaluating_line_integral(fvals, base, direction, lo, length):
     """Reference: the Simpson loop that evaluates every node at each
     doubling.  Returns the integrals and the final segment count."""
-    from nullform.raytransform import RAY_QUAD_MAX_DOUBLINGS
+    from nullform.raytransform import (RAY_QUAD_ABS_TOL,
+                                       RAY_QUAD_MAX_DOUBLINGS)
     out = np.zeros(length.shape)
     act = np.flatnonzero(length > 0)
     if act.size == 0:
@@ -132,7 +133,7 @@ def _reevaluating_line_integral(fvals, base, direction, lo, length, abs_tol):
     for _ in range(RAY_QUAD_MAX_DOUBLINGS):
         nseg *= 2
         cur = simpson(nseg)
-        if np.max(np.abs(cur - prev)) < abs_tol:
+        if np.max(np.abs(cur - prev)) < RAY_QUAD_ABS_TOL:
             out[act] = cur
             return out, nseg
         prev = cur
@@ -169,9 +170,8 @@ def test_nested_simpson_matches_reevaluating_loop(n, nlines, k, seed,
     # quadrature; these integrands converge well before that
     with mock.patch("nullform.raytransform.RAY_QUAD_MAX_DOUBLINGS", 12):
         want, nseg = _reevaluating_line_integral(fvals, base, direction, lo,
-                                                 length, 1e-9)
-        got = _adaptive_line_integral(counted, base, direction, lo, length,
-                                      1e-9)
+                                                 length)
+        got = _adaptive_line_integral(counted, base, direction, lo, length)
     assert np.array_equal(got, want)
     assert np.all(got[length <= 0] == 0.0)
     active = int(np.sum(length > 0))
@@ -192,7 +192,7 @@ def test_line_integral_rejects_non_finite_integrand(monkeypatch):
     base = np.array([[0.0, 1.0], [0.0, 5.0], [0.0, 2.0]])
     with pytest.raises(QuadratureError, match="non-finite") as exc:
         _adaptive_line_integral(nan_on_line_2, base, np.array([1.0, 0.0]),
-                                np.zeros(3), np.array([1.0, 0.0, 1.0]), 1e-9)
+                                np.zeros(3), np.array([1.0, 0.0, 1.0]))
     assert exc.value.ray == 2
     assert len(calls) == 2  # raised at the first doubling
 
@@ -216,7 +216,7 @@ def test_line_integral_stops_at_node_budget(monkeypatch):
     length = np.array([1.0, 0.0, 2.0, 1.5])
     with pytest.raises(QuadratureError, match="not converged") as exc:
         _adaptive_line_integral(noise, base, np.array([1.0, 0.0]),
-                                np.zeros(4), length, 1e-9)
+                                np.zeros(4), length)
     assert exc.value.ray in (0, 2, 3)
     held = sum(nodes)  # 3 active lines x (nseg + 1) nodes
     assert held <= 3000 < 2 * held - 3

@@ -79,8 +79,6 @@ def test_demodulate_argument_validation():
     slc, _ = _q0_slice(1 / 32)
     with pytest.raises(ConfigError):
         demodulate(slc, LightVector(1, (1.0,)))  # wrong carrier sign
-    with pytest.raises(ConfigError):
-        demodulate(slc, W1, h=1 / 16)  # h disagrees with the slice
 
 
 # ----------------------------------------------------------------------
@@ -364,9 +362,9 @@ def test_recover_processes_each_shared_slice_once(monkeypatch):
     own = [dataclasses.replace(p, slc=copy.deepcopy(p.slc)) for p in shared]
     calls = []
 
-    def counted(slc, W, h=None):
+    def counted(slc, W):
         calls.append(id(slc))
-        return demodulate(slc, W, h)
+        return demodulate(slc, W)
 
     monkeypatch.setattr(recovery, "demodulate", counted)
     ax = np.linspace(-0.8, 0.8, 17)
@@ -424,8 +422,8 @@ def test_recover_band_average_over_ragged_valid_points(monkeypatch):
     rng = np.random.default_rng(11)
     rays = []
 
-    def ragged(amp, chi, A, B, chi_floor=None):
-        ray = log_recover_ray_data(amp, chi, A, B, chi_floor)
+    def ragged(amp, chi, A, B):
+        ray = log_recover_ray_data(amp, chi, A, B)
         ray.valid &= rng.random(ray.valid.shape) < 0.6
         ray.valid[5] = False  # one row with no valid point left
         rays.append(ray)
