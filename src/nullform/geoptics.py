@@ -196,7 +196,9 @@ def solve_transport(source_field, F_field, omega, inflow_data,
     level (transverse coordinates are spectators).  Classical RK4 with
     midpoint coefficients from a 4-point cubic along the ray; O(dt^4).
     Where the cubic would read the ray's later points beyond the outflow
-    edge, the midpoint is the two-point average instead.
+    edge, the midpoint is the two-point average instead.  F and the
+    source are carried onto the rays and their midpoints formed for all
+    levels before the march, which then shifts only A.
     """
     om = np.atleast_1d(np.asarray(omega, dtype=float))
     if om.size != grid.n:
@@ -222,39 +224,38 @@ def solve_transport(source_field, F_field, omega, inflow_data,
     def sh(a, s):
         return shift(a, s, ax)
 
+    def tsh(a, s):  # the same shift on every level of a trajectory
+        return shift(a, s, ax + 1)
+
     # columns whose ray has left the grid 1 and 2 levels later
     ones = np.ones(grid.nx)
     gone = {r: sh(ones, -r * w) == 0 for r in (1, 2)}
 
-    def ray_mid(G, k):
-        """G on the ray at level k + 1/2, for rays indexed at level k+1."""
-        g0 = sh(G[k], w)
-        two = 0.5 * (g0 + G[k + 1])
-        if 1 <= k <= nt - 3:
-            return np.where(gone[1], two, (
-                -sh(G[k - 1], 2 * w) + 9.0 * g0
-                + 9.0 * G[k + 1] - sh(G[k + 2], -w)) / 16.0)
-        if k == 0 and nt >= 4:
-            return np.where(gone[2], two, (
-                0.3125 * g0 + 0.9375 * G[1]
-                - 0.3125 * sh(G[2], -w) + 0.0625 * sh(G[3], -2 * w)))
-        if k == nt - 2 and nt >= 4:
-            return (0.0625 * sh(G[nt - 4], 3 * w)
-                    - 0.3125 * sh(G[nt - 3], 2 * w)
-                    + 0.9375 * g0 + 0.3125 * G[nt - 1])
-        return two  # tiny grids
+    def ray_mid(G, Gs):
+        """G on the rays at levels k + 1/2, k = 0 .. nt-2, for rays
+        indexed at level k+1; Gs is G carried one cell along the ray."""
+        two = 0.5 * (Gs[:-1] + G[1:])
+        if nt < 4:
+            return two  # tiny grids
+        mid = np.empty_like(two)
+        mid[1:-1] = np.where(gone[1], two[1:-1], (
+            -tsh(G[:-3], 2 * w) + 9.0 * Gs[1:-2]
+            + 9.0 * G[2:-1] - tsh(G[3:], -w)) / 16.0)
+        mid[0] = np.where(gone[2], two[0], (
+            0.3125 * Gs[0] + 0.9375 * G[1]
+            - 0.3125 * sh(G[2], -w) + 0.0625 * sh(G[3], -2 * w)))
+        mid[-1] = (0.0625 * sh(G[-4], 3 * w) - 0.3125 * sh(G[-3], 2 * w)
+                   + 0.9375 * Gs[-2] + 0.3125 * G[-1])
+        return mid
 
+    Fs, Ss = tsh(F, w), tsh(S, w)
+    Fm, Sm = ray_mid(F, Fs), ray_mid(S, Ss)
     for k in range(nt - 1):
         A0 = sh(A[k], w)
-        F0 = sh(F[k], w)
-        G0 = sh(S[k], w)
-        F1, G1 = F[k + 1], S[k + 1]
-        Fm = ray_mid(F, k)
-        Gm = ray_mid(S, k)
-        k1 = F0 * A0 + G0
-        k2 = Fm * (A0 + 0.5 * dt * k1) + Gm
-        k3 = Fm * (A0 + 0.5 * dt * k2) + Gm
-        k4 = F1 * (A0 + dt * k3) + G1
+        k1 = Fs[k] * A0 + Ss[k]
+        k2 = Fm[k] * (A0 + 0.5 * dt * k1) + Sm[k]
+        k3 = Fm[k] * (A0 + 0.5 * dt * k2) + Sm[k]
+        k4 = F[k + 1] * (A0 + dt * k3) + S[k + 1]
         A[k + 1] = A0 + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
     return A
 

@@ -4,8 +4,9 @@ Each one recomputes a quantity by a second route that no pipeline runs:
 the closed-form leading amplitude on a whole grid, straight-line
 integrals of an arbitrary integrand, the d'Alembertian from the
 one-axis 4th-order stencils, log ray data by the complex log, the
-linear leapfrog step on a CFL-checked state, and the residual series of
-the ansatz hierarchy from eagerly built factor lists.
+linear leapfrog step on a CFL-checked state, the transport march with
+every shift made level by level, and the residual series of the ansatz
+hierarchy from eagerly built factor lists.
 """
 
 from dataclasses import dataclass
@@ -16,7 +17,7 @@ import numpy as np
 from nullform.constants import CFL_LIMIT, CHI_FLOOR_FRACTION
 from nullform.errors import CFLError, ConfigError
 from nullform.geoptics import _Frame, a10_points
-from nullform.grids import SpacetimeGrid, diff2, laplacian2
+from nullform.grids import SpacetimeGrid, diff2, laplacian2, shift
 from nullform.raytransform import Sinogram, _sweep
 
 
@@ -98,6 +99,60 @@ def step_linear_wave(state: WaveState, source=None) -> WaveState:
     acc = lap if source is None else lap + source
     unew = 2.0 * state.u - state.u_prev + state.dt**2 * acc
     return WaveState(unew, state.u, state.dt, state.dx, state.time + state.dt)
+
+
+def transport_by_levels(source_field, F_field, omega, inflow_data,
+                        grid: SpacetimeGrid) -> np.ndarray:
+    """solve_transport's RK4 march along the rays, shifting the levels
+    of F and the source onto each ray inside the march, one level at a
+    time (omega a signed coordinate direction, dt = dx along it)."""
+    om = np.atleast_1d(np.asarray(omega, dtype=float))
+    ax = int(np.argmax(np.abs(om)))
+    w = int(round(om[ax]))
+    nt, dt = grid.nt, grid.dt
+    F = np.asarray(F_field)
+    S = np.asarray(source_field)
+    if S.ndim == 0:
+        S = np.zeros(grid.shape, dtype=complex) + complex(S)
+    A = np.zeros(grid.shape, dtype=complex)
+    A[0] = inflow_data
+
+    def sh(a, s):
+        return shift(a, s, ax)
+
+    ones = np.ones(grid.nx)
+    gone = {r: sh(ones, -r * w) == 0 for r in (1, 2)}
+
+    def ray_mid(G, k):
+        g0 = sh(G[k], w)
+        two = 0.5 * (g0 + G[k + 1])
+        if 1 <= k <= nt - 3:
+            return np.where(gone[1], two, (
+                -sh(G[k - 1], 2 * w) + 9.0 * g0
+                + 9.0 * G[k + 1] - sh(G[k + 2], -w)) / 16.0)
+        if k == 0 and nt >= 4:
+            return np.where(gone[2], two, (
+                0.3125 * g0 + 0.9375 * G[1]
+                - 0.3125 * sh(G[2], -w) + 0.0625 * sh(G[3], -2 * w)))
+        if k == nt - 2 and nt >= 4:
+            return (0.0625 * sh(G[nt - 4], 3 * w)
+                    - 0.3125 * sh(G[nt - 3], 2 * w)
+                    + 0.9375 * g0 + 0.3125 * G[nt - 1])
+        return two
+
+    for k in range(nt - 1):
+        A0 = sh(A[k], w)
+        F0 = sh(F[k], w)
+        G0 = sh(S[k], w)
+        F1, G1 = F[k + 1], S[k + 1]
+        Fm = ray_mid(F, k)
+        Gm = ray_mid(S, k)
+        k1 = F0 * A0 + G0
+        k2 = Fm * (A0 + 0.5 * dt * k1) + Gm
+        k3 = Fm * (A0 + 0.5 * dt * k2) + Gm
+        k4 = F1 * (A0 + dt * k3) + G1
+        A[k + 1] = A0 + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
+    return A
 
 
 def _series_parts(cache, fr: _Frame):

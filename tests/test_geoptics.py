@@ -21,7 +21,7 @@ from nullform.potential import (SeparablePotential, get_potential,
                                 radial_bump_factor)
 from nullform.profiles import bump, get_profile, ramp
 from oracles import (_series_above, _series_at, _series_parts,
-                     solve_A10_closed_form)
+                     solve_A10_closed_form, transport_by_levels)
 
 
 V1 = LightVector(-1, (-1.0,))
@@ -141,6 +141,29 @@ def test_transport_rigid_translation():
     want = np.zeros_like(inflow)
     want[:-k] = inflow[k:]
     assert np.allclose(A[k], want, atol=1e-14)
+
+
+@pytest.mark.parametrize("nt", [2, 3, 4, 5, 6, 9, 40])
+def test_transport_matches_level_by_level_march(nt):
+    # the whole-trajectory shifts and midpoints give the bits of the march
+    # that shifts every level on its own: both edges, tiny grids, 1-D and
+    # 2-D grids, array, scalar and zero sources
+    rng = np.random.default_rng(nt)
+    d = 0.05
+    for nx in (5, 8, 24):
+        for n, ax in ((1, 0), (2, 0), (2, 1)):
+            nxs = (nx, 7)[:n] if ax == 0 else (6, nx)
+            grid = SpacetimeGrid(-0.3, d, nt, (-1.0,) * n, (d,) * n, nxs)
+            F = rng.normal(size=grid.shape)
+            inflow = rng.normal(size=nxs) + 1j * rng.normal(size=nxs)
+            for w in (1.0, -1.0):
+                omega = np.eye(n)[ax] * w
+                for S in (rng.normal(size=grid.shape)
+                          + 1j * rng.normal(size=grid.shape),
+                          0.3 - 0.2j, 0.0):
+                    got = solve_transport(S, F, omega, inflow, grid)
+                    want = transport_by_levels(S, F, omega, inflow, grid)
+                    assert np.array_equal(got, want), (nx, n, ax, w)
 
 
 def test_transport_constant_coefficient_growth():
