@@ -6,9 +6,9 @@ Conventions used throughout the package (fixed here once):
 * a light vector V = (s, theta) with s = +-1 and |theta| = 1; its twin is
   Vt = (-s, theta).  Both are null.
 * phase_arg(t, xs, V) is <x,V>_M on broadcast coordinates; the
-  hierarchy fields and the incident pulse use it, while the ray
-  integrand and the probe slices, which hold a fixed time or offset,
-  write the same sum inline.
+  hierarchy fields and the incident pulse use it.  Code that holds its
+  points in another layout (the ray integrand, point lists, the rows of
+  a probe slice) writes the same sum inline.
 * twin_pairing(V, omega) is <Vt,Wt>_M = sign(V) + theta.omega for the
   twin Wt = (1, omega) of a carrier W = (-1, omega): the transversality
   factor of the transport coefficient and of the ray integrand.

@@ -122,6 +122,18 @@ def test_unknown_pipeline_names_field(tmp_path, capsys):
     assert "[scenario] pipeline" in err and "teleport" in err
 
 
+@pytest.mark.parametrize("pipeline, wrong", [
+    ("ansatz", 2), ("residual", 2), ("picard", 2), ("energy", 2),
+    ("recover", 1)])
+def test_wrong_pipeline_dimension_exits_2(tmp_path, capsys, pipeline,
+                                          wrong):
+    p = _write(tmp_path, f"[scenario]\nname = dim\npipeline = {pipeline}\n"
+                         f"dimension = {wrong}\n")
+    assert main(["run", str(p), "--out", str(tmp_path / "out")]) == 2
+    assert "[scenario] dimension" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()  # rejected before any output
+
+
 def test_not_ini_at_all_exits_2(tmp_path, capsys):
     p = _write(tmp_path, "just some prose, not a config\n")
     assert main(["run", str(p), "--out", str(tmp_path / "out")]) == 2

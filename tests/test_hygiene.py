@@ -99,3 +99,46 @@ def test_cli_import_loads_no_heavy_scipy():
     loaded = [m for m in json.loads(out)
               if any(m == h or m.startswith(h + ".") for h in heavy)]
     assert not loaded, f"import nullform.cli loads {loaded}"
+
+
+def _pipeline_runners(tree):
+    """Names of the functions cli.PIPELINE_RUNNERS dispatches."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "PIPELINE_RUNNERS"
+                for t in node.targets):
+            return {v.id for v in node.value.values}
+    return set()
+
+
+def _only_raises_not_implemented(fn):
+    body = [s for s in fn.body if not (isinstance(s, ast.Expr)
+                                       and isinstance(s.value, ast.Constant))]
+    return (len(body) == 1 and isinstance(body[0], ast.Raise)
+            and "NotImplementedError" in _read_names(body[0]))
+
+
+def test_every_parameter_is_read():
+    # a parameter no caller needs to set and the body never reads is a
+    # dead option; the pipeline runners share one dispatch signature
+    runners = _pipeline_runners(_tree(PACKAGE / "cli.py"))
+    unread = []
+    for path in MODULES:
+        for fn in ast.walk(_tree(path)):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            if _only_raises_not_implemented(fn):
+                continue
+            a = fn.args
+            params = [p.arg for p in a.posonlyargs + a.args + a.kwonlyargs
+                      + [v for v in (a.vararg, a.kwarg) if v]]
+            if path.name == "cli.py" and fn.name in runners:
+                params = [p for p in params
+                          if p not in ("cfg", "n", "outdir", "jobs")]
+            read = set()
+            for stmt in fn.body:
+                read |= _read_names(stmt)
+            unread += [f"{path.name}:{fn.name}({p})" for p in params
+                       if p not in ("self", "cls") and not p.startswith("_")
+                       and p not in read]
+    assert not unread, f"parameters their function never reads: {unread}"
