@@ -295,7 +295,6 @@ def run_ansatz(cfg, n, outdir, jobs):
     q = _potential(cfg, n)
     N = cfg.int("grid", "n_terms", 1)
     spec = _ansatz_spec(cfg, n, N)
-    spec.validate_against(q)
     table = build_hierarchy(spec, q)
     grid = table.grid
     cell = grid.dt * grid.cell_volume()
@@ -324,7 +323,6 @@ def run_residual(cfg, n, outdir, jobs):
     q = _potential(cfg, n)
     N = cfg.int("grid", "n_terms", 1)
     spec = _ansatz_spec(cfg, n, N)
-    spec.validate_against(q)
     rep = measure_residual_order(spec, q)
     (outdir / "residual.csv").write_text(rep.to_csv())
     return {
@@ -358,8 +356,7 @@ def run_picard(cfg, n, outdir, jobs):
     v0 = dt_u_incident(spec, h, spec.T0, (x,))
     q0 = get_potential("zero", 1)
     v_traj = solve_semilinear(q0, u0, v0, (x[0],), (spec.dx,),
-                              spec.T0, spec.T, scheme="leapfrog",
-                              dt=0.45 * spec.dx)
+                              spec.T0, spec.T, scheme="leapfrog")
     norm_spec = WeightedNormSpec(m=m, mu=mu, lam=lam, T=spec.T - spec.T0)
     trace, _ = picard_iterate(q, v_traj, spec=norm_spec, tol=tol,
                               j_max=j_max)
@@ -478,15 +475,14 @@ def run_recover(cfg, n, outdir, jobs):
                               "the fdtd provider (h-dependent model "
                               "error is corrected by backpropagation)")
         T0 = cfg.float("time", "t0")
-        probes = fdtd_measurements(q, phi, chi, A, B, h, offsets, angles,
-                                   Tp, T0, ppw=ppw)
+        probes = [fdtd_measurements(q, phi, chi, A, B, h, offsets, angles,
+                                    Tp, T0, ppw=ppw)]
     ax = cfg.linspace("recover", "axes", offsets)
     X1, X2 = ax[:, None], ax[None, :]
     truth = np.asarray(q.q(0.0, [X1, X2], 0.0), dtype=float)
     truth = np.broadcast_to(truth, (len(ax), len(ax)))
-    rec, report = recover_potential_2d(probes, (ax, ax), method=method,
-                                       reg=reg, truth=truth, chi=chi,
-                                       A=A, B=B)
+    rec, report = recover_potential_2d(probes, (ax, ax), chi, A, B,
+                                       method=method, reg=reg, truth=truth)
     write_bundle(outdir / "reconstruction.nfg",
                  {"values": rec.values, "axis": ax, "truth": truth},
                  {"provider": provider, "h": h, "method": report["method"]})

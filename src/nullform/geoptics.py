@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import functools
 from collections import defaultdict
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, Tuple
 
 import numpy as np
@@ -675,12 +675,17 @@ def residual_coefficients(spec: AnsatzSpec, q: Potential, table: CoeffTable):
     series = _series(cache, fr, lambda o, b: o > N or (b, o) in checked)
     coeffs = {key: arr for key, arr in series.items() if key[0] > N}
 
+    # row k of a field read along the rays: level k shifted by -k w cells
+    (nx,) = grid.nx
+    lev = np.arange(grid.nt)[:, None]
+    col = np.arange(nx) - w * lev
+    on = (col >= 0) & (col < nx)
+    col = np.clip(col, 0, nx - 1)
     defects = {}
     for (m, p) in checked:
         TA = series[(p, m)] / (2j * m)  # = F A + src
-        A = table.rows[(m, p)]
-        ray_A = np.stack([shift(A[k], -k * w) for k in range(grid.nt)])
-        ray_T = np.stack([shift(TA[k], -k * w) for k in range(grid.nt)])
+        ray_A = np.where(on, table.rows[(m, p)][lev, col], 0)
+        ray_T = np.where(on, TA[lev, col], 0)
         D = diff1(ray_A, grid.dt, 0) - ray_T
         worst = 0.0
         for k in range(_EDGE_LEVELS, grid.nt - _EDGE_LEVELS):
@@ -848,10 +853,7 @@ def measure_residual_order(spec: AnsatzSpec, q: Potential) -> ResidualReport:
         floors.append(sum(4.0 * m * h**p * d
                           for (m, p), d in defects.items()))
 
-    coarse_spec = AnsatzSpec(
-        spec.V, spec.W, spec.phi, spec.chi, spec.amp_cos, spec.amp_sin,
-        spec.N, spec.h_list, spec.T0, spec.T, spec.Tprime,
-        2 * spec.dx, spec.xlim)
+    coarse_spec = replace(spec, dx=2 * spec.dx)
     coarse = build_hierarchy(coarse_spec, q)
     ccoeffs, _ = residual_coefficients(coarse_spec, q, coarse)
     cslopes = _bin_slopes(ccoeffs, coarse.grid)

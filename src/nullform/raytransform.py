@@ -17,7 +17,7 @@ least squares.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
@@ -46,7 +46,6 @@ class Sinogram:
     offsets: np.ndarray
     angles: np.ndarray
     samples: np.ndarray  # (n_offsets, n_angles)
-    meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
         self.offsets = np.asarray(self.offsets, dtype=float)
@@ -214,9 +213,7 @@ def lightray_forward(fld: VectorFieldF, V: LightVector, W: LightVector,
 
     samples = _sweep(offsets, angles, np.array(fld.q.center), fld.q.R,
                      fvals, window)
-    meta = {"V": [V.sign, list(V.direction)], "W_sign": W.sign,
-            "phi": fld.phi.key, "q": getattr(fld.q, "key", "?")}
-    return Sinogram(offsets, angles, samples, meta)
+    return Sinogram(offsets, angles, samples)
 
 
 # ----------------------------------------------------------------------

@@ -25,7 +25,7 @@ with theta = omega-perp, so the carrier phase is psi = T' + r on every row.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -61,7 +61,6 @@ class TimeSliceMeasurement:
     h: float
     Tprime: float
     background: Optional[np.ndarray] = None
-    meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
         self.u = np.asarray(self.u, dtype=float)
@@ -98,7 +97,6 @@ class ExtractedAmplitude:
     h: float
     Tprime: float
     fit_residual: float
-    meta: dict = field(default_factory=dict)
 
 
 @dataclass
@@ -115,25 +113,22 @@ class RayData:
     imag_defect: np.ndarray
     valid: np.ndarray
     r: np.ndarray
-    meta: dict = field(default_factory=dict)
 
 
 # ----------------------------------------------------------------------
 # demodulation
 
 
-def demodulate(slc: TimeSliceMeasurement,
-               W: LightVector) -> ExtractedAmplitude:
+def demodulate(slc: TimeSliceMeasurement) -> ExtractedAmplitude:
     """Extract the order-h oscillatory coefficient from a time slice.
 
-    Multiplies by e^{-i psi/h} (psi = Tprime + r along the last axis),
-    removes everything at or above half the carrier frequency with a
-    sharp FFT mask, and divides by h = slc.h.  The plane-wave background lands
-    at -1/h after demodulation and is filtered out even when it is not
-    subtracted explicitly.
+    Multiplies by e^{-i psi/h} (psi = Tprime + r along the last axis, the
+    phase of the incoming carrier W = (-1, omega)), removes everything at
+    or above half the carrier frequency with a sharp FFT mask, and
+    divides by h = slc.h.  The plane-wave background lands at -1/h after
+    demodulation and is filtered out even when it is not subtracted
+    explicitly.
     """
-    if W.sign != -1:
-        raise ConfigError("demodulate: carrier W must have sign -1")
     h = float(slc.h)
     ppw = 2.0 * np.pi * h / slc.dr
     if ppw < PPW_MIN - 1e-9:
@@ -152,12 +147,12 @@ def demodulate(slc: TimeSliceMeasurement,
     spec = np.fft.fft(d, axis=-1)
     freq = np.fft.fftfreq(slc.r.size, d=slc.dr)
     keep = np.abs(freq) <= 0.5 / (2.0 * np.pi * h)
-    total = float(np.sum(np.abs(spec) ** 2))
-    removed = float(np.sum(np.abs(spec[..., ~keep]) ** 2))
+    power = np.abs(spec) ** 2
+    total = float(np.sum(power))
+    removed = float(np.sum(power[..., ~keep]))
     low = np.fft.ifft(np.where(keep, spec, 0.0), axis=-1)
     fit = np.sqrt(removed / total) if total > 0 else 0.0
-    return ExtractedAmplitude(low / h, slc.r, h, slc.Tprime, fit,
-                              dict(slc.meta))
+    return ExtractedAmplitude(low / h, slc.r, h, slc.Tprime, fit)
 
 
 def richardson_extract(amp_h: ExtractedAmplitude,
@@ -173,12 +168,9 @@ def richardson_extract(amp_h: ExtractedAmplitude,
     if amp_half.r.size != amp_h.r.size or \
             np.max(np.abs(amp_half.r - amp_h.r)) > 1e-12:
         raise ConfigError("richardson_extract: r axes differ")
-    meta = dict(amp_h.meta)
-    meta["richardson"] = True
     return ExtractedAmplitude(2.0 * amp_half.values - amp_h.values,
                               amp_h.r, amp_h.h, amp_h.Tprime,
-                              max(amp_h.fit_residual, amp_half.fit_residual),
-                              meta)
+                              max(amp_h.fit_residual, amp_half.fit_residual))
 
 
 def backpropagate_amplitude(amp: ExtractedAmplitude, offsets,
@@ -203,10 +195,8 @@ def backpropagate_amplitude(amp: ExtractedAmplitude, offsets,
     phase = np.exp(-1j * 0.5 * amp.h * float(distance) * ks ** 2)
     vals = np.fft.ifft(np.fft.fft(amp.values, axis=0) * phase[:, None],
                        axis=0)
-    meta = dict(amp.meta)
-    meta["backpropagated"] = float(distance)
     return ExtractedAmplitude(vals, amp.r, amp.h, amp.Tprime,
-                              amp.fit_residual, meta)
+                              amp.fit_residual)
 
 
 # ----------------------------------------------------------------------
@@ -242,7 +232,7 @@ def log_recover_ray_data(amp: ExtractedAmplitude, chi: Profile,
                       where=valid)
     values = np.log(mag, out=mag, where=valid)
     values[~valid] = 0.0
-    return RayData(values, imag, valid, amp.r, dict(amp.meta))
+    return RayData(values, imag, valid, amp.r)
 
 
 # ----------------------------------------------------------------------
@@ -251,14 +241,19 @@ def log_recover_ray_data(amp: ExtractedAmplitude, chi: Profile,
 
 @dataclass(frozen=True)
 class Probe:
-    """One direction of the sweep: angle, light vectors, measurement."""
+    """One measured slice and the sweep angles its column stands for.
 
-    angle: float
-    V: LightVector
-    W: LightVector
+    The rows of `slc` (and of `slc_half`, the h/2 slice of the Richardson
+    step) run over the uniform `offsets`; `backpropagate` is the distance
+    of diffraction to undo, None for eikonal slices.
+    """
+
+    angles: np.ndarray
     weight: float            # phi'(0) * <Vt,Wt>_M from the X-ray reduction
+    offsets: np.ndarray
     slc: TimeSliceMeasurement
     slc_half: Optional[TimeSliceMeasurement] = None
+    backpropagate: Optional[float] = None
 
 
 def _sweep_vectors(angle: float):
@@ -320,13 +315,11 @@ def ansatz_measurements(q: Potential, phi: Profile, chi: Profile,
 
         def slice_at(hh, ampl):
             osc = 2.0 * hh * np.real(ampl * np.exp(1j * psi / hh))
-            return TimeSliceMeasurement(bg + osc, r, hh, Tprime, bg,
-                                        {"angle": float(a),
-                                         "offsets": offsets.copy()})
+            return TimeSliceMeasurement(bg + osc, r, hh, Tprime, bg)
 
         half = slice_at(0.5 * h, amp) if richardson else None
-        probes.append(Probe(float(a), V, W, red.weight, slice_at(h, amp),
-                            half))
+        probes.append(Probe(np.array([a]), red.weight, offsets,
+                            slice_at(h, amp), half))
     return probes
 
 
@@ -351,7 +344,7 @@ def fdtd_measurements(q: Potential, phi: Profile, chi: Profile,
                       A: float, B: float, h: float,
                       offsets, angles, Tprime: float, T0: float,
                       ppw: int = PPW_MIN):
-    """Slices from one full semilinear solve, replicated over the sweep.
+    """One probe for the whole sweep, from one full semilinear solve.
 
     Requires a radially symmetric (time- and u-independent) potential:
     rotating the probe direction then rotates the exact solution with
@@ -421,120 +414,88 @@ def fdtd_measurements(q: Potential, phi: Profile, chi: Profile,
         + wts[:, None] * uT[ir, :].T[j + 1, :]
     bg = np.broadcast_to(phi.f(-Tprime * V0.sign + offsets)[:, None],
                          rows.shape).copy()
-    canonical = TimeSliceMeasurement(rows, r, h, Tprime, bg,
-                                     {"provider": "fdtd",
-                                      "offsets": offsets.copy(),
-                                      # pulse band crosses the scatterer
-                                      # plane omega.x = 0 at t = 0
-                                      "backpropagate": Tprime})
-    probes = []
-    for a in angles:
-        _, _, V, W = _sweep_vectors(float(a))
-        probes.append(Probe(float(a), V, W, red.weight, canonical))
-    return probes
+    # the pulse band crosses the scatterer plane omega.x = 0 at t = 0
+    return Probe(angles, red.weight, offsets,
+                 TimeSliceMeasurement(rows, r, h, Tprime, bg),
+                 backpropagate=Tprime)
 
 
 # ----------------------------------------------------------------------
 # full 2-D recovery
 
 
-def recover_potential_2d(probes, axes, method: str = "fbp",
-                         reg: float = 1e-8, truth=None,
-                         chi: Optional[Profile] = None,
-                         A: float = 1.0, B: float = 0.5):
+def recover_potential_2d(probes, axes, chi: Profile, A: float, B: float,
+                         method: str = "fbp", reg: float = 1e-8, truth=None):
     """Reconstruct the spatial factor of q from a probe sweep.
 
-    Each probe is demodulated (with the two-h Richardson step when a
-    half-wavelength slice is attached), turned into logarithmic ray
-    data, averaged over the valid band points per offset, divided by
-    the reduction weight, and assembled into a sinogram which is then
-    inverted.  Everything before the division by the weight runs once
-    per run of consecutive probes with the same slice objects, so probes
-    sharing a slice (the FDTD provider's) share that work.
+    Each probe's slice is demodulated (with the two-h Richardson step when
+    a half-wavelength slice is attached), backpropagated when it carries
+    a diffraction distance, turned into logarithmic ray data and averaged
+    over the valid band points per offset.  The column, divided by the
+    reduction weight, enters the sinogram once for each of the probe's
+    angles, and the sinogram is then inverted.
 
     Angles with more than MISSING_ANGLE_FRACTION missing offsets are
     dropped with a warning; isolated missing offsets are interpolated
-    from their neighbours and counted in the report.
+    from their neighbours and counted in the report once per angle.
 
     Returns (Reconstruction, report dict).
     """
-    if chi is None:
-        raise ConfigError("recover_potential_2d: need the pulse profile chi")
     probes = list(probes)
-    if len(probes) < FBP_MIN_ANGLES:
-        raise ConfigError(f"recover_potential_2d: {len(probes)} probe "
+    angles = np.concatenate([p.angles for p in probes])
+    if angles.size < FBP_MIN_ANGLES:
+        raise ConfigError(f"recover_potential_2d: {angles.size} probe "
                           f"directions; the sweep needs >= {FBP_MIN_ANGLES}")
-    angles = np.array([p.angle for p in probes])
     if np.any(np.diff(angles) <= 0):
         raise ConfigError("recover_potential_2d: probe angles must be "
                           "strictly increasing")
 
-    offsets = None
     columns, kept, dropped = [], [], []
     interpolated = 0
     imag_defect = 0.0
     fit_residual = 0.0
-    # a probe whose slice objects are the previous probe's (the FDTD
-    # provider's all share one) reuses its work up to the division by
-    # the weight; demodulate reads only the sign of W.  A distinct slice
-    # allocates demodulate's complex (offsets x r) arrays, the complex
-    # ratio and the real log|ratio| and arg; the work stays inline, as a
-    # helper freeing them per slice doubled the page faults.
-    last = None
+    # each probe allocates demodulate's complex (offsets x r) arrays, the
+    # complex ratio and the real log|ratio| and arg; the work stays
+    # inline, as a helper freeing them per slice doubled the page faults.
     for p in probes:
-        if offsets is None:
-            offsets = p.slc.meta.get("offsets")
-        key = (id(p.slc), id(p.slc_half), p.W.sign)
-        if last is None or last[0] != key:
-            amp = demodulate(p.slc, p.W)
-            if p.slc_half is not None:
-                amp = richardson_extract(amp, demodulate(p.slc_half, p.W))
-            dist = p.slc.meta.get("backpropagate")
-            if dist is not None:
-                amp = backpropagate_amplitude(amp, p.slc.meta["offsets"],
-                                              dist)
-            ray = log_recover_ray_data(amp, chi, A, B)
-            have = np.any(ray.valid, axis=-1)
-            col, imag = None, 0.0
-            if np.mean(~have) <= MISSING_ANGLE_FRACTION:
-                # chi^2-weighted average over the valid band points (the
-                # weight damps the edges, where dividing by chi adds noise),
-                # summed by einsum without an (offsets x r) temporary
-                chi2 = chi.f(p.slc.Tprime + ray.r) ** 2
-                col = np.zeros(ray.values.shape[0])
-                np.divide(np.einsum("ij,ij,j->i", ray.valid, ray.values, chi2),
-                          np.einsum("ij,j->i", ray.valid, chi2), out=col,
-                          where=have)
-                imag = float(np.max(np.abs(ray.imag_defect), initial=0.0,
-                                    where=ray.valid))
-                idx = np.arange(col.size)
-                col[~have] = np.interp(idx[~have], idx[have], col[have])
-            last = (key, col, int(np.sum(~have)), imag, amp.fit_residual)
-        _, col, n_interp, imag, fit = last
-        fit_residual = max(fit_residual, fit)
-        if col is None:
-            dropped.append(p.angle)
+        amp = demodulate(p.slc)
+        if p.slc_half is not None:
+            amp = richardson_extract(amp, demodulate(p.slc_half))
+        if p.backpropagate is not None:
+            amp = backpropagate_amplitude(amp, p.offsets, p.backpropagate)
+        fit_residual = max(fit_residual, amp.fit_residual)
+        ray = log_recover_ray_data(amp, chi, A, B)
+        have = np.any(ray.valid, axis=-1)
+        if np.mean(~have) > MISSING_ANGLE_FRACTION:
+            dropped += [float(a) for a in p.angles]
             continue
-        imag_defect = max(imag_defect, imag)
-        interpolated += n_interp
+        # chi^2-weighted average over the valid band points (the weight
+        # damps the edges, where dividing by chi adds noise), summed by
+        # einsum without an (offsets x r) temporary
+        chi2 = chi.f(p.slc.Tprime + ray.r) ** 2
+        col = np.zeros(ray.values.shape[0])
+        np.divide(np.einsum("ij,ij,j->i", ray.valid, ray.values, chi2),
+                  np.einsum("ij,j->i", ray.valid, chi2), out=col, where=have)
+        imag_defect = max(imag_defect, float(np.max(
+            np.abs(ray.imag_defect), initial=0.0, where=ray.valid)))
+        idx = np.arange(col.size)
+        col[~have] = np.interp(idx[~have], idx[have], col[have])
+        interpolated += int(np.sum(~have)) * p.angles.size
         if abs(p.weight) < 1e-14:
             raise ConfigError("recover_potential_2d: degenerate probe "
                               "weight")
-        columns.append(col / p.weight)
-        kept.append(p.angle)
+        columns += [col / p.weight] * p.angles.size
+        kept.extend(p.angles)
     if dropped:
         warnings.warn(f"recover_potential_2d: dropped {len(dropped)} "
                       "angles with too many missing samples")
     if not columns:
         raise ConfigError("recover_potential_2d: every angle was dropped")
-    if offsets is None:
-        raise ConfigError("recover_potential_2d: probe slices carry no "
-                          "'offsets' metadata")
-    sino = Sinogram(np.asarray(offsets, dtype=float), np.array(kept),
+    sino = Sinogram(probes[0].offsets, np.array(kept),
                     np.stack(columns, axis=-1))
     rec = invert_xray_2d(sino, axes, method=method, reg=reg, truth=truth)
     report = {
-        "n_angles": len(probes),
+        "n_angles": angles.size,
         "n_angles_used": len(kept),
         "dropped_angles": dropped,
         "interpolated_offsets": interpolated,

@@ -5,8 +5,9 @@ the closed-form leading amplitude on a whole grid, straight-line
 integrals of an arbitrary integrand, the d'Alembertian from the
 one-axis 4th-order stencils, log ray data by the complex log, the
 linear leapfrog step on a CFL-checked state, the transport march with
-every shift made level by level, and the residual series of the ansatz
-hierarchy from eagerly built factor lists.
+every shift made level by level, the transport rows' ray defects from
+one shift per level, and the residual series of the ansatz hierarchy
+from eagerly built factor lists.
 """
 
 from dataclasses import dataclass
@@ -16,8 +17,9 @@ import numpy as np
 
 from nullform.constants import CFL_LIMIT, CHI_FLOOR_FRACTION
 from nullform.errors import CFLError, ConfigError
-from nullform.geoptics import _Frame, a10_points
-from nullform.grids import SpacetimeGrid, diff2, laplacian2, shift
+from nullform.geoptics import _EDGE_LEVELS, _Frame, a10_points
+from nullform.grids import (SpacetimeGrid, diff1, diff2, l2_norm, laplacian2,
+                            shift)
 from nullform.raytransform import Sinogram, _sweep
 
 
@@ -43,7 +45,7 @@ def xray_forward_2d(integrand, offsets, angles, support_center,
     samples = _sweep(offsets, angles,
                      np.asarray(support_center, dtype=float), support_R,
                      fvals, (-np.inf, np.inf))
-    return Sinogram(offsets, angles, samples, {"kind": "xray"})
+    return Sinogram(offsets, angles, samples)
 
 
 def dalembertian(f, grid: SpacetimeGrid):
@@ -153,6 +155,26 @@ def transport_by_levels(source_field, F_field, omega, inflow_data,
         k4 = F1 * (A0 + dt * k3) + G1
         A[k + 1] = A0 + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
     return A
+
+
+def ray_defects_by_levels(series, table, w):
+    """residual_coefficients' transport defects: per checked row (m > 0),
+    the sup over the inner levels of ||d_t A - T A||_L2 along the rays,
+    each level k carried onto its ray by its own shift of -k w cells
+    (T A = series[(p, m)] / 2im)."""
+    grid = table.grid
+    out = {}
+    for (m, p), A in table.rows.items():
+        if m <= 0:
+            continue
+        TA = series[(p, m)] / (2j * m)
+        ray_A = np.stack([shift(A[k], -k * w) for k in range(grid.nt)])
+        ray_T = np.stack([shift(TA[k], -k * w) for k in range(grid.nt)])
+        D = diff1(ray_A, grid.dt, 0) - ray_T
+        out[(m, p)] = max(l2_norm(D[k], grid.dx[0])
+                          for k in range(_EDGE_LEVELS,
+                                         grid.nt - _EDGE_LEVELS))
+    return out
 
 
 def _series_parts(cache, fr: _Frame):

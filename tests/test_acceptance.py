@@ -242,12 +242,12 @@ def test_criterion_7_tomographic_recovery():
 
     probes = ansatz_measurements(q, PHI, CHI, 1.0, 0.5, h, offsets,
                                  angles, 1.5, ppw=20)
-    _, rep_a = recover_potential_2d(probes, (ax, ax), truth=truth,
-                                    chi=CHI, A=1.0, B=0.5)
-    probes = fdtd_measurements(q, PHI, CHI, 1.0, 0.5, h, offsets,
-                               angles, 1.2, -1.2, ppw=16)
-    _, rep_f = recover_potential_2d(probes, (ax, ax), truth=truth,
-                                    chi=CHI, A=1.0, B=0.5)
+    _, rep_a = recover_potential_2d(probes, (ax, ax), CHI, 1.0, 0.5,
+                                    truth=truth)
+    probe = fdtd_measurements(q, PHI, CHI, 1.0, 0.5, h, offsets,
+                              angles, 1.2, -1.2, ppw=16)
+    _, rep_f = recover_potential_2d([probe], (ax, ax), CHI, 1.0, 0.5,
+                                    truth=truth)
     ea, ef = rep_a["rel_l2_error"], rep_f["rel_l2_error"]
     _report(7, "tomographic recovery", ea <= 0.10 and ef <= 0.15,
             f"rel L2 error: ansatz {ea:.3f} (<= 0.10), "
@@ -299,7 +299,7 @@ def test_criterion_9_probe_invariance():
         for j, rr in enumerate(r):
             xp = offsets[:, None] * th + rr * om
             vals[:, j] = a10_points(q, PHI, CHI, V, W, A, B, TP, xp)
-        amp = ExtractedAmplitude(vals, r, h, TP, 0.0, {})
+        amp = ExtractedAmplitude(vals, r, h, TP, 0.0)
         ray = log_recover_ray_data(amp, CHI, A, B)
         worst_imag = max(worst_imag,
                          float(np.max(np.abs(ray.imag_defect[ray.valid]))))

@@ -21,7 +21,8 @@ from nullform.potential import (SeparablePotential, get_potential,
                                 radial_bump_factor)
 from nullform.profiles import bump, get_profile, ramp
 from oracles import (_series_above, _series_at, _series_parts,
-                     solve_A10_closed_form, transport_by_levels)
+                     ray_defects_by_levels, solve_A10_closed_form,
+                     transport_by_levels)
 
 
 V1 = LightVector(-1, (-1.0,))
@@ -395,6 +396,37 @@ def test_series_matches_eager_oracle(monkeypatch, key, N):
                            N, shape)
     assert list(coeffs) == list(oracle)
     assert all(np.array_equal(coeffs[k], oracle[k]) for k in oracle)
+
+
+@pytest.mark.parametrize("w", [1, -1])
+@pytest.mark.parametrize("N", [0, 1])
+@pytest.mark.parametrize("key", ["radial_bump"] + U_POTENTIALS)
+def test_ray_defects_match_level_by_level_shifts(monkeypatch, key, N, w):
+    # the defects residual_coefficients returns, bit for bit, against one
+    # shift per time level of each checked row and its transport term;
+    # noise on the rows makes them nonzero up to the grid edges, where a
+    # ray enters or leaves the grid
+    spec = AnsatzSpec(LightVector(-1, (-w,)), LightVector(-1, (w,)), PHI,
+                      CHI, 1.0, 0.5, N, (1 / 8, 1 / 16, 1 / 32, 1 / 64),
+                      -2.0, 2.0, 1.5, 0.08, ((-4.0, 4.0),))
+    q = _potential(key)
+    table = build_hierarchy(spec, q)
+    rng = np.random.default_rng(5)
+    for k, row in table.rows.items():
+        table.rows[k] = row + 1e-3 * rng.standard_normal(row.shape)
+    seen = []
+    series = geoptics._series
+
+    def spy(cache, fr, want):
+        seen.append(series(cache, fr, want))
+        return seen[-1]
+
+    monkeypatch.setattr(geoptics, "_series", spy)
+    _, defects = residual_coefficients(spec, q, table)
+    want = ray_defects_by_levels(seen[-1], table, w)
+    assert list(defects) == list(want) and len(want) == 1 + 2 * N
+    assert defects == want
+    assert all(d > 0 for d in defects.values())
 
 
 @settings(deadline=None, max_examples=60)

@@ -47,7 +47,7 @@ def _q0_slice(h, chi=CHI, bg_value=0.8, with_bg=True, ppw=20):
 def test_demodulate_recovers_pulse_coefficient():
     chi = bump(0.5, 1.0)
     slc, psi = _q0_slice(1 / 64, chi=chi)
-    amp = demodulate(slc, W1)
+    amp = demodulate(slc)
     exact = 0.5 * (A - 1j * B) * chi.f(psi)
     assert np.max(np.abs(amp.values[0] - exact)) < 2e-2
 
@@ -57,28 +57,22 @@ def test_demodulate_background_only_is_zero():
     r = -TP + dr * (np.arange(101) - 50)
     bg = np.full((1, r.size), 1.3)
     slc = TimeSliceMeasurement(bg.copy(), r, 1 / 64, TP, bg)
-    amp = demodulate(slc, W1)
+    amp = demodulate(slc)
     assert np.max(np.abs(amp.values)) < 1e-10
 
 
 def test_demodulate_mean_subtraction_matches_explicit_background():
     got, _ = _q0_slice(1 / 32, with_bg=True)
     auto, _ = _q0_slice(1 / 32, with_bg=False)
-    a = demodulate(got, W1)
-    b = demodulate(auto, W1)
+    a = demodulate(got)
+    b = demodulate(auto)
     assert np.max(np.abs(a.values - b.values)) < 5e-3
 
 
 def test_demodulate_unresolved_carrier_rejected():
     slc, _ = _q0_slice(1 / 32, ppw=8)
     with pytest.raises(UnresolvedCarrierError):
-        demodulate(slc, W1)
-
-
-def test_demodulate_argument_validation():
-    slc, _ = _q0_slice(1 / 32)
-    with pytest.raises(ConfigError):
-        demodulate(slc, LightVector(1, (1.0,)))  # wrong carrier sign
+        demodulate(slc)
 
 
 # ----------------------------------------------------------------------
@@ -97,7 +91,6 @@ def test_richardson_weights_cancel_linear_term():
     rich = richardson_extract(_amp((a10 + h * c)[None, :], r, h),
                               _amp((a10 + 0.5 * h * c)[None, :], r, h / 2))
     assert np.max(np.abs(rich.values[0] - a10)) < 1e-14
-    assert rich.meta.get("richardson") is True
 
 
 def test_richardson_requires_halved_h():
@@ -121,8 +114,8 @@ def test_richardson_improves_demodulated_extraction():
         u = 2 * np.real((hh * a10 + hh * hh * cont) * np.exp(1j * psi / hh))
         return TimeSliceMeasurement(u[None, :], r, hh, TP)
 
-    plain = demodulate(slc(h), W1)
-    rich = richardson_extract(plain, demodulate(slc(h / 2), W1))
+    plain = demodulate(slc(h))
+    rich = richardson_extract(plain, demodulate(slc(h / 2)))
     band = np.abs(chi.f(psi)) > 0.3
     ep = np.max(np.abs(plain.values[0] - a10)[band])
     er = np.max(np.abs(rich.values[0] - a10)[band])
@@ -257,7 +250,6 @@ def test_backpropagate_roundtrip():
                           axis=0)
     amp = backpropagate_amplitude(_amp(blurred, r, h), offsets, L)
     assert np.max(np.abs(amp.values - vals)) < 1e-12
-    assert amp.meta["backpropagated"] == L
 
 
 # ----------------------------------------------------------------------
@@ -314,9 +306,7 @@ def test_recover_requires_probe_sweep():
                                  TP)
     ax = np.linspace(-0.8, 0.8, 9)
     with pytest.raises(ConfigError):
-        recover_potential_2d(probes, (ax, ax), chi=CHI, A=A, B=B)
-    with pytest.raises(ConfigError):
-        recover_potential_2d(probes, (ax, ax))  # chi missing
+        recover_potential_2d(probes, (ax, ax), CHI, A, B)
 
 
 def test_recover_ansatz_pipeline():
@@ -327,11 +317,39 @@ def test_recover_ansatz_pipeline():
                                  angles, TP)
     ax = np.linspace(-0.8, 0.8, 49)
     truth = q.q(0.0, [ax[:, None], ax[None, :]], 0.0)
-    rec, report = recover_potential_2d(probes, (ax, ax), method="fbp",
-                                       truth=truth, chi=CHI, A=A, B=B)
+    rec, report = recover_potential_2d(probes, (ax, ax), CHI, A, B,
+                                       method="fbp", truth=truth)
     assert rec.rel_l2_error < 0.08
     assert report["n_angles_used"] == 90
     assert report["dropped_angles"] == []
+
+
+def test_recover_richardson_pipeline(monkeypatch):
+    # each probe is demodulated at h and h/2; the plain run reads the
+    # same h slices without their h/2 partners
+    q = get_potential("radial_bump", 2)
+    offsets = np.linspace(-0.8, 0.8, 49)
+    angles = np.linspace(0, np.pi, 90, endpoint=False)
+    h = 1 / 32
+    probes = ansatz_measurements(q, PHI, CHI, A, B, h, offsets, angles, TP,
+                                 richardson=True)
+    plain = [dataclasses.replace(p, slc_half=None) for p in probes]
+    seen = []
+
+    def counted(slc):
+        seen.append(slc.h)
+        return demodulate(slc)
+
+    monkeypatch.setattr(recovery, "demodulate", counted)
+    ax = np.linspace(-0.8, 0.8, 49)
+    truth = q.q(0.0, [ax[:, None], ax[None, :]], 0.0)
+    rec, report = recover_potential_2d(probes, (ax, ax), CHI, A, B,
+                                       truth=truth)
+    assert seen == [h, h / 2] * len(angles)
+    rec_plain, _ = recover_potential_2d(plain, (ax, ax), CHI, A, B,
+                                        truth=truth)
+    assert report["n_angles_used"] == len(angles)
+    assert rec.rel_l2_error < 0.8 * rec_plain.rel_l2_error
 
 
 def test_recover_drops_dead_angle_with_warning():
@@ -344,38 +362,42 @@ def test_recover_drops_dead_angle_with_warning():
     bad.slc.u[...] = bad.slc.background  # pulse wiped out -> all missing
     ax = np.linspace(-0.8, 0.8, 33)
     with pytest.warns(UserWarning):
-        rec, report = recover_potential_2d(probes, (ax, ax), method="fbp",
-                                           chi=CHI, A=A, B=B)
+        rec, report = recover_potential_2d(probes, (ax, ax), CHI, A, B,
+                                           method="fbp")
     assert report["n_angles_used"] == 90
-    assert report["dropped_angles"] == [pytest.approx(bad.angle)]
+    assert report["dropped_angles"] == [pytest.approx(bad.angles[0])]
 
 
 def test_recover_processes_each_shared_slice_once(monkeypatch):
-    # one slice shared by every angle, as the FDTD provider builds it
-    # (radial_bump is radially symmetric, so it is the right slice)
+    # one slice standing for every angle, as the FDTD provider builds it
+    # (radial_bump is radially symmetric, so it is the right slice), with
+    # one missing offset so the interpolation count is exercised
     q = get_potential("radial_bump", 2)
     offsets = np.linspace(-0.8, 0.8, 17)
     angles = np.linspace(0, np.pi, 90, endpoint=False)
     p0 = ansatz_measurements(q, PHI, CHI, A, B, 1 / 32, offsets, [0.0],
                              TP)[0]
-    shared = [dataclasses.replace(p0, angle=float(a)) for a in angles]
-    own = [dataclasses.replace(p, slc=copy.deepcopy(p.slc)) for p in shared]
+    p0.slc.u[7] = p0.slc.background[7]
+    shared = dataclasses.replace(p0, angles=angles)
+    own = [dataclasses.replace(p0, angles=np.array([a]),
+                               slc=copy.deepcopy(p0.slc)) for a in angles]
     calls = []
 
-    def counted(slc, W):
+    def counted(slc):
         calls.append(id(slc))
-        return demodulate(slc, W)
+        return demodulate(slc)
 
     monkeypatch.setattr(recovery, "demodulate", counted)
     ax = np.linspace(-0.8, 0.8, 17)
-    rec, report = recover_potential_2d(shared, (ax, ax), chi=CHI, A=A, B=B)
+    rec, report = recover_potential_2d([shared], (ax, ax), CHI, A, B)
     assert calls == [id(p0.slc)]
     calls.clear()
-    rec_own, report_own = recover_potential_2d(own, (ax, ax), chi=CHI,
-                                               A=A, B=B)
+    rec_own, report_own = recover_potential_2d(own, (ax, ax), CHI, A, B)
     assert len(calls) == len(angles)
     assert np.array_equal(rec.values, rec_own.values)
     assert report == report_own
+    assert report["interpolated_offsets"] == len(angles)
+    assert report["n_angles"] == report["n_angles_used"] == len(angles)
 
 
 def _captured_sinogram(monkeypatch):
@@ -402,7 +424,7 @@ def test_recover_interpolates_a_missing_offset(monkeypatch):
         p.slc.u[i] = p.slc.background[i]  # row demodulates to exactly 0
     seen = _captured_sinogram(monkeypatch)
     ax = np.linspace(-0.8, 0.8, 17)
-    rec, report = recover_potential_2d(probes, (ax, ax), chi=CHI, A=A, B=B)
+    rec, report = recover_potential_2d(probes, (ax, ax), CHI, A, B)
     assert report["interpolated_offsets"] == len(angles)
     assert report["n_angles_used"] == len(angles)
     sino = seen[0]
@@ -432,7 +454,7 @@ def test_recover_band_average_over_ragged_valid_points(monkeypatch):
     monkeypatch.setattr(recovery, "log_recover_ray_data", ragged)
     seen = _captured_sinogram(monkeypatch)
     ax = np.linspace(-0.8, 0.8, 17)
-    rec, report = recover_potential_2d(probes, (ax, ax), chi=CHI, A=A, B=B)
+    rec, report = recover_potential_2d(probes, (ax, ax), CHI, A, B)
     assert report["interpolated_offsets"] == len(angles)
     assert report["imag_defect_max"] == max(
         np.max(np.abs(ray.imag_defect[ray.valid])) for ray in rays)
@@ -455,12 +477,14 @@ def test_recover_fdtd_small():
     q = get_potential("radial_bump", 2)
     offsets = np.linspace(-0.8, 0.8, 49)
     angles = np.linspace(0, np.pi, 90, endpoint=False)
-    probes = fdtd_measurements(q, PHI, CHI, A, B, 1 / 16, offsets, angles,
-                               1.2, -1.2)
+    probe = fdtd_measurements(q, PHI, CHI, A, B, 1 / 16, offsets, angles,
+                              1.2, -1.2)
+    assert np.array_equal(probe.angles, angles)
+    assert probe.backpropagate == 1.2
     ax = np.linspace(-0.8, 0.8, 49)
     truth = q.q(0.0, [ax[:, None], ax[None, :]], 0.0)
-    rec, report = recover_potential_2d(probes, (ax, ax), method="fbp",
-                                       truth=truth, chi=CHI, A=A, B=B)
+    rec, report = recover_potential_2d([probe], (ax, ax), CHI, A, B,
+                                       method="fbp", truth=truth)
     assert rec.rel_l2_error < 0.45
     flat_r = rec.values.ravel()
     flat_t = truth.ravel()
@@ -487,7 +511,7 @@ def test_pipeline_consistency_slope():
     for h in spec.h_list:
         slc = TimeSliceMeasurement(assemble_uN(table, h)[k][None, :], x, h,
                                    tv, bg[None, :])
-        amp = demodulate(slc, W1)
+        amp = demodulate(slc)
         errs.append(np.max(np.abs(amp.values[0] - a10)[band]))
     slope = np.log2(errs[0] / errs[1])
     assert slope > 0.8
