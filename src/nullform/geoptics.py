@@ -463,9 +463,9 @@ def _series(cache, fr: _Frame, want):
     terms of box u_N form the transport operator and are left out).  A key
     sums box A_{m,p} at (p+1, m), then every q-factor x t-factor product
     landing on it, q outer and t inner.  Only the factors and products of
-    wanted keys are formed, and a t-factor is dropped after its product,
-    so one that pairs with several q-factors is formed again, with the
-    same bits, each time.  A key nothing lands on reads as zeros.
+    wanted keys are formed, each factor once per call; a t-factor is kept
+    from its first wanted product to its last.  A key nothing lands on
+    reads as zeros.
     """
     items = list(cache.items())
     qf = [(0, 0, lambda: fr.q0)]
@@ -506,13 +506,20 @@ def _series(cache, fr: _Frame, want):
     for (m, s), a in items:
         if want(s + 1, m):
             put((s + 1, m), a.box)
-    for qo, qm, qthunk in qf:
-        qarr = None
-        for to, tm, tthunk in tf:
-            if want(qo + to, qm + tm):
-                if qarr is None:
-                    qarr = qthunk()
-                put((qo + to, qm + tm), qarr * tthunk())
+    pairs = [(i, j) for i, (qo, qm, _) in enumerate(qf)
+             for j, (to, tm, _) in enumerate(tf) if want(qo + to, qm + tm)]
+    last = {j: i for i, j in pairs}     # the last q-factor a t-factor meets
+    kept = {}
+    qi = None
+    for i, j in pairs:
+        qo, qm, qthunk = qf[i]
+        to, tm, tthunk = tf[j]
+        if i != qi:
+            qi, qarr = i, qthunk()
+        tarr = kept.pop(j) if j in kept else tthunk()
+        if last[j] != i:
+            kept[j] = tarr
+        put((qo + to, qm + tm), qarr * tarr)
     return out
 
 

@@ -8,8 +8,11 @@ they keep the operators honest on manufactured solutions).
 
 The zero-padded stencils (laplacian2, laplacian4, grad1_2, grad1_4) act
 on the last len(dx) axes, so one call covers a single level or a whole
-trajectory.  They and `shift` take every zero-filled shift from one
-slice helper, `_shift_slices`.
+trajectory.  laplacian2, grad1_2 and `shift` take every zero-filled
+shift from one slice helper, `_shift_slices`.  The 4th-order pair
+laplacian4/grad1_4, the RK4 solver's hot path, shares one kernel,
+`_pair_stencil`: u[j + s] +- u[j - s] as one pass over the flattened
+array per axis and s, so no pass runs over a strided last-axis view.
 """
 
 from __future__ import annotations
@@ -144,15 +147,14 @@ def shift(a, s, axis=-1):
     return out
 
 
-# zero-padded stencils as (coefficient, shift) terms, summed in this order;
-# laplacian4's centre term starts its accumulator, so it stands apart
+# 2nd-order zero-padded stencils as (coefficient, shift) terms, summed in
+# this order
 _LAP2 = ((-2.0, 0), (1.0, -1), (1.0, 1))
-_LAP4_CENTRE = -30.0 / 12.0
-_LAP4 = ((-1.0 / 12.0, -2), (16.0 / 12.0, -1), (16.0 / 12.0, 1),
-         (-1.0 / 12.0, 2))
-_GRAD4 = ((1.0 / 12.0, -2), (-8.0 / 12.0, -1), (8.0 / 12.0, 1),
-          (-1.0 / 12.0, 2))
 _GRAD2 = ((-0.5, -1), (0.5, 1))
+# 4th-order central coefficients (Fornberg 1988) of the pairs at distance
+# s = 1, 2; the second derivative's centre coefficient is -30/12
+_D2_PAIRS = (16.0 / 12.0, -1.0 / 12.0)
+_D1_PAIRS = (8.0 / 12.0, -1.0 / 12.0)
 
 
 def _space_axes(u, dx):
@@ -167,6 +169,36 @@ def _add_shifted(acc, u, terms, axis):
         acc[dst] += coef * u[src]
 
 
+def _pair_stencil(u, axis, s, sign, out):
+    """out[j] = u[j + s] + sign * u[j - s] along `axis` (sign +1 or -1),
+    zeros flowing in; u and out are C-contiguous and of one shape.
+
+    Seen as (A, m, B) blocks, the interior is one pass over the flat
+    arrays shifted by s*B cells, contiguous whatever the axis.  On the
+    rows' first and last s cells that pass reads a neighbouring row, so
+    they are overwritten with the one term that exists there.
+    """
+    m = u.shape[axis]
+    shape = (functools.reduce(int.__mul__, u.shape[:axis], 1), m,
+             functools.reduce(int.__mul__, u.shape[axis + 1:], 1))
+    a, o = u.reshape(shape), out.reshape(shape)
+    if m > 2 * s:
+        f, g = u.reshape(-1), out.reshape(-1)
+        n, b = u.size, s * shape[2]
+        (np.add if sign > 0 else np.subtract)(f[2 * b:], f[:n - 2 * b],
+                                              out=g[b:n - b])
+        o[:, :s] = a[:, s:2 * s]
+        lo = a[:, m - 2 * s:m - s]
+    else:
+        # no cell has both terms: the ends meet or overlap
+        o[...] = 0.0
+        o[:, :max(m - s, 0)] = a[:, s:]
+        lo = a[:, :max(m - s, 0)]
+    # assignment, not np.negative(out=): numpy 2.4 writes a unary ufunc
+    # wrongly into a view whose last axis has length 1
+    o[:, m - lo.shape[1]:] = lo if sign > 0 else -lo
+
+
 def laplacian2(u, dx):
     """2nd-order 3/5/7-point Laplacian with zero Dirichlet padding."""
     out = np.zeros_like(u)
@@ -175,33 +207,48 @@ def laplacian2(u, dx):
     return out
 
 
-def laplacian4(u, dx):
-    """4th-order Laplacian with zero Dirichlet padding (compact supports)."""
-    out = np.zeros_like(u)
+def laplacian4(u, dx, out=None):
+    """4th-order Laplacian with zero Dirichlet padding (compact supports),
+    written into `out` (which must not overlap u) when given: the centre
+    term of every axis in one multiply, then (u[j - s] + u[j + s]) c_s /
+    d^2 per axis and s."""
+    u = np.ascontiguousarray(u)
+    centre = -30.0 / 12.0 * sum(1.0 / d**2 for d in dx)
+    out = np.multiply(u, centre, out=out)
+    pair = np.empty_like(u)
     for ax, d in _space_axes(u, dx):
-        acc = _LAP4_CENTRE * u
-        _add_shifted(acc, u, _LAP4, ax)
-        out += acc / d**2
-    return out
-
-
-def _gradient(u, dx, terms):
-    out = []
-    for ax, d in _space_axes(u, dx):
-        acc = np.zeros_like(u)
-        _add_shifted(acc, u, terms, ax)
-        out.append(acc / d)
+        for s, c in enumerate(_D2_PAIRS, 1):
+            _pair_stencil(u, ax, s, 1, pair)
+            pair *= c / d**2
+            out += pair
     return out
 
 
 def grad1_4(u, dx):
-    """4th-order spatial gradient components with zero padding."""
-    return _gradient(u, dx, _GRAD4)
+    """4th-order spatial gradient components with zero padding:
+    sum_s (u[j + s] - u[j - s]) c_s / d per axis."""
+    u = np.ascontiguousarray(u)
+    out = []
+    pair = np.empty_like(u)
+    for ax, d in _space_axes(u, dx):
+        g = np.empty_like(u)
+        _pair_stencil(u, ax, 1, -1, g)
+        g *= _D1_PAIRS[0] / d
+        _pair_stencil(u, ax, 2, -1, pair)
+        pair *= _D1_PAIRS[1] / d
+        g += pair
+        out.append(g)
+    return out
 
 
 def grad1_2(u, dx):
     """2nd-order centered spatial gradient with zero Dirichlet padding."""
-    return _gradient(u, dx, _GRAD2)
+    out = []
+    for ax, d in _space_axes(u, dx):
+        acc = np.zeros_like(u)
+        _add_shifted(acc, u, _GRAD2, ax)
+        out.append(acc / d)
+    return out
 
 
 def l2_norm(f, cell_volume: float) -> float:

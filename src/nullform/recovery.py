@@ -449,6 +449,11 @@ def recover_potential_2d(probes, axes, chi: Profile, A: float, B: float,
     if np.any(np.diff(angles) <= 0):
         raise ConfigError("recover_potential_2d: probe angles must be "
                           "strictly increasing")
+    for p in probes[1:]:
+        if not np.array_equal(p.offsets, probes[0].offsets):
+            raise ConfigError(f"recover_potential_2d: the probe at angle "
+                              f"{p.angles[0]:.6g} has other offsets than "
+                              f"the first probe")
 
     columns, kept, dropped = [], [], []
     interpolated = 0

@@ -7,9 +7,12 @@ one-axis 4th-order stencils, log ray data by the complex log, the
 linear leapfrog step on a CFL-checked state, the transport march with
 every shift made level by level, the transport rows' ray defects from
 one shift per level, and the residual series of the ansatz hierarchy
-from eagerly built factor lists.
+from eagerly built factor lists and with every t-factor formed again
+for each q-factor it meets.
 """
 
+import functools
+from collections import defaultdict
 from dataclasses import dataclass
 from typing import Dict, Tuple
 
@@ -257,4 +260,56 @@ def _series_above(parts, N, shape):
         for (to, tm, tarr) in tparts:
             if qo + to > N:
                 put(qo + to, qm + tm, qarr * tarr)
+    return out
+
+
+def series_per_q_factor(cache, fr: _Frame, want):
+    """geoptics._series with a t-factor dropped after each product, so
+    one that pairs with several q-factors is formed again each time."""
+    items = list(cache.items())
+    qf = [(0, 0, lambda: fr.q0)]
+    if np.max(np.abs(fr.q1)) > 0:
+        qf += [(1 + r, k, lambda a=a: fr.q1 * a.A) for (k, r), a in items]
+    if np.max(np.abs(fr.q2)) > 0:
+        qf += [(2 + r1 + r2, k1 + k2,
+                lambda a=a, b=b: 0.5 * fr.q2 * a.A * b.A)
+               for (k1, r1), a in items for (k2, r2), b in items]
+
+    @functools.cache
+    def wgrad(a):
+        return -a.At + fr.omega * a.Ax
+
+    tf = []
+    for (l, s), a in items:
+        if l != 0:
+            tf.append((s, l, lambda l=l, a=a:
+                       2j * l * fr.phip * fr.pairing * a.A))
+        tf.append((s + 1, l, lambda a=a:
+                   2.0 * fr.phip * (fr.sV * a.At + fr.th * a.Ax)))
+    for (ma, sa), a in items:
+        for (mb, sb), b in items:
+            if ma != 0 or mb != 0:
+                tf.append((1 + sa + sb, ma + mb, lambda ma=ma, mb=mb, a=a, b=b:
+                           1j * (ma * a.A * wgrad(b) + mb * b.A * wgrad(a))))
+            tf.append((2 + sa + sb, ma + mb, lambda a=a, b=b:
+                       -a.At * b.At + a.Ax * b.Ax))
+
+    out = defaultdict(lambda: np.zeros(fr.q0.shape, dtype=complex))
+
+    def put(key, arr):
+        if key in out:
+            out[key] += arr
+        else:
+            out[key] = arr.astype(complex)
+
+    for (m, s), a in items:
+        if want(s + 1, m):
+            put((s + 1, m), a.box)
+    for qo, qm, qthunk in qf:
+        qarr = None
+        for to, tm, tthunk in tf:
+            if want(qo + to, qm + tm):
+                if qarr is None:
+                    qarr = qthunk()
+                put((qo + to, qm + tm), qarr * tthunk())
     return out

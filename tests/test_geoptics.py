@@ -21,8 +21,8 @@ from nullform.potential import (SeparablePotential, get_potential,
                                 radial_bump_factor)
 from nullform.profiles import bump, get_profile, ramp
 from oracles import (_series_above, _series_at, _series_parts,
-                     ray_defects_by_levels, solve_A10_closed_form,
-                     transport_by_levels)
+                     ray_defects_by_levels, series_per_q_factor,
+                     solve_A10_closed_form, transport_by_levels)
 
 
 V1 = LightVector(-1, (-1.0,))
@@ -396,6 +396,20 @@ def test_series_matches_eager_oracle(monkeypatch, key, N):
                            N, shape)
     assert list(coeffs) == list(oracle)
     assert all(np.array_equal(coeffs[k], oracle[k]) for k in oracle)
+
+
+@pytest.mark.parametrize("key", U_POTENTIALS)
+def test_residual_keeps_t_factors_bit_for_bit(monkeypatch, key):
+    # several q-factors: each t-factor is formed once per _series call,
+    # with the bits of forming it again for every q-factor it meets
+    spec, q = _spec(N=1, dx=0.08), _potential(key)
+    table = build_hierarchy(spec, q)
+    coeffs, defects = residual_coefficients(spec, q, table)
+    monkeypatch.setattr(geoptics, "_series", series_per_q_factor)
+    want, want_defects = residual_coefficients(spec, q, table)
+    assert list(coeffs) == list(want)
+    assert all(np.array_equal(coeffs[k], want[k]) for k in want)
+    assert defects == want_defects
 
 
 @pytest.mark.parametrize("w", [1, -1])

@@ -137,6 +137,50 @@ def test_stencils_match_padded_reference_and_stack(n, lead, space, seed):
             assert np.array_equal(shift(u, s, ax - u.ndim), out)
 
 
+@pytest.mark.parametrize("lead", [(), (2,), (3, 2)])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_stencils_on_short_axes(n, lead):
+    # axes of 1-4 cells, shorter than a 4th-order stencil's five: both
+    # ends of a row meet or overlap
+    rng = np.random.default_rng(n + len(lead))
+    dx = tuple(rng.uniform(0.05, 0.5, n))
+    for space in np.ndindex(*(4,) * n):
+        u = rng.standard_normal(lead + tuple(m + 1 for m in space))
+        for op in (laplacian2, laplacian4, grad1_2, grad1_4):
+            got = np.array(op(u, dx))
+            want = np.array(_reference(op, u, dx))
+            np.testing.assert_allclose(got, want, rtol=1e-13,
+                                       atol=1e-13 * np.max(np.abs(want)))
+            for i in np.ndindex(*lead):
+                one = np.array(op(u[i], dx))
+                assert np.array_equal(got[(slice(None),) + i]
+                                      if op in (grad1_2, grad1_4)
+                                      else got[i], one)
+
+
+def test_fourth_order_stencils_on_window_views():
+    # a strided window of a larger array, as the RK4 step passes it, gives
+    # the bits of its contiguous copy, into a fresh array or into out=
+    rng = np.random.default_rng(3)
+    dx = (0.05, 0.07)
+    big = rng.standard_normal((40, 50))
+    for win in ((slice(3, 31), slice(7, 45)), (slice(0, 40), slice(2, 3)),
+                (slice(5, 7), slice(1, 50))):
+        view = big[win]
+        assert not view.flags.c_contiguous
+        copy = view.copy()
+        lap = laplacian4(copy, dx)
+        assert np.array_equal(laplacian4(view, dx), lap)
+        out = np.full_like(copy, np.nan)
+        assert laplacian4(view, dx, out=out) is out
+        assert np.array_equal(out, lap)
+        strided_out = np.full((40, 50), np.nan)[win]
+        laplacian4(view, dx, out=strided_out)
+        assert np.array_equal(strided_out, lap)
+        for got, want in zip(grad1_4(view, dx), grad1_4(copy, dx)):
+            assert np.array_equal(got, want)
+
+
 def test_diff_batched_rows_match_single_rows():
     # edge rows must not round differently on a stack of rows
     u = np.random.default_rng(4).standard_normal((50, 80))

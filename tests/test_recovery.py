@@ -309,6 +309,20 @@ def test_recover_requires_probe_sweep():
         recover_potential_2d(probes, (ax, ax), CHI, A, B)
 
 
+def test_recover_rejects_probes_on_other_offsets():
+    # the sinogram has one offset axis: a probe measured on another one
+    # would land its column at the wrong offsets
+    q = get_potential("radial_bump", 2)
+    angles = np.linspace(0, np.pi, 90, endpoint=False)
+    probes = [p for half, lim in ((angles[:45], 0.8), (angles[45:], 0.4))
+              for p in ansatz_measurements(q, PHI, CHI, A, B, 1 / 32,
+                                           np.linspace(-lim, lim, 17),
+                                           half, TP)]
+    ax = np.linspace(-0.8, 0.8, 17)
+    with pytest.raises(ConfigError, match=f"angle {angles[45]:.6g} "):
+        recover_potential_2d(probes, (ax, ax), CHI, A, B)
+
+
 def test_recover_ansatz_pipeline():
     q = get_potential("radial_bump", 2)
     offsets = np.linspace(-0.8, 0.8, 49)
