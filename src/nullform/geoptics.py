@@ -148,17 +148,14 @@ def ray_exponent(q: Potential, phi: Profile, V: LightVector,
     the ray meets supp q; doubles the node count until the update is
     below RAY_QUAD_ABS_TOL.  t is a scalar; xp has shape (npts, n).
     """
-    th = np.array(V.direction)
     omega = np.array(W.direction)
     pairing = twin_pairing(V, omega)
     lo, hi = _ray_sigma_bounds(q, t, xp, omega)
 
-    def fvals(sig, pts):
-        """F = q(x, phi_V) phi'(<x,V>_M) <Vt,Wt>_M at x = (t - sig, pts)."""
+    def fvals(sig, xs):
+        """F = q(x, phi_V) phi'(<x,V>_M) <Vt,Wt>_M at x = (t - sig, xs)."""
         tt = t - sig
-        s = -tt * V.sign + pts @ th
-        xs = [pts[..., j] for j in range(pts.shape[-1])]
-        f, df = phi.f_df(s)
+        f, df = phi.f_df(phase_arg(tt, xs, V))
         return q.q(tt, xs, f) * df * pairing
 
     try:

@@ -179,7 +179,14 @@ class SeparablePotential(Potential):
         return 1.0 if self.tprof is None else self.tprof.f(t)
 
     def q(self, t, xs, u):
-        return self.radial.value(self._w(xs)) * self._tau(t) * self._U(u, 0)
+        S = self.radial.value(self._w(xs))
+        if self.tprof is None and self.u_coeffs == (1.0,):
+            # tau = 1 and U = 1: the product would only copy S, broadcast
+            # against u
+            shape = np.broadcast_shapes(S.shape, np.shape(u))
+            out = S if shape == S.shape else np.broadcast_to(S, shape).copy()
+            return out if out.ndim else out[()]
+        return S * self._tau(t) * self._U(u, 0)
 
     def q_u(self, t, xs, u):
         return self.radial.value(self._w(xs)) * self._tau(t) * self._U(u, 1)

@@ -46,11 +46,19 @@ class Profile:
 
 
 def _masked(radius, raw, n=1):
-    """Wrap a raw evaluator of n outputs to be exactly 0 off the support."""
+    """Wrap a raw evaluator of n outputs to be exactly 0 off the support.
+
+    An array wholly inside the support goes to raw as it is: the raw
+    evaluators are elementwise, so gathering the inside points first
+    would give the same bits.
+    """
+    edge = radius * (1.0 - 1e-14)
 
     def ev(s):
         s = np.asarray(s, dtype=float)
-        inside = np.abs(s) < radius * (1.0 - 1e-14)
+        if s.size and s.ndim and np.max(np.abs(s)) < edge:
+            return raw(s)
+        inside = np.abs(s) < edge
         out = [np.zeros_like(s) for _ in range(n)]
         if np.any(inside):
             vals = raw(s[inside])
@@ -194,6 +202,9 @@ def ramp(flat=1.5, taper=0.5, amplitude=1.0, key=None):
         return a * s * window(s, 0)
 
     def fdval(s):
+        if not np.any(np.abs(s) > L0):
+            # the bits of a*s*1.0 and a*(1.0 + s*0.0) for finite s
+            return a * s, np.full_like(s, a)
         w0 = window(s, 0)
         return a * s * w0, a * (w0 + s * window(s, 1))
 

@@ -109,16 +109,18 @@ def _line_bounds(center, R, base, direction):
 
 
 def _adaptive_line_integral(fvals, base, direction, lo, length):
-    """Integrals of fvals(sig, pts) along pts = base + sig*direction.
+    """Integrals of fvals(sig, xs) along the lines base + sig*direction.
 
-    Each line runs over lo <= sig <= lo + length; lines with length <= 0
+    sig has shape (lines, nodes) and xs is the list of coordinate planes
+    xs[j] = base[:, j] + sig*direction[j], each of sig's shape.  Each
+    line runs over lo <= sig <= lo + length; lines with length <= 0
     give 0 and are never evaluated.  Composite Simpson, doubling the
     nodes until the largest update is below RAY_QUAD_ABS_TOL.  Every
     node is evaluated once: a doubling evaluates fvals only at the new
-    midpoints
-    and interleaves them with the stored values, which are the even
-    nodes of the finer rule (linspace is dyadic for these power-of-two
-    node counts, so they are the values a fresh evaluation would give).
+    midpoints and interleaves them with the stored values, which are
+    the even nodes of the finer rule (linspace is dyadic for these
+    power-of-two node counts, so they are the values a fresh evaluation
+    would give).
     A doubling that would take the active lines past RAY_QUAD_MAX_NODES
     nodes in all is not made: the quadrature stops unconverged.  On
     failure to converge, or on a non-finite integral, the
@@ -132,8 +134,8 @@ def _adaptive_line_integral(fvals, base, direction, lo, length):
 
     def at(xi):
         sig = lo[:, None] + length[:, None] * xi[None, :]
-        pts = base[:, None, :] + sig[..., None] * direction
-        return fvals(sig, pts)
+        return fvals(sig, [base[:, j, None] + sig * d
+                           for j, d in enumerate(direction)])
 
     def simpson(g):
         nseg = g.shape[1] - 1
@@ -172,7 +174,7 @@ def _adaptive_line_integral(fvals, base, direction, lo, length):
 
 
 def _sweep(offsets, angles, center, R, fvals, window):
-    """Integrals of fvals(sig, pts, omega) along every sweep line.
+    """Integrals of fvals(sig, xs, omega) along every sweep line.
 
     The line for (s, a) is s*(-sin a, cos a) + nu*(cos a, sin a); nu runs
     over the chord of the ball (center, R), clamped to `window`.
@@ -187,7 +189,7 @@ def _sweep(offsets, angles, center, R, fvals, window):
         lo = np.maximum(lo, window[0])
         length = np.maximum(np.minimum(hi, window[1]) - lo, 0.0)
         samples[:, ja] = _adaptive_line_integral(
-            lambda sig, pts: fvals(sig, pts, om), base, om, lo, length)
+            lambda sig, xs: fvals(sig, xs, om), base, om, lo, length)
     return samples
 
 
@@ -207,9 +209,8 @@ def lightray_forward(fld: VectorFieldF, V: LightVector, W: LightVector,
     tr = fld.q.time_radius
     window = (-np.inf, np.inf) if tr is None else (-tr, tr)
 
-    def fvals(sig, pts, om):
-        pref = fld.scalar_prefactor(sig, [pts[..., 0], pts[..., 1]])
-        return pref * twin_pairing(V, om)
+    def fvals(sig, xs, om):
+        return fld.scalar_prefactor(sig, xs) * twin_pairing(V, om)
 
     samples = _sweep(offsets, angles, np.array(fld.q.center), fld.q.R,
                      fvals, window)

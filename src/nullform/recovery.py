@@ -288,6 +288,9 @@ def ansatz_measurements(q: Potential, phi: Profile, chi: Profile,
     the measurement band once the pulse has fully crossed supp q, so
     A_{1,0}(s, r) = A_{1,0}(s, -Tprime) chi(Tprime + r) / chi(0); the
     quadrature runs once per offset instead of once per band point.
+    ConfigError unless, at every angle, the band lies wholly behind
+    supp q along omega.  Everything but the amplitude at the band
+    centres is the same at every angle and is formed once.
     """
     offsets = np.asarray(offsets, dtype=float)
     chi0 = float(chi.f(0.0))
@@ -296,30 +299,37 @@ def ansatz_measurements(q: Potential, phi: Profile, chi: Profile,
                           "the band center")
     # a shared r grid must resolve the finest carrier in play
     h_fine = 0.5 * h if richardson else h
+    r = _r_window(chi, Tprime, h_fine, ppw)
+    psi = Tprime + r
+    env = chi.f(psi) / chi0
+    # phi_V is constant along r: s = -Tprime sign(V) + theta.x', and
+    # sign(V) = -1 at every sweep angle; every slice shares this
+    # read-only view as its background
+    bg = np.broadcast_to(phi.f(Tprime + offsets)[:, None],
+                         (offsets.size, r.size))
+    hs = (h, 0.5 * h) if richardson else (h,)
+    carrier = {hh: np.exp(1j * psi / hh) for hh in hs}
+    band_front = -Tprime + chi.support_radius + BAND_PAD
     probes = []
     for a in np.asarray(angles, dtype=float):
         om, th, V, W = _sweep_vectors(float(a))
         red = xray_reduce(q, phi, V, W)  # validates the reduced config
-        r = _r_window(chi, Tprime, h_fine, ppw)
-        if -Tprime + chi.support_radius + BAND_PAD >= \
-                -(om @ np.asarray(q.center) + q.R):
+        # the band must lie wholly behind supp q, whose back edge along
+        # omega is omega.c - R
+        if band_front >= om @ np.asarray(q.center) - q.R:
             raise ConfigError("ansatz_measurements: band overlaps supp q "
                               "at Tprime; increase Tprime")
         ctr = offsets[:, None] * th - Tprime * om
         a_ctr = a10_points(q, phi, chi, V, W, A, B, Tprime, ctr)
-        psi = Tprime + r
-        amp = a_ctr[:, None] * (chi.f(psi) / chi0)[None, :]
-        # phi_V is constant along r: s = -Tprime sign(V) + theta.x'
-        bg = np.broadcast_to(phi.f(-Tprime * V.sign + offsets)[:, None],
-                             amp.shape).copy()
+        amp = a_ctr[:, None] * env[None, :]
 
-        def slice_at(hh, ampl):
-            osc = 2.0 * hh * np.real(ampl * np.exp(1j * psi / hh))
+        def slice_at(hh):
+            osc = 2.0 * hh * np.real(amp * carrier[hh])
             return TimeSliceMeasurement(bg + osc, r, hh, Tprime, bg)
 
-        half = slice_at(0.5 * h, amp) if richardson else None
+        half = slice_at(0.5 * h) if richardson else None
         probes.append(Probe(np.array([a]), red.weight, offsets,
-                            slice_at(h, amp), half))
+                            slice_at(h), half))
     return probes
 
 

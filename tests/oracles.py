@@ -2,7 +2,9 @@
 
 Each one recomputes a quantity by a second route that no pipeline runs:
 the closed-form leading amplitude on a whole grid, straight-line
-integrals of an arbitrary integrand, the d'Alembertian from the
+integrals of an arbitrary integrand, the ray quadrature, light-ray
+sinogram and ansatz slices on interleaved (lines, nodes, n) points with
+one evaluation per angle of everything in a slice, the d'Alembertian from the
 one-axis 4th-order stencils, log ray data by the complex log, the
 linear leapfrog step on a CFL-checked state, the transport march with
 every shift made level by level, the transport rows' ray defects from
@@ -18,12 +20,17 @@ from typing import Dict, Tuple
 
 import numpy as np
 
-from nullform.constants import CFL_LIMIT, CHI_FLOOR_FRACTION
-from nullform.errors import CFLError, ConfigError
-from nullform.geoptics import _EDGE_LEVELS, _Frame, a10_points
+from nullform.constants import (CFL_LIMIT, CHI_FLOOR_FRACTION,
+                                RAY_QUAD_ABS_TOL, RAY_QUAD_MAX_DOUBLINGS,
+                                RAY_QUAD_MAX_NODES)
+from nullform.errors import CFLError, ConfigError, QuadratureError
+from nullform.geoptics import (_EDGE_LEVELS, _Frame, _ray_sigma_bounds,
+                               a10_points)
 from nullform.grids import (SpacetimeGrid, diff1, diff2, l2_norm, laplacian2,
                             shift)
-from nullform.raytransform import Sinogram, _sweep
+from nullform.minkowski import twin_pairing
+from nullform.raytransform import Sinogram, _line_bounds, _sweep
+from nullform.recovery import TimeSliceMeasurement, _r_window, _sweep_vectors
 
 
 def solve_A10_closed_form(q, phi, chi, V, W, A, B,
@@ -42,13 +49,136 @@ def solve_A10_closed_form(q, phi, chi, V, W, A, B,
 def xray_forward_2d(integrand, offsets, angles, support_center,
                     support_R) -> Sinogram:
     """Straight-line integrals of a scalar integrand (phantom path)."""
-    def fvals(sig, pts, om):
-        return integrand(pts[..., 0], pts[..., 1])
+    def fvals(sig, xs, om):
+        return integrand(xs[0], xs[1])
 
     samples = _sweep(offsets, angles,
                      np.asarray(support_center, dtype=float), support_R,
                      fvals, (-np.inf, np.inf))
     return Sinogram(offsets, angles, samples)
+
+
+def pts_line_integral(fvals, base, direction, lo, length):
+    """_adaptive_line_integral with fvals(sig, pts) on the interleaved
+    points pts = base + sig*direction of shape (lines, nodes, n)."""
+    out = np.zeros(length.shape)
+    act = np.flatnonzero(length > 0)
+    if act.size == 0:
+        return out
+    lo, length, base = lo[act], length[act], base[act]
+
+    def at(xi):
+        sig = lo[:, None] + length[:, None] * xi[None, :]
+        pts = base[:, None, :] + sig[..., None] * direction
+        return fvals(sig, pts)
+
+    def simpson(g):
+        nseg = g.shape[1] - 1
+        wts = np.ones(nseg + 1)
+        wts[1:-1:2] = 4.0
+        wts[2:-1:2] = 2.0
+        return (length / (3.0 * nseg)) * (g @ wts)
+
+    nseg = 16
+    g = at(np.linspace(0.0, 1.0, nseg + 1))
+    prev = simpson(g)
+    update = np.full(act.size, np.inf)
+    for _ in range(RAY_QUAD_MAX_DOUBLINGS):
+        if act.size * (2 * nseg + 1) > RAY_QUAD_MAX_NODES:
+            break
+        nseg *= 2
+        mid = at(np.linspace(0.0, 1.0, nseg + 1)[1::2])
+        finer = np.empty((act.size, nseg + 1), np.result_type(g, mid))
+        finer[:, 0::2] = g
+        finer[:, 1::2] = mid
+        g = finer
+        cur = simpson(g)
+        update = np.abs(cur - prev)
+        if np.max(update) < RAY_QUAD_ABS_TOL:
+            out[act] = cur
+            return out
+        if np.any(~np.isfinite(update)):
+            break
+        prev = cur
+    raise QuadratureError("pts_line_integral: not converged")
+
+
+def pts_a10_points(q, phi, chi, V, W, A, B, t, xp):
+    """a10_points with the ray exponent integrated on interleaved points,
+    <x',theta> taken as pts @ theta."""
+    xp = np.atleast_2d(np.asarray(xp, dtype=float))
+    th = np.array(V.direction)
+    omega = np.array(W.direction)
+    pairing = twin_pairing(V, omega)
+    chiv = chi.f(t + xp @ omega)
+    out = np.zeros(xp.shape[0], dtype=complex)
+    live = chiv != 0.0
+    if not np.any(live):
+        return out
+
+    def fvals(sig, pts):
+        tt = t - sig
+        s = -tt * V.sign + pts @ th
+        f, df = phi.f_df(s)
+        xs = [pts[..., j] for j in range(pts.shape[-1])]
+        return q.q(tt, xs, f) * df * pairing
+
+    lo, hi = _ray_sigma_bounds(q, t, xp[live], omega)
+    I = pts_line_integral(fvals, xp[live], omega, lo, hi - lo)
+    out[live] = 0.5 * (A - 1j * B) * chiv[live] * np.exp(I)
+    return out
+
+
+def pts_lightray_forward(fld, V, offsets, angles) -> Sinogram:
+    """lightray_forward's sweep, one pts_line_integral per angle."""
+    offsets = np.asarray(offsets, dtype=float)
+    angles = np.asarray(angles, dtype=float)
+    tr = fld.q.time_radius
+    window = (-np.inf, np.inf) if tr is None else (-tr, tr)
+    center = np.array(fld.q.center)
+    samples = np.zeros((offsets.size, angles.size))
+    for ja, a in enumerate(angles):
+        om = np.array([np.cos(a), np.sin(a)])
+        perp = np.array([-np.sin(a), np.cos(a)])
+        base = offsets[:, None] * perp[None, :]
+        lo, hi = _line_bounds(center, fld.q.R, base, om)
+        lo = np.maximum(lo, window[0])
+        length = np.maximum(np.minimum(hi, window[1]) - lo, 0.0)
+
+        def fvals(sig, pts, om=om):
+            pref = fld.scalar_prefactor(sig, [pts[..., 0], pts[..., 1]])
+            return pref * twin_pairing(V, om)
+
+        samples[:, ja] = pts_line_integral(fvals, base, om, lo, length)
+    return Sinogram(offsets, angles, samples)
+
+
+def ansatz_slices_by_angle(q, phi, chi, A, B, h, offsets, angles, Tprime,
+                           ppw=20, richardson=False):
+    """(slice at h, slice at h/2 or None) per angle, as ansatz_measurements
+    makes them but with every slice quantity formed again at each angle
+    and the amplitude from pts_a10_points (no band check)."""
+    offsets = np.asarray(offsets, dtype=float)
+    chi0 = float(chi.f(0.0))
+    h_fine = 0.5 * h if richardson else h
+    slices = []
+    for a in np.asarray(angles, dtype=float):
+        om, th, V, W = _sweep_vectors(float(a))
+        r = _r_window(chi, Tprime, h_fine, ppw)
+        ctr = offsets[:, None] * th - Tprime * om
+        a_ctr = pts_a10_points(q, phi, chi, V, W, A, B, Tprime, ctr)
+        psi = Tprime + r
+        amp = a_ctr[:, None] * (chi.f(psi) / chi0)[None, :]
+        bg = np.broadcast_to(phi.f(-Tprime * V.sign + offsets)[:, None],
+                             amp.shape).copy()
+
+        def slice_at(hh):
+            osc = 2.0 * hh * np.real(amp * np.exp(1j * psi / hh))
+            return TimeSliceMeasurement(bg + osc, r, hh, Tprime, bg)
+
+        half = slice_at(0.5 * h) if richardson else None
+        slices.append((slice_at(h), half))
+    return slices
 
 
 def dalembertian(f, grid: SpacetimeGrid):

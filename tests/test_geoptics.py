@@ -20,9 +20,11 @@ from nullform.minkowski import LightVector
 from nullform.potential import (SeparablePotential, get_potential,
                                 radial_bump_factor)
 from nullform.profiles import bump, get_profile, ramp
+from nullform.recovery import _sweep_vectors
 from oracles import (_series_above, _series_at, _series_parts,
-                     ray_defects_by_levels, series_per_q_factor,
-                     solve_A10_closed_form, transport_by_levels)
+                     pts_a10_points, ray_defects_by_levels,
+                     series_per_q_factor, solve_A10_closed_form,
+                     transport_by_levels)
 
 
 V1 = LightVector(-1, (-1.0,))
@@ -122,6 +124,52 @@ def test_a10_pre_interaction_equals_inflow():
     got = a10_points(q, PHI, CHI, V1, W1, 1.0, 0.5, -2.0, xp)
     want = 0.5 * (1.0 - 0.5j) * CHI.f(-2.0 + xp[:, 0])
     assert np.allclose(got, want, atol=1e-12)
+
+
+@pytest.mark.parametrize("key", ["radial_bump", "offset_bump", "bump_t_xy"])
+def test_a10_sweep_matches_interleaved_points_bit_for_bit(key):
+    # the ansatz sweep's points (offsets x the band centre, Tprime 1.5),
+    # a single point and points where chi vanishes (no live line), against
+    # the quadrature on interleaved (lines, nodes, 2) points
+    q = get_potential(key, 2)
+    offsets = np.linspace(-0.8, 0.8, 33)
+    for a in np.linspace(0.0, np.pi, 24, endpoint=False):
+        om, th, V, W = _sweep_vectors(a)
+        for t, xp in ((1.5, offsets[:, None] * th - 1.5 * om),
+                      (1.5, 0.1 * th - 1.5 * om),
+                      (0.2, offsets[:, None] * th - 1.5 * om)):
+            got = a10_points(q, PHI, CHI, V, W, 1.0, 0.5, t, xp)
+            want = pts_a10_points(q, PHI, CHI, V, W, 1.0, 0.5, t, xp)
+            assert np.array_equal(got, want)
+    assert not np.any(got)  # the last case had no live line
+
+
+@pytest.mark.parametrize("key,phi", [("radial_bump", bump(2.0)),
+                                     ("bump_linear_u", PHI)])
+def test_a10_where_the_phase_reaches_the_integrand(key, phi):
+    # with phi' sloped on the rays, or q depending on u, <x,V>_M enters F;
+    # it is summed term by term, where pts @ theta may go through a fused
+    # multiply-add: the two agree to rounding
+    q = get_potential(key, 2)
+    offsets = np.linspace(-0.8, 0.8, 33)
+    for a in (0.3, 1.9):
+        om, th, V, W = _sweep_vectors(a)
+        xp = offsets[:, None] * th - 1.5 * om
+        got = a10_points(q, phi, CHI, V, W, 1.0, 0.5, 1.5, xp)
+        want = pts_a10_points(q, phi, CHI, V, W, 1.0, 0.5, 1.5, xp)
+        assert np.max(np.abs(got)) > 0.1
+        assert np.allclose(got, want, rtol=1e-14, atol=0.0)
+
+
+def test_a10_one_dimensional_matches_interleaved_points_bit_for_bit():
+    # one space axis: <x,V>_M has one term either way
+    xp = np.linspace(-1.0, 1.0, 21)[:, None]
+    for key in ("radial_bump", "bump_linear_u"):
+        q = get_potential(key, 1)
+        for phi in (PHI, bump(2.0)):
+            got = a10_points(q, phi, CHI, V1, W1, 1.0, 0.5, 0.4, xp)
+            want = pts_a10_points(q, phi, CHI, V1, W1, 1.0, 0.5, 0.4, xp)
+            assert np.array_equal(got, want)
 
 
 # ----------------------------------------------------------------------

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nullform.errors import ConfigError
 from nullform.minkowski import LightVector, mdot_vec, phase_arg
@@ -62,9 +64,12 @@ def test_lightvector_invariants():
 def test_profile_compact_support(prof):
     R = prof.support_radius
     s = np.array([-2 * R, -R, R, 1.0001 * R, 3 * R])
-    assert np.all(prof.f(s) == 0.0)
-    assert np.all(prof.df(s) == 0.0)
-    assert np.all(prof.d2f(s) == 0.0)
+    # the rim inside [-R, R] where the support mask already reads 0
+    rim = np.array([np.nextafter(R, 0.0), -R * (1.0 - 1e-14)])
+    for x in (s, rim):
+        assert np.all(prof.f(x) == 0.0)
+        assert np.all(prof.df(x) == 0.0)
+        assert np.all(prof.d2f(x) == 0.0)
 
 
 @pytest.mark.parametrize("prof", ALL_PROFILES, ids=lambda p: p.key)
@@ -107,6 +112,37 @@ def test_profile_pair_is_f_and_df_bit_for_bit():
                 assert type(got) is type(ref)
                 assert np.array_equal(got, ref)
                 assert np.array_equal(np.signbit(got), np.signbit(ref))
+
+
+def _same_bits(got, ref):
+    return (np.shape(got) == np.shape(ref) and got.dtype == ref.dtype
+            and got.tobytes() == ref.tobytes())
+
+
+@settings(deadline=None, max_examples=60)
+@given(case=st.sampled_from([(p, None) for p in ALL_PROFILES[:3]]
+                            + [(ramp(1.5, 0.5, 1.0), 1.5),
+                               (ramp(0.4, 0.3, -2.0), 0.4)]),
+       frac=st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=40),
+       on_flat=st.booleans(), as_row=st.booleans())
+def test_profile_fast_paths_give_straddling_bits(case, frac, on_flat, as_row):
+    # an array wholly inside the support goes to the evaluator unmasked
+    # (and ramp's on its flat window skips the window): each output must
+    # have the bits, signbit of +-0 included, of the same values inside an
+    # array that also reaches outside the support and into ramp's taper
+    prof, flat = case
+    R = prof.support_radius
+    reach = flat if on_flat and flat is not None else \
+        np.nextafter(R * (1.0 - 1e-14), 0.0)
+    s = np.array(frac + [0.0, -0.0]) * reach
+    if as_row:
+        s = s[None, :]
+    wide = np.concatenate([s.ravel(), [0.999 * R, -0.999 * R, 1.5 * R]])
+    for name in ("f", "df", "f_df", "d2f"):
+        got, ref = getattr(prof, name)(s), getattr(prof, name)(wide)
+        pairs = zip(got, ref) if name == "f_df" else [(got, ref)]
+        for g, r in pairs:
+            assert _same_bits(g, r[:s.size].reshape(s.shape))
 
 
 def test_ramp_flat_window():

@@ -2,15 +2,15 @@
 
 import numpy as np
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from nullform.errors import ConfigError
 from nullform.fdtd import null_form_grid
 from nullform.minkowski import LightVector, phase_arg
 from nullform.potential import (
-    VectorFieldF, exterior_derivative, get_potential, list_potentials,
-    scalar_F, uniqueness_certificate,
+    SeparablePotential, VectorFieldF, exterior_derivative, get_potential,
+    list_potentials, scalar_F, uniqueness_certificate,
 )
 from nullform.profiles import bump, cos4_window, ramp, sbump
 
@@ -42,6 +42,35 @@ def test_potential_vanishes_off_support_box(case, amplitude, t, u, xs, axis,
     x[j] = p.center[j] + side * (p.R + gap)
     assume(abs(x[j] - p.center[j]) >= p.R)
     assert p.q(t, [np.array(v) for v in x], u) == 0.0
+
+
+@settings(deadline=None, max_examples=60)
+@given(key=st.sampled_from(["radial_bump", "offset_bump"]),
+       amplitude=st.none() | st.floats(-3.0, 3.0, allow_nan=False),
+       n=st.integers(1, 2), k=st.integers(1, 4), m=st.integers(1, 4),
+       u_shape=st.sampled_from(["scalar", "0-d", "xs", "larger"]),
+       t_array=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_static_potential_q_is_the_general_product(key, amplitude, n, k, m,
+                                                   u_shape, t_array, seed):
+    # degree 0 and no time factor: q returns S itself, broadcast against
+    # u; the same potential written with U(u) = 1 + 0 u takes the general
+    # product S * 1.0 * U(u), whose bits it must give, shape included
+    p = get_potential(key, n, amplitude=amplitude)
+    assert p.time_radius is None and p.u_degree == 0
+    general = SeparablePotential(p.key, p.radial, n, u_coeffs=(1.0, 0.0),
+                                 center=p.center)
+    rng = np.random.default_rng(seed)
+    xs = [rng.uniform(-0.9, 0.9, (k, 1)), rng.uniform(-0.9, 0.9, (1, m))][:n]
+    shape = np.broadcast_shapes(*(x.shape for x in xs))
+    u = {"scalar": 0.3, "0-d": np.array(-0.2),
+         "xs": rng.normal(size=shape),
+         "larger": rng.normal(size=(3,) + shape)}[u_shape]
+    t = rng.normal(size=shape) if t_array else 0.4
+    for args in ((t, xs, u), (0.1, [np.array(x.flat[0]) for x in xs], u)):
+        got, want = p.q(*args), general.q(*args)
+        assert np.shape(got) == np.shape(want)
+        assert type(got) is type(want)
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
 
 
 def test_potential_partial_consistency():

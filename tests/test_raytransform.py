@@ -11,12 +11,12 @@ from nullform.errors import ConfigError, QuadratureError
 from nullform.geoptics import ray_exponent
 from nullform.minkowski import LightVector
 from nullform.potential import Potential, VectorFieldF, get_potential
-from nullform.profiles import ramp
+from nullform.profiles import bump, ramp
 from nullform.raytransform import (
     Sinogram, _adaptive_line_integral, _xray_matrix, invert_xray_2d,
     lightray_forward, xray_reduce,
 )
-from oracles import xray_forward_2d
+from oracles import pts_lightray_forward, xray_forward_2d
 
 PHI = ramp(1.5, 0.5, 1.0)
 W0 = LightVector(-1, (1.0, 0.0))
@@ -75,6 +75,20 @@ def test_forward_linearity_in_amplitude():
     assert np.allclose(b.samples, 3.0 * a.samples, atol=1e-10)
 
 
+@pytest.mark.parametrize("key,phi", [("radial_bump", PHI),
+                                     ("offset_bump", bump(2.0)),
+                                     ("bump_t_xy", PHI)])
+def test_sinogram_matches_interleaved_points_bit_for_bit(key, phi):
+    q = get_potential(key, 2)
+    fld = VectorFieldF(q, phi, LightVector(1, (0.6, 0.8)))
+    offsets = np.linspace(-0.9, 0.9, 19)
+    angles = np.linspace(0.0, np.pi, 16, endpoint=False)
+    got = lightray_forward(fld, fld.V, W0, offsets, angles)
+    want = pts_lightray_forward(fld, fld.V, offsets, angles)
+    assert np.max(np.abs(got.samples)) > 0.01
+    assert np.array_equal(got.samples, want.samples)
+
+
 class _HalfDisk(Potential):
     """q = 1 on the half of the disk |x'| < 0.5 with x1 > 0: a jump."""
 
@@ -91,8 +105,8 @@ def test_line_integral_reports_nonconvergence(monkeypatch):
     import nullform.raytransform as rt
     monkeypatch.setattr(rt, "RAY_QUAD_MAX_DOUBLINGS", 1)
 
-    def step(sig, pts):
-        return (pts[..., 0] > 0.3).astype(float)
+    def step(sig, xs):
+        return (xs[0] > 0.3).astype(float)
 
     # line 1 crosses the jump; line 0 is empty and line 2 sees a constant
     base = np.zeros((3, 2))
@@ -125,8 +139,8 @@ def _reevaluating_line_integral(fvals, base, direction, lo, length):
         wts[1:-1:2] = 4.0
         wts[2:-1:2] = 2.0
         sig = lo[:, None] + length[:, None] * xi[None, :]
-        pts = base[:, None, :] + sig[..., None] * direction
-        return (length / (3.0 * nseg)) * (fvals(sig, pts) @ wts)
+        xs = [base[:, j, None] + sig * d for j, d in enumerate(direction)]
+        return (length / (3.0 * nseg)) * (fvals(sig, xs) @ wts)
 
     nseg = 16
     prev = simpson(nseg)
@@ -156,15 +170,15 @@ def test_nested_simpson_matches_reevaluating_loop(n, nlines, k, seed,
     length[rng.random(nlines) < 0.1] *= -1.0
     th = rng.normal(size=n)
 
-    def fvals(sig, pts):
-        s = pts @ th
+    def fvals(sig, xs):
+        s = sum(x * c for x, c in zip(xs, th))
         return np.exp(-s**2) * np.cos(k * sig) + np.sin(3.0 * s) * sig
 
     seen = []
 
-    def counted(sig, pts):
+    def counted(sig, xs):
         seen.append(sig.size)
-        return fvals(sig, pts)
+        return fvals(sig, xs)
 
     # 12 doublings (65,537 nodes a line) bound the memory of a broken
     # quadrature; these integrands converge well before that
@@ -183,10 +197,10 @@ def test_line_integral_rejects_non_finite_integrand(monkeypatch):
     monkeypatch.setattr(rt, "RAY_QUAD_MAX_DOUBLINGS", 3)
     calls = []
 
-    def nan_on_line_2(sig, pts):
+    def nan_on_line_2(sig, xs):
         calls.append(sig.shape)
         out = np.cos(sig)
-        out[pts[:, 0, 1] == 2.0] = np.nan
+        out[xs[1][:, 0] == 2.0] = np.nan
         return out
 
     base = np.array([[0.0, 1.0], [0.0, 5.0], [0.0, 2.0]])
@@ -208,7 +222,7 @@ def test_line_integral_stops_at_node_budget(monkeypatch):
     rng = np.random.default_rng(3)
     nodes = []
 
-    def noise(sig, pts):
+    def noise(sig, xs):
         nodes.append(sig.size)
         return rng.normal(size=sig.shape)
 

@@ -9,8 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nullform.errors import ConfigError, UnresolvedCarrierError
-from nullform.geoptics import AnsatzSpec, assemble_uN, background_field, \
-    build_hierarchy
+from nullform.geoptics import AnsatzSpec, a10_points, assemble_uN, \
+    background_field, build_hierarchy
 from nullform.minkowski import LightVector
 from nullform.potential import get_potential
 from nullform.profiles import bump, ramp
@@ -20,7 +20,7 @@ from nullform.recovery import (
     backpropagate_amplitude, demodulate, fdtd_measurements,
     log_recover_ray_data, recover_potential_2d, richardson_extract,
 )
-from oracles import complex_log_ray_data
+from oracles import ansatz_slices_by_angle, complex_log_ray_data
 
 PHI = ramp(1.5, 0.5, 1.0)
 CHI = bump(0.3, 1.0)
@@ -278,6 +278,52 @@ def test_ansatz_provider_rejects_unreduced_config():
     with pytest.raises(ConfigError):  # band still inside supp q
         ansatz_measurements(get_potential("radial_bump", 2), PHI, CHI, A, B,
                             1 / 32, offsets, [0.0], 0.6)
+
+
+@pytest.mark.parametrize("richardson", [False, True])
+@pytest.mark.parametrize("key", ["radial_bump", "offset_bump"])
+def test_ansatz_slices_match_per_angle_oracle_bit_for_bit(key, richardson):
+    # every slice quantity formed once for the sweep, the amplitude on
+    # coordinate planes: the bits of the per-angle loop on interleaved
+    # points, for both carriers
+    q = get_potential(key, 2)
+    offsets = np.linspace(-0.8, 0.8, 17)
+    angles = np.linspace(0.0, np.pi, 36, endpoint=False)
+    probes = ansatz_measurements(q, PHI, CHI, A, B, 1 / 32, offsets, angles,
+                                 TP, richardson=richardson)
+    want = ansatz_slices_by_angle(q, PHI, CHI, A, B, 1 / 32, offsets,
+                                  angles, TP, richardson=richardson)
+    assert len(probes) == len(want) == angles.size
+    for p, slices in zip(probes, want):
+        assert (p.slc_half is None) == (not richardson)
+        for got, ref in zip((p.slc, p.slc_half), slices):
+            if ref is None:
+                continue
+            assert (got.h, got.Tprime) == (ref.h, ref.Tprime)
+            for name in ("u", "r", "background"):
+                assert np.array_equal(getattr(got, name), getattr(ref, name))
+
+
+def test_ansatz_band_check_uses_back_edge_of_support():
+    # offset_bump (centre (0.35, 0.15), R = 0.4) at angle 3.1: supp q ends
+    # at omega.c - R = -0.74 along omega, and at Tprime 0.9 the band
+    # reaches -0.9 + 0.3 + BAND_PAD = -0.45, inside supp q
+    q = get_potential("offset_bump", 2)
+    offsets = np.linspace(-0.8, 0.8, 17)
+    h = 1 / 32
+    with pytest.raises(ConfigError, match="band overlaps"):
+        ansatz_measurements(q, PHI, CHI, A, B, h, offsets, [3.1], 0.9)
+    # once the band is behind that edge, the amplitude carried from the
+    # band centre is the closed form at every band point
+    tp = 1.2
+    (p,) = ansatz_measurements(q, PHI, CHI, A, B, h, offsets, [3.1], tp)
+    om, th, V, W = recovery._sweep_vectors(3.1)
+    pts = offsets[:, None, None] * th + p.slc.r[None, :, None] * om
+    direct = a10_points(q, PHI, CHI, V, W, A, B, tp,
+                        pts.reshape(-1, 2)).reshape(p.slc.u.shape)
+    u = p.slc.background + 2 * h * np.real(
+        direct * np.exp(1j * (tp + p.slc.r) / h))
+    assert np.max(np.abs(u - p.slc.u)) < 1e-12
 
 
 def test_fdtd_provider_validations():
