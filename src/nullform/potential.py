@@ -170,9 +170,11 @@ class SeparablePotential(Potential):
         return out if out.shape else float(out)
 
     def _w(self, xs):
-        w = 0.0
+        # the bits of 0.0 + sum (xj - c)^2: no square is -0.0
+        w = None
         for c, xj in zip(self.center, xs):
-            w = w + (xj - c) ** 2
+            d2 = (xj if c == 0.0 else xj - c) ** 2
+            w = d2 if w is None else w + d2
         return w
 
     def _tau(self, t):

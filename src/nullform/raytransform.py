@@ -115,12 +115,13 @@ def _adaptive_line_integral(fvals, base, direction, lo, length):
     xs[j] = base[:, j] + sig*direction[j], each of sig's shape.  Each
     line runs over lo <= sig <= lo + length; lines with length <= 0
     give 0 and are never evaluated.  Composite Simpson, doubling the
-    nodes until the largest update is below RAY_QUAD_ABS_TOL.  Every
-    node is evaluated once: a doubling evaluates fvals only at the new
-    midpoints and interleaves them with the stored values, which are
-    the even nodes of the finer rule (linspace is dyadic for these
-    power-of-two node counts, so they are the values a fresh evaluation
-    would give).
+    nodes of each line until its own update is below RAY_QUAD_ABS_TOL:
+    after each doubling the converged lines keep that value and leave
+    the active set, whose arrays are compacted.  Every node is
+    evaluated once: a doubling evaluates fvals only at the new midpoints
+    and interleaves them with the stored values, which are the even
+    nodes of the finer rule (linspace is dyadic for these power-of-two
+    node counts, so they are the values a fresh evaluation would give).
     A doubling that would take the active lines past RAY_QUAD_MAX_NODES
     nodes in all is not made: the quadrature stops unconverged.  On
     failure to converge, or on a non-finite integral, the
@@ -159,13 +160,18 @@ def _adaptive_line_integral(fvals, base, direction, lo, length):
         g = finer
         cur = simpson(g)
         update = np.abs(cur - prev)
-        if np.max(update) < RAY_QUAD_ABS_TOL:
-            out[act] = cur
-            return out
         bad = ~np.isfinite(update)
         if np.any(bad):  # doubling on would only exhaust memory
             raise QuadratureError("line quadrature: non-finite integrand",
                                   ray=int(act[np.argmax(bad)]))
+        done = update < RAY_QUAD_ABS_TOL
+        if np.any(done):
+            out[act[done]] = cur[done]
+            if np.all(done):
+                return out
+            left = ~done
+            g, lo, length, base = g[left], lo[left], length[left], base[left]
+            act, cur, update = act[left], cur[left], update[left]
         prev = cur
     raise QuadratureError(
         f"line quadrature not converged (last update {np.max(update):.2e}, "

@@ -77,6 +77,9 @@ class TimeSliceMeasurement:
                               "uniform increasing")
         if self.h <= 0:
             raise ConfigError("TimeSliceMeasurement: h must be positive")
+        for name, arr in (("u", self.u), ("background", self.background)):
+            if arr is not None and not np.all(np.isfinite(arr)):
+                raise ConfigError(f"TimeSliceMeasurement: non-finite {name}")
 
     @property
     def dr(self) -> float:
@@ -124,10 +127,13 @@ def demodulate(slc: TimeSliceMeasurement) -> ExtractedAmplitude:
 
     Multiplies by e^{-i psi/h} (psi = Tprime + r along the last axis, the
     phase of the incoming carrier W = (-1, omega)), removes everything at
-    or above half the carrier frequency with a sharp FFT mask, and
+    or above half the carrier frequency with a sharp DFT mask, and
     divides by h = slc.h.  The plane-wave background lands at -1/h after
     demodulation and is filtered out even when it is not subtracted
-    explicitly.
+    explicitly.  Only the kept bins k are formed (a pruned DFT, k j taken
+    mod n): spec = w @ (e^{-i psi_j/h} e^{-2 pi i k j/n}), real w times
+    the basis' interleaved (re, im) view; the removed power is the
+    Parseval total n sum w^2 minus the kept power.
     """
     h = float(slc.h)
     ppw = 2.0 * np.pi * h / slc.dr
@@ -142,17 +148,17 @@ def demodulate(slc: TimeSliceMeasurement) -> ExtractedAmplitude:
         # phi_V is constant along r in the probe geometry; removing the
         # row mean kills its finite-window leakage into the kept band
         w = slc.u - np.mean(slc.u, axis=-1, keepdims=True)
-    psi = slc.Tprime + slc.r
-    d = w * np.exp(-1j * psi / h)
-    spec = np.fft.fft(d, axis=-1)
-    freq = np.fft.fftfreq(slc.r.size, d=slc.dr)
-    keep = np.abs(freq) <= 0.5 / (2.0 * np.pi * h)
-    power = np.abs(spec) ** 2
-    total = float(np.sum(power))
-    removed = float(np.sum(power[..., ~keep]))
-    low = np.fft.ifft(np.where(keep, spec, 0.0), axis=-1)
+    n = slc.r.size
+    keep = np.flatnonzero(np.abs(np.fft.fftfreq(n, d=slc.dr))
+                          <= 0.5 / (2.0 * np.pi * h))
+    twiddle = np.exp(-2j * np.pi / n * (np.outer(np.arange(n), keep) % n))
+    basis = np.exp(-1j * (slc.Tprime + slc.r) / h)[:, None] * twiddle
+    spec = (w @ basis.view(float)).view(complex)
+    values = spec @ (twiddle.conj().T / (n * h))
+    total = n * float(np.vdot(w, w))
+    removed = max(total - float(np.vdot(spec, spec).real), 0.0)
     fit = np.sqrt(removed / total) if total > 0 else 0.0
-    return ExtractedAmplitude(low / h, slc.r, h, slc.Tprime, fit)
+    return ExtractedAmplitude(values, slc.r, h, slc.Tprime, fit)
 
 
 def richardson_extract(amp_h: ExtractedAmplitude,

@@ -4,13 +4,13 @@ Each one recomputes a quantity by a second route that no pipeline runs:
 the closed-form leading amplitude on a whole grid, straight-line
 integrals of an arbitrary integrand, the ray quadrature, light-ray
 sinogram and ansatz slices on interleaved (lines, nodes, n) points with
-one evaluation per angle of everything in a slice, the d'Alembertian from the
-one-axis 4th-order stencils, log ray data by the complex log, the
-linear leapfrog step on a CFL-checked state, the transport march with
-every shift made level by level, the transport rows' ray defects from
-one shift per level, and the residual series of the ansatz hierarchy
-from eagerly built factor lists and with every t-factor formed again
-for each q-factor it meets.
+one evaluation per angle of everything in a slice, demodulation by a
+full FFT, the d'Alembertian from the one-axis 4th-order stencils, log
+ray data by the complex log, the linear leapfrog step on a CFL-checked
+state, the transport march with every shift made level by level, the
+transport rows' ray defects from one shift per level, and the residual
+series of the ansatz hierarchy from eagerly built factor lists and with
+every t-factor formed again for each q-factor it meets.
 """
 
 import functools
@@ -20,17 +20,19 @@ from typing import Dict, Tuple
 
 import numpy as np
 
-from nullform.constants import (CFL_LIMIT, CHI_FLOOR_FRACTION,
+from nullform.constants import (CFL_LIMIT, CHI_FLOOR_FRACTION, PPW_MIN,
                                 RAY_QUAD_ABS_TOL, RAY_QUAD_MAX_DOUBLINGS,
                                 RAY_QUAD_MAX_NODES)
-from nullform.errors import CFLError, ConfigError, QuadratureError
+from nullform.errors import (CFLError, ConfigError, QuadratureError,
+                             UnresolvedCarrierError)
 from nullform.geoptics import (_EDGE_LEVELS, _Frame, _ray_sigma_bounds,
                                a10_points)
 from nullform.grids import (SpacetimeGrid, diff1, diff2, l2_norm, laplacian2,
                             shift)
 from nullform.minkowski import twin_pairing
 from nullform.raytransform import Sinogram, _line_bounds, _sweep
-from nullform.recovery import TimeSliceMeasurement, _r_window, _sweep_vectors
+from nullform.recovery import (ExtractedAmplitude, TimeSliceMeasurement,
+                               _r_window, _sweep_vectors)
 
 
 def solve_A10_closed_form(q, phi, chi, V, W, A, B,
@@ -60,7 +62,8 @@ def xray_forward_2d(integrand, offsets, angles, support_center,
 
 def pts_line_integral(fvals, base, direction, lo, length):
     """_adaptive_line_integral with fvals(sig, pts) on the interleaved
-    points pts = base + sig*direction of shape (lines, nodes, n)."""
+    points pts = base + sig*direction of shape (lines, nodes, n); each
+    line leaves at its own first update below RAY_QUAD_ABS_TOL."""
     out = np.zeros(length.shape)
     act = np.flatnonzero(length > 0)
     if act.size == 0:
@@ -82,7 +85,6 @@ def pts_line_integral(fvals, base, direction, lo, length):
     nseg = 16
     g = at(np.linspace(0.0, 1.0, nseg + 1))
     prev = simpson(g)
-    update = np.full(act.size, np.inf)
     for _ in range(RAY_QUAD_MAX_DOUBLINGS):
         if act.size * (2 * nseg + 1) > RAY_QUAD_MAX_NODES:
             break
@@ -94,11 +96,16 @@ def pts_line_integral(fvals, base, direction, lo, length):
         g = finer
         cur = simpson(g)
         update = np.abs(cur - prev)
-        if np.max(update) < RAY_QUAD_ABS_TOL:
-            out[act] = cur
-            return out
         if np.any(~np.isfinite(update)):
             break
+        done = update < RAY_QUAD_ABS_TOL
+        out[act[done]] = cur[done]
+        if np.all(done):
+            return out
+        if np.any(done):
+            left = ~done
+            g, lo, length, base = g[left], lo[left], length[left], base[left]
+            act, cur = act[left], cur[left]
         prev = cur
     raise QuadratureError("pts_line_integral: not converged")
 
@@ -179,6 +186,29 @@ def ansatz_slices_by_angle(q, phi, chi, A, B, h, offsets, angles, Tprime,
         half = slice_at(0.5 * h) if richardson else None
         slices.append((slice_at(h), half))
     return slices
+
+
+def fft_demodulate(slc: TimeSliceMeasurement) -> ExtractedAmplitude:
+    """demodulate by a full FFT along r: carrier off, every bin at or
+    above half the carrier frequency masked out, inverse FFT; the removed
+    power summed over the masked bins of |spec|^2."""
+    h = float(slc.h)
+    if 2.0 * np.pi * h / slc.dr < PPW_MIN - 1e-9:
+        raise UnresolvedCarrierError("fft_demodulate: carrier unresolved")
+    if slc.background is not None:
+        w = slc.u - slc.background
+    else:
+        w = slc.u - np.mean(slc.u, axis=-1, keepdims=True)
+    psi = slc.Tprime + slc.r
+    spec = np.fft.fft(w * np.exp(-1j * psi / h), axis=-1)
+    freq = np.fft.fftfreq(slc.r.size, d=slc.dr)
+    keep = np.abs(freq) <= 0.5 / (2.0 * np.pi * h)
+    power = np.abs(spec) ** 2
+    total = float(np.sum(power))
+    removed = float(np.sum(power[..., ~keep]))
+    low = np.fft.ifft(np.where(keep, spec, 0.0), axis=-1)
+    fit = np.sqrt(removed / total) if total > 0 else 0.0
+    return ExtractedAmplitude(low / h, slc.r, h, slc.Tprime, fit)
 
 
 def dalembertian(f, grid: SpacetimeGrid):

@@ -73,6 +73,41 @@ def test_static_potential_q_is_the_general_product(key, amplitude, n, k, m,
         assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
 
 
+_special = st.sampled_from([0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf,
+                            5e-324, -1e150])
+
+
+@settings(max_examples=200)
+@given(center=st.lists(st.sampled_from([0.0, -0.0, 0.35, -1.5]),
+                       min_size=1, max_size=3),
+       values=st.lists(_special | st.floats(-3.0, 3.0), min_size=12,
+                       max_size=12),
+       form=st.sampled_from(["arrays", "broadcast", "0-d", "scalar"]))
+def test_radial_argument_is_the_general_sum(center, values, form):
+    # _w starts from its first term and skips xj - c for c == 0.0: the
+    # raw bytes of 0.0 + sum (xj - c)^2, signed zeros and NaNs included
+    n = len(center)
+    p = SeparablePotential("w", get_potential("radial_bump", n).radial, n,
+                           center=center)
+    vals = np.array(values)
+    xs = {"arrays": [vals[4 * j:4 * j + 4] for j in range(n)],
+          "broadcast": [vals[:4].reshape(4, 1), vals[4:7].reshape(1, 3),
+                        vals[7:8]][:n],
+          "0-d": [np.array(v) for v in vals[:n]],
+          "scalar": [float(v) for v in vals[:n]]}[form]
+    want = 0.0
+    for c, xj in zip(center, xs):
+        want = want + (xj - c) ** 2
+    got = p._w(xs)
+    assert type(got) is type(want)
+    if form == "scalar" and np.isnan(want):
+        # CPython's float add returns one NaN operand or the other
+        # depending on whether the interpreter has specialised the add
+        assert np.isnan(got)
+    else:
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+
 def test_potential_partial_consistency():
     # finite-difference check of the hand-coded partials at O(delta^2)
     p = get_potential("gaussian_xy_cubic_u", 2)

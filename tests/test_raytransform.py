@@ -123,14 +123,17 @@ def test_line_integral_reports_nonconvergence(monkeypatch):
 
 
 def _reevaluating_line_integral(fvals, base, direction, lo, length):
-    """Reference: the Simpson loop that evaluates every node at each
-    doubling.  Returns the integrals and the final segment count."""
+    """Reference: the Simpson loop that evaluates every node of the
+    active lines at each doubling, each line leaving at its own first
+    update below tolerance.  Returns the integrals and each line's final
+    segment count (0 for lines never evaluated)."""
     from nullform.raytransform import (RAY_QUAD_ABS_TOL,
                                        RAY_QUAD_MAX_DOUBLINGS)
     out = np.zeros(length.shape)
+    nsegs = np.zeros(length.shape, dtype=int)
     act = np.flatnonzero(length > 0)
     if act.size == 0:
-        return out, 0
+        return out, nsegs
     lo, length, base = lo[act], length[act], base[act]
 
     def simpson(nseg):
@@ -147,9 +150,14 @@ def _reevaluating_line_integral(fvals, base, direction, lo, length):
     for _ in range(RAY_QUAD_MAX_DOUBLINGS):
         nseg *= 2
         cur = simpson(nseg)
-        if np.max(np.abs(cur - prev)) < RAY_QUAD_ABS_TOL:
-            out[act] = cur
-            return out, nseg
+        done = np.abs(cur - prev) < RAY_QUAD_ABS_TOL
+        out[act[done]] = cur[done]
+        nsegs[act[done]] = nseg
+        if np.all(done):
+            return out, nsegs
+        if np.any(done):
+            lo, length, base = lo[~done], length[~done], base[~done]
+            act, cur = act[~done], cur[~done]
         prev = cur
     raise AssertionError("reference did not converge")
 
@@ -183,13 +191,68 @@ def test_nested_simpson_matches_reevaluating_loop(n, nlines, k, seed,
     # 12 doublings (65,537 nodes a line) bound the memory of a broken
     # quadrature; these integrands converge well before that
     with mock.patch("nullform.raytransform.RAY_QUAD_MAX_DOUBLINGS", 12):
-        want, nseg = _reevaluating_line_integral(fvals, base, direction, lo,
-                                                 length)
+        want, nsegs = _reevaluating_line_integral(fvals, base, direction,
+                                                  lo, length)
         got = _adaptive_line_integral(counted, base, direction, lo, length)
     assert np.array_equal(got, want)
     assert np.all(got[length <= 0] == 0.0)
-    active = int(np.sum(length > 0))
-    assert sum(seen) == active * (nseg + 1 if active else 0)
+    assert sum(seen) == int(np.sum(nsegs[length > 0] + 1))
+
+
+@settings(deadline=None, max_examples=40)
+@given(nlines=st.integers(1, 24), k=st.floats(0.0, 40.0),
+       seed=st.integers(0, 2**32 - 1))
+def test_each_line_stops_at_its_own_first_converged_doubling(nlines, k,
+                                                              seed):
+    # a line's integral does not depend on the other lines of the call:
+    # it is a fresh one-line composite Simpson at the first doubling whose
+    # update is below tolerance, up to the rounding of the weighted sum
+    # (the batch sums by rows of a matrix product, one line by a dot)
+    from nullform.raytransform import RAY_QUAD_ABS_TOL
+    rng = np.random.default_rng(seed)
+    base = rng.uniform(-1.0, 1.0, (nlines, 2))
+    direction = np.array([0.6, -0.8])
+    lo = rng.uniform(-1.0, 1.0, nlines)
+    length = rng.uniform(0.0, 2.0, nlines)
+    th = rng.normal(size=2)
+
+    def fvals(sig, xs):
+        s = xs[0] * th[0] + xs[1] * th[1]
+        return np.exp(-s**2) * np.cos(k * sig) + np.sin(3.0 * s) * sig
+
+    seen = []
+
+    def counted(sig, xs):
+        seen.append(sig.size)
+        return fvals(sig, xs)
+
+    def one_line(i, nseg):
+        """(Simpson sum, bound on its rounding) on line i alone."""
+        wts = np.ones(nseg + 1)
+        wts[1:-1:2] = 4.0
+        wts[2:-1:2] = 2.0
+        sig = lo[i] + length[i] * np.linspace(0.0, 1.0, nseg + 1)
+        g = fvals(sig, [base[i, 0] + sig * direction[0],
+                        base[i, 1] + sig * direction[1]])
+        scale = length[i] / (3.0 * nseg)
+        return scale * (g @ wts), \
+            (nseg + 1) * np.finfo(float).eps * scale * (np.abs(g) @ wts)
+
+    with mock.patch("nullform.raytransform.RAY_QUAD_MAX_DOUBLINGS", 12):
+        got = _adaptive_line_integral(counted, base, direction, lo, length)
+    nodes = 0
+    for i in range(nlines):
+        nseg = 16
+        prev, _ = one_line(i, nseg)
+        while True:
+            nseg *= 2
+            cur, err = one_line(i, nseg)
+            if abs(cur - prev) < RAY_QUAD_ABS_TOL:
+                break
+            prev = cur
+        assert abs(got[i] - cur) <= err
+        nodes += nseg + 1
+    assert sum(seen) == nodes
 
 
 def test_line_integral_rejects_non_finite_integrand(monkeypatch):

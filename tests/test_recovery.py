@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nullform.constants import PPW_MIN
 from nullform.errors import ConfigError, UnresolvedCarrierError
 from nullform.geoptics import AnsatzSpec, a10_points, assemble_uN, \
     background_field, build_hierarchy
@@ -20,7 +21,8 @@ from nullform.recovery import (
     backpropagate_amplitude, demodulate, fdtd_measurements,
     log_recover_ray_data, recover_potential_2d, richardson_extract,
 )
-from oracles import ansatz_slices_by_angle, complex_log_ray_data
+from oracles import (ansatz_slices_by_angle, complex_log_ray_data,
+                     fft_demodulate)
 
 PHI = ramp(1.5, 0.5, 1.0)
 CHI = bump(0.3, 1.0)
@@ -73,6 +75,54 @@ def test_demodulate_unresolved_carrier_rejected():
     slc, _ = _q0_slice(1 / 32, ppw=8)
     with pytest.raises(UnresolvedCarrierError):
         demodulate(slc)
+
+
+@settings(deadline=None, max_examples=80)
+@given(n=st.integers(24, 301), rows=st.integers(0, 5),
+       h=st.sampled_from([1 / 16, 1 / 32, 1 / 64, 1 / 128, 0.05]),
+       ppw=st.floats(PPW_MIN, 40.0), with_bg=st.booleans(),
+       noise=st.sampled_from([0.0, 1e-6, 1e-3, 0.1]),
+       seed=st.integers(0, 2**32 - 1))
+def test_pruned_dft_demodulate_matches_full_fft(n, rows, h, ppw, with_bg,
+                                                noise, seed):
+    # odd and even n, a 1-D slice (rows = 0) and stacked rows
+    rng = np.random.default_rng(seed)
+    tp = rng.uniform(-2.0, 2.0)
+    dr = 2 * np.pi * h / ppw
+    r = -tp + dr * (np.arange(n) - n // 2)
+    psi = tp + r
+    shape = (rows, n) if rows else (n,)
+    coeff = rng.normal(size=shape[:-1] + (1,)) \
+        + 1j * rng.normal(size=shape[:-1] + (1,))
+    half = 0.5 * n * dr  # the envelope spans the window
+    amp = coeff * CHI.f(0.9 * CHI.support_radius * (r + tp) / half)
+    bg = np.broadcast_to(rng.uniform(-1.0, 1.0, shape[:-1] + (1,)), shape)
+    u = bg + 2 * h * np.real(amp * np.exp(1j * psi / h)) \
+        + noise * h * rng.normal(size=shape)
+    slc = TimeSliceMeasurement(u, r, h, tp, bg if with_bg else None)
+    got, want = demodulate(slc), fft_demodulate(slc)
+    assert got.values.shape == want.values.shape
+    scale = np.max(np.abs(want.values))
+    assert scale > 0.0
+    assert np.max(np.abs(got.values - want.values)) <= 1e-12 * scale
+    assert abs(got.fit_residual - want.fit_residual) <= 1e-12
+    assert (got.h, got.Tprime) == (want.h, want.Tprime)
+
+
+@pytest.mark.parametrize("name", ["u", "background"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_slice_rejects_non_finite_samples(name, bad):
+    # a NaN would read as fit_residual 0.0 and an invalid row that
+    # recovery interpolates without a word
+    slc, _ = _q0_slice(1 / 32)
+    arrays = {"u": slc.u.copy(), "background": slc.background.copy()}
+    arrays[name][0, 5] = bad
+    with pytest.raises(ConfigError, match=f"non-finite {name}"):
+        TimeSliceMeasurement(arrays["u"], slc.r, slc.h, slc.Tprime,
+                             arrays["background"])
+    if name == "u":
+        with pytest.raises(ConfigError, match="non-finite u"):
+            TimeSliceMeasurement(arrays["u"], slc.r, slc.h, slc.Tprime)
 
 
 # ----------------------------------------------------------------------
