@@ -4,15 +4,17 @@ Wave operator convention (package-wide): box u = -d_t^2 u + Laplacian u,
 so the semilinear equation box u = Q(x,u,grad u) steps as
 u_tt = Lap u - Q.
 
-Two schemes:
-* "leapfrog": u^{k+1} = 2u^k - u^{k-1} + dt^2 (Lap_h u^k - Q^k) with the
-  2nd-order 3/5-point Laplacian, dt = 0.45 dx / sqrt(n);
-* "rk4": method-of-lines classical RK4 on (u, v=u_t) with 4th-order
-  spatial stencils, dt = 0.5 dx -- used where 2nd-order dispersion on
-  the h-carrier would swamp the O(h^2) quantities being measured.
+One linear kernel, leapfrog_levels, steps u_tt = Lap_h u + f as
+u^{k+1} = 2u^k - u^{k-1} + dt^2 (Lap_h u^k + f^k) with the 2nd-order
+3/5-point Laplacian.  It is solve_semilinear's "leapfrog" scheme
+(q == 0, dt = 0.45 dx / sqrt(n)) and the forced wave of each Picard
+iterate.  The semilinear scheme is "rk4": method-of-lines classical RK4
+on (u, v=u_t) with 4th-order spatial stencils, dt = 0.5 dx -- used
+where 2nd-order dispersion on the h-carrier would swamp the O(h^2)
+quantities being measured.
 
 Potentials are compactly supported: q must vanish wherever some
-|x_j - center_j| >= R (its declared `center` and `R`).  solve_semilinear
+|x_j - center_j| >= R (its declared `center` and `R`).  The rk4 scheme
 relies on this and evaluates the gradient and the null form only on that
 box plus a stencil halo; a q that depends on neither t nor u is
 evaluated there once per solve.  Given the cells a caller reads at the
@@ -40,7 +42,7 @@ from .potential import Potential
 
 
 # ----------------------------------------------------------------------
-# leapfrog start-up
+# linear leapfrog kernel
 
 
 def leapfrog_first_step(u0, v0, dt, dx, source0=None):
@@ -48,6 +50,22 @@ def leapfrog_first_step(u0, v0, dt, dx, source0=None):
     lap = laplacian2(u0, dx)
     acc = lap if source0 is None else lap + source0
     return u0 + dt * v0 + 0.5 * dt**2 * acc
+
+
+def leapfrog_levels(u0, v0, dt, dx, nsteps, source=None):
+    """Levels u^0..u^nsteps of u_tt = Lap_h u + f from (u0, v0), as one
+    array: u^{k+1} = 2u^k - u^{k-1} + dt^2 (Lap_h u^k + f^k) after
+    leapfrog_first_step.  f^k = source[k]; f = 0 when source is None."""
+    U = np.empty((nsteps + 1,) + np.shape(u0))
+    U[0] = u0
+    U[1] = leapfrog_first_step(u0, v0, dt, dx,
+                               None if source is None else source[0])
+    for k in range(1, nsteps):
+        acc = laplacian2(U[k], dx)
+        if source is not None:
+            acc += source[k]
+        U[k + 1] = 2.0 * U[k] - U[k - 1] + dt**2 * acc
+    return U
 
 
 # ----------------------------------------------------------------------
@@ -140,8 +158,11 @@ def solve_semilinear(q: Potential, u0, v0, x0, dx, t0, t_end,
     """Explicit solve of box u = Q(x,u,grad u) on [t0, t_end].
 
     Initial data (u0, v0) at t0; the box must be sized so supports never
-    reach the boundary (zero-padding stencils).  With q == 0 the leapfrog
-    scheme is the plain kernel u^{k+1} = 2u^k - u^{k-1} + dt^2 Lap_h u^k.
+    reach the boundary (zero-padding stencils).  The leapfrog scheme
+    solves the linear equation only: it is leapfrog_levels with f = 0,
+    keeps every level while stepping and returns the sampled ones, with
+    centered d_t u (one-sided at t_end, v0 at t0).  Any q but the zero
+    potential raises ConfigError there.
 
     q must vanish wherever some |x_j - q.center_j| >= q.R: the gradient
     and Q are evaluated only on that box (plus a stencil halo), and Q is
@@ -187,27 +208,16 @@ def solve_semilinear(q: Potential, u0, v0, x0, dx, t0, t_end,
         bounds = _region_bounds(region, u0.shape)
     else:
         raise ConfigError("solve_semilinear: a region needs scheme 'rk4'")
+    if scheme == "leapfrog" and q.key != "zero":
+        raise ConfigError(f"solve_semilinear: potential '{q.key}' is not "
+                          "zero; the leapfrog scheme is linear, use 'rk4'")
     nsteps = max(1, int(np.ceil(span / dt_target - 1e-12)))
     dtv = span / nsteps
     guard = BLOWUP_FACTOR * (np.max(np.abs(u0)) + 1e-30)
-    nf = None  # (slices, coordinates, static q) of the null-form window
-
-    def windowed_null_form(t, u, ut, grad):
-        win, xw, qw = nf
-        uw = u[win]
-        if qw is None:
-            qw = q.q(t, xw, uw)
-        return null_form_grid(qw, ut[win], grad(uw, dx))
-
     keep = set(range(0, nsteps + 1, sample_every)) | {nsteps}
-    times, us, uts = [], [], []
-
-    def sample(k, u, ut):
-        times.append(t0 + k * dtv)
-        us.append(u)
-        uts.append(ut)
-
     if scheme == "rk4":
+        times, us, uts = [], [], []
+        nf = None  # (slices, coordinates, static q) of the null-form window
         u, v = u0.copy(), v0.copy()
         w = None
         # stage arguments (su, sv), right side dv, k1 + 2k2 + 2k3 + k4 sums
@@ -217,7 +227,11 @@ def solve_semilinear(q: Potential, u0, v0, x0, dx, t0, t_end,
         def rhs(t, u, v, dv):
             laplacian4(u, dx, out=dv)
             if nf is not None:
-                dv[nf[0]] -= windowed_null_form(t, u, v, grad1_4)
+                win, xw, qw = nf
+                uw = u[win]
+                if qw is None:
+                    qw = q.q(t, xw, uw)
+                dv[win] -= null_form_grid(qw, v[win], grad1_4(uw, dx))
 
         def stage_args(c, ku, kv):
             # (uw + c ku, vw + c kv), written into (su, sv); ku may be sv
@@ -227,7 +241,9 @@ def solve_semilinear(q: Potential, u0, v0, x0, dx, t0, t_end,
         for k in range(nsteps + 1):
             t = t0 + k * dtv
             if k in keep:
-                sample(k, u.copy(), v.copy())
+                times.append(t)
+                us.append(u.copy())
+                uts.append(v.copy())
             if k == nsteps:
                 break
             # the region's backward light cone at t, plus the margin
@@ -264,31 +280,14 @@ def solve_semilinear(q: Potential, u0, v0, x0, dx, t0, t_end,
     # leapfrog
     if dtv * np.sqrt(n) / min(dx) > CFL_LIMIT:
         raise CFLError("leapfrog time step violates CFL")
-    nf = _null_form_window(support, tuple(slice(0, m) for m in u0.shape), xs,
-                           q_box)
-
-    u_prev = u0
-    f0 = None
-    if nf is not None:
-        f0 = np.zeros_like(u0)
-        f0[nf[0]] = -windowed_null_form(t0, u0, v0, grad1_2)
-    u_cur = leapfrog_first_step(u0, v0, dtv, dx, f0)
-    sample(0, u0, v0)
-    for k in range(1, nsteps):
-        t = t0 + k * dtv
-        acc = laplacian2(u_cur, dx)
-        if nf is not None:
-            # 2nd-order time-derivative estimate at level k without u^{k+1}
-            ut_est = (u_cur - u_prev) / dtv + 0.5 * dtv * acc
-            acc[nf[0]] -= windowed_null_form(t, u_cur, ut_est, grad1_2)
-        u_next = 2.0 * u_cur - u_prev + dtv**2 * acc
-        if not np.max(np.abs(u_next)) <= guard:
-            raise BlowUpError(f"blow-up guard tripped at t={t + dtv:.4f}")
-        if k in keep:
-            sample(k, u_cur, (u_next - u_prev) / (2 * dtv))
-        u_prev, u_cur = u_cur, u_next
-    sample(nsteps, u_cur, (u_cur - u_prev) / dtv)
-    return Trajectory(np.array(times), np.array(us), np.array(uts), x0, dx)
+    U = leapfrog_levels(u0, v0, dtv, dx, nsteps)
+    for k in range(1, nsteps + 1):
+        if not np.max(np.abs(U[k])) <= guard:
+            raise BlowUpError(f"blow-up guard tripped at t={t0 + k * dtv:.4f}")
+    ut = _centered_ut(U, dtv)
+    ut[0] = v0
+    idx = sorted(keep)
+    return Trajectory(t0 + np.array(idx) * dtv, U[idx], ut[idx], x0, dx)
 
 
 # ----------------------------------------------------------------------
@@ -446,32 +445,16 @@ def _nullform_traj(q, times, xs, A, dt, dx):
     return null_form_grid(q.q(t, xs, A), _centered_ut(A, dt), grad1_2(A, dx))
 
 
-def _solve_forced_wave(source, dt, dx):
-    """Leapfrog solve of box w = g with zero data; source = g per level.
-
-    Returns the trajectory array w[k].  Uses f = -g in the u_tt = Lap u + f
-    form of the kernel.
-    """
-    nt = source.shape[0]
-    w = np.zeros_like(source)
-    f = -source
-    # w^0 = 0, d_t w^0 = 0
-    w[1] = 0.5 * dt**2 * (laplacian2(w[0], dx) + f[0])
-    for k in range(1, nt - 1):
-        w[k + 1] = (2 * w[k] - w[k - 1]
-                    + dt**2 * (laplacian2(w[k], dx) + f[k]))
-    return w
-
-
 def picard_iterate(q: Potential, v_traj: Trajectory, spec: WeightedNormSpec,
                    residual=None, tol: float = 1e-10, j_max: int = 12):
     """Fixed-point iteration upgrading v to a discrete exact solution.
 
     box w_0 = -r;  box w_j = [Q(v+w_{j-1}) - Q(v)] - r,  zero data,
     where r = box_h v - Q_h(v) is the leapfrog-consistent discrete
-    residual (supplied or computed here).  All operators match the
-    leapfrog kernel so the limit satisfies the discrete equation to
-    iteration tolerance.
+    residual (supplied or computed here).  Each w_j is leapfrog_levels
+    on v's time levels with zero data and f = -(box w_j), the kernel
+    that box_h and Q_h are consistent with, so the limit satisfies the
+    discrete equation to iteration tolerance.
 
     Returns (IterationTrace, limit Trajectory).
     """
@@ -487,15 +470,20 @@ def picard_iterate(q: Potential, v_traj: Trajectory, spec: WeightedNormSpec,
     def wrap(warr):
         return Trajectory(times, warr, _centered_ut(warr, dt), v_traj.x0, dx)
 
+    zero = np.zeros_like(v[0])
+
+    def forced(f):
+        return leapfrog_levels(zero, zero, dt, dx, len(times) - 1, f)
+
     norms, diffs, ratios = [], [], []
-    w_prev = _solve_forced_wave(-residual, dt, dx)
+    w_prev = forced(residual)
     norms.append(spacetime_norm(wrap(w_prev), spec))
     converged = False
     j_stop = 0
     w = w_prev
     for j in range(1, j_max + 1):
         Qvw = _nullform_traj(q, times, xs, v + w_prev, dt, dx)
-        w = _solve_forced_wave(Qvw - Qv - residual, dt, dx)
+        w = forced(-(Qvw - Qv - residual))
         norms.append(spacetime_norm(wrap(w), spec))
         d = spacetime_norm(wrap(w - w_prev), spec)
         diffs.append(d)
