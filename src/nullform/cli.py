@@ -38,8 +38,7 @@ from .geoptics import (AnsatzSpec, assemble_uN, build_hierarchy,
 from .gridio import read_bundle, write_bundle, write_pgm
 from .grids import l2_norm
 from .minkowski import LightVector
-from .potential import (VectorFieldF, get_potential, list_potentials,
-                        uniqueness_certificate)
+from .potential import get_potential, list_potentials, uniqueness_certificate
 from .profiles import PROFILE_CATALOG, bump, get_profile
 from .raytransform import lightray_forward
 from .recovery import (ansatz_measurements, fdtd_measurements,
@@ -122,11 +121,20 @@ class ScenarioConfig:
             return tuple(p.strip() for p in s.split(",") if p.strip())
         return self._cast(sec, key, default, conv, "a name list")
 
-    def linspace(self, sec, key, default=_REQUIRED):
-        """'lo:hi:n' -> n uniform samples on [lo, hi]."""
+    @staticmethod
+    def _count(sec, key, text, least):
+        n = int(text)
+        if n < least:
+            raise ConfigError(f"[{sec}] {key}: sample count must be "
+                              f">= {least}, got {n}")
+        return n
+
+    def linspace(self, sec, key, default=_REQUIRED, least=1):
+        """'lo:hi:n' -> n >= least uniform samples on [lo, hi]."""
         def conv(s):
             lo, hi, n = s.split(":")
-            return np.linspace(_number(lo), _number(hi), int(n))
+            return np.linspace(_number(lo), _number(hi),
+                               self._count(sec, key, n, least))
         return self._cast(sec, key, default, conv, "a 'lo:hi:n' range")
 
     def intervals(self, sec, key, default=_REQUIRED):
@@ -152,9 +160,11 @@ class ScenarioConfig:
         def conv(s):
             if ":" in s:
                 lo, hi, n = s.split(":")
-                return np.linspace(_number(lo), _number(hi), int(n),
+                return np.linspace(_number(lo), _number(hi),
+                                   self._count(sec, key, n, 1),
                                    endpoint=False)
-            return np.linspace(0.0, np.pi, int(s), endpoint=False)
+            return np.linspace(0.0, np.pi, self._count(sec, key, s, 1),
+                               endpoint=False)
         return self._cast(sec, key, default, conv,
                           "an angle count or 'lo:hi:n'")
 
@@ -276,11 +286,9 @@ def run_forward(cfg, n, outdir, jobs):
     q = _potential(cfg, n)
     phi = _profile(cfg, "phi")
     V = _light_vector(cfg, n, "v")
-    W = _light_vector(cfg, n, "w")
     offsets = cfg.linspace("forward", "offsets")
     angles = cfg.angles("forward", "angles")
-    fld = VectorFieldF(q, phi, V)
-    sino = lightray_forward(fld, V, W, offsets, angles)
+    sino = lightray_forward(q, phi, V, offsets, angles)
     (outdir / "sinogram.csv").write_text(sino.to_csv())
     cell = (offsets[1] - offsets[0]) if len(offsets) > 1 else 1.0
     return {
@@ -446,7 +454,9 @@ def run_recover(cfg, n, outdir, jobs):
     h = cfg.positive("recover", "h")
     ppw = cfg.positive("recover", "ppw", 20 if provider == "ansatz" else 16,
                        "int")
-    offsets = cfg.linspace("recover", "offsets")
+    # the sinogram and the pixel grid must be uniform: two samples each
+    offsets = cfg.linspace("recover", "offsets", least=2)
+    ax = cfg.linspace("recover", "axes", offsets, least=2)
     angles = cfg.angles("recover", "angles")
     method = cfg.str("recover", "method", "fbp")
     if method not in ("fbp", "rls"):
@@ -477,7 +487,6 @@ def run_recover(cfg, n, outdir, jobs):
         T0 = cfg.float("time", "t0")
         probes = [fdtd_measurements(q, phi, chi, A, B, h, offsets, angles,
                                     Tp, T0, ppw=ppw)]
-    ax = cfg.linspace("recover", "axes", offsets)
     X1, X2 = ax[:, None], ax[None, :]
     truth = np.asarray(q.q(0.0, [X1, X2], 0.0), dtype=float)
     truth = np.broadcast_to(truth, (len(ax), len(ax)))

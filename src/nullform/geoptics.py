@@ -38,7 +38,7 @@ from .errors import CFLError, ConfigError, QuadratureError, \
 from .grids import (SpacetimeGrid, diff1, diff2, grad1_2, l2_norm,
                     laplacian2, shift)
 from .minkowski import LightVector, phase_arg, twin_pairing
-from .potential import Potential
+from .potential import Potential, scalar_F
 from .profiles import Profile
 from .raytransform import _adaptive_line_integral, _line_bounds
 
@@ -149,14 +149,10 @@ def ray_exponent(q: Potential, phi: Profile, V: LightVector,
     below RAY_QUAD_ABS_TOL.  t is a scalar; xp has shape (npts, n).
     """
     omega = np.array(W.direction)
-    pairing = twin_pairing(V, omega)
     lo, hi = _ray_sigma_bounds(q, t, xp, omega)
 
     def fvals(sig, xs):
-        """F = q(x, phi_V) phi'(<x,V>_M) <Vt,Wt>_M at x = (t - sig, xs)."""
-        tt = t - sig
-        f, df = phi.f_df(phase_arg(tt, xs, V))
-        return q.q(tt, xs, f) * df * pairing
+        return scalar_F(q, phi, V, omega, t - sig, xs)
 
     try:
         return _adaptive_line_integral(fvals, xp, omega, lo, hi - lo)

@@ -11,11 +11,11 @@ hand-coded.
 
 The induced objects of the inverse problem live here too, each as one
 kernel on broadcast coordinates (t, xs); a single point is 0-d arrays.
-They are the vector field F(V,x) = q(x, φ_V) φ'_V Vt, the scalar
-F(V,W,x) = <F, Wt>_M, and dη for the one-form η with components
-q φ'_V Vt_j.  The certificate max |dη| vanishes iff q does (sampled
-over profile/direction families).  The null form
-q(x,u) ((d_t u)^2 - |grad' u|^2) is fdtd.null_form_grid.
+They are the scalar F(V,W,x) = <F(V,x), Wt>_M, which pairs the field
+F(V,x) = q(x, φ_V) φ'_V Vt with the carrier's twin, and dη for the
+one-form η with components q φ'_V Vt_j.  The certificate max |dη|
+vanishes iff q does (sampled over profile/direction families).  The null
+form q(x,u) ((d_t u)^2 - |grad' u|^2) is fdtd.null_form_grid.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import ConfigError
-from .minkowski import LightVector, mdot_vec, phase_arg
+from .minkowski import LightVector, phase_arg, twin_pairing
 from .profiles import Profile, bump
 
 
@@ -254,27 +254,12 @@ def list_potentials(n: int = 2):
 # F, dη, certificate
 
 
-@dataclass(frozen=True)
-class VectorFieldF:
-    """F(V,x) = q(x, φ_V(x)) φ'_V(x) Vt, a rank-one covector field."""
-
-    q: Potential
-    phi: Profile
-    V: LightVector
-
-    def scalar_prefactor(self, t, xs):
-        """q(x, φ_V) φ'_V on broadcast coordinates."""
-        f, df = self.phi.f_df(phase_arg(t, xs, self.V))
-        return self.q.q(t, xs, f) * df
-
-
-def scalar_F(q: Potential, phi: Profile, V: LightVector, W: LightVector,
-             t, xs):
-    """F(V,W,x) = <q(x,φ_V) φ'_V Vt, Wt>_M (real) on broadcast coordinates."""
-    if W.sign != -1:
-        raise ConfigError("scalar_F: W must have sign -1 (forward convention)")
-    pair = float(mdot_vec(V.twin_array(), W.twin_array()))
-    return VectorFieldF(q, phi, V).scalar_prefactor(t, xs) * pair
+def scalar_F(q: Potential, phi: Profile, V: LightVector, omega, t, xs):
+    """F = q(x, φ_V) φ'_V <Vt,Wt>_M on broadcast coordinates, for the
+    carrier W = (-1, omega): the transport coefficient that the ray
+    exponent and the light-ray transform integrate."""
+    f, df = phi.f_df(phase_arg(t, xs, V))
+    return q.q(t, xs, f) * df * twin_pairing(V, omega)
 
 
 def exterior_derivative(q: Potential, phi: Profile, V: LightVector, t, xs):
@@ -302,9 +287,7 @@ def exterior_derivative(q: Potential, phi: Profile, V: LightVector, t, xs):
 class CertificateReport:
     max_abs: float
     per_pair: dict
-    grid_spacing: float
     inconclusive: bool
-    note: str = ""
 
 
 def _phi_prime_on_supp_q(q, phi, V, t, xs) -> bool:
@@ -345,8 +328,4 @@ def uniqueness_certificate(q: Potential, profile_set, lightvector_set,
     inconclusive = best == 0.0 and not any(
         _phi_prime_on_supp_q(q, phi, V, t, xs)
         for phi in profile_set for V in lightvector_set)
-    spacing = float(max((hi - lo) / (grid_points_per_axis - 1) for lo, hi in box))
-    note = ""
-    if inconclusive:
-        note = "all sampled profiles have phi' = 0 on supp q: inconclusive"
-    return CertificateReport(best, per_pair, spacing, inconclusive, note)
+    return CertificateReport(best, per_pair, inconclusive)

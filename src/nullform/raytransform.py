@@ -27,7 +27,7 @@ from .constants import (FBP_APODIZATION_NYQUIST, FBP_MIN_ANGLES,
                         RAY_QUAD_MAX_NODES)
 from .errors import ConfigError, QuadratureError
 from .minkowski import LightVector, twin_pairing
-from .potential import Potential, VectorFieldF
+from .potential import Potential, scalar_F
 from .profiles import Profile
 
 
@@ -84,10 +84,8 @@ class Sinogram:
 class Reconstruction:
     """Gridded scalar field over the support box."""
 
-    axes: tuple  # (x1 axis, x2 axis)
     values: np.ndarray
     method: str
-    reg: float = 0.0
     rel_l2_error: float = None
 
 
@@ -179,17 +177,22 @@ def _adaptive_line_integral(fvals, base, direction, lo, length):
         ray=int(act[np.argmax(update)]))
 
 
+def sweep_frame(a):
+    """omega = (cos a, sin a) and omega-perp = (-sin a, cos a) at the
+    sweep angle a; the line for (s, a) is s*omega-perp + nu*omega."""
+    c, s = np.cos(a), np.sin(a)
+    return np.array([c, s]), np.array([-s, c])
+
+
 def _sweep(offsets, angles, center, R, fvals, window):
     """Integrals of fvals(sig, xs, omega) along every sweep line.
 
-    The line for (s, a) is s*(-sin a, cos a) + nu*(cos a, sin a); nu runs
-    over the chord of the ball (center, R), clamped to `window`.
+    nu runs over the chord of the ball (center, R), clamped to `window`.
     """
     offsets = np.asarray(offsets, dtype=float)
     samples = np.zeros((offsets.size, np.size(angles)))
     for ja, a in enumerate(np.asarray(angles, dtype=float)):
-        om = np.array([np.cos(a), np.sin(a)])
-        perp = np.array([-np.sin(a), np.cos(a)])
+        om, perp = sweep_frame(a)
         base = offsets[:, None] * perp[None, :]
         lo, hi = _line_bounds(center, R, base, om)
         lo = np.maximum(lo, window[0])
@@ -199,27 +202,23 @@ def _sweep(offsets, angles, center, R, fvals, window):
     return samples
 
 
-def lightray_forward(fld: VectorFieldF, V: LightVector, W: LightVector,
+def lightray_forward(q: Potential, phi: Profile, V: LightVector,
                      offsets, angles) -> Sinogram:
-    """Sinogram of the light-ray transform of F over an angle sweep.
+    """Sinogram of the light-ray transform of scalar_F over an angle sweep.
 
-    W fixes the sign convention (must be -1, incoming); the direction
-    omega is swept over `angles`.  Each line is at time 0 at nu = 0.
+    The carrier W = (-1, omega) takes each omega of the sweep in turn.
+    Each line is at time 0 at nu = 0.
     """
-    if V is not fld.V and V != fld.V:
-        raise ConfigError("lightray_forward: V does not match the field")
-    if W.sign != -1:
-        raise ConfigError("lightray_forward: W must have sign -1")
-    if fld.q.n != 2:
+    if q.n != 2:
         raise ConfigError("lightray_forward: sinogram sweep is 2-D only")
-    tr = fld.q.time_radius
+    tr = q.time_radius
     window = (-np.inf, np.inf) if tr is None else (-tr, tr)
 
     def fvals(sig, xs, om):
-        return fld.scalar_prefactor(sig, xs) * twin_pairing(V, om)
+        return scalar_F(q, phi, V, om, sig, xs)
 
-    samples = _sweep(offsets, angles, np.array(fld.q.center), fld.q.R,
-                     fvals, window)
+    samples = _sweep(offsets, angles, np.array(q.center), q.R, fvals,
+                     window)
     return Sinogram(offsets, angles, samples)
 
 
@@ -227,28 +226,15 @@ def lightray_forward(fld: VectorFieldF, V: LightVector, W: LightVector,
 # reduction to the Euclidean X-ray transform
 
 
-@dataclass(frozen=True)
-class ReducedIntegrand:
-    """The x'-integrand whose straight-line integrals equal L_1.
-
-    Valid only in the reduced configuration: q time-independent and
-    u-independent, theta perpendicular to omega, and phi' constant over
-    the interaction window; then the ray integrand q(x') phi'(..) <Vt,Wt>_M
-    collapses to weight * q(x').
-    """
-
-    q: Potential
-    weight: float
-
-    def __call__(self, x1, x2):
-        return self.weight * self.q.q(0.0, [np.asarray(x1, dtype=float),
-                                            np.asarray(x2, dtype=float)],
-                                      0.0)
-
-
 def xray_reduce(q: Potential, phi: Profile, V: LightVector,
-                W: LightVector) -> ReducedIntegrand:
-    """Exact reduction of L_1 to an X-ray transform on R^2."""
+                W: LightVector) -> float:
+    """The weight phi'(0) <Vt,Wt>_M that reduces L_1 to an X-ray transform.
+
+    Valid only in the reduced configuration, which is checked: q
+    time-independent and u-independent, theta perpendicular to omega,
+    and phi' constant over the interaction window.  Then scalar_F
+    collapses to weight * q(x') on every ray.
+    """
     if q.n != 2:
         raise ConfigError("xray_reduce: 2-D potentials only")
     if q.time_radius is not None:
@@ -270,7 +256,7 @@ def xray_reduce(q: Potential, phi: Profile, V: LightVector,
     if np.max(np.abs(phi.df(s) - slope)) > 1e-12:
         raise ConfigError("xray_reduce: phi' not constant over the "
                           "interaction window (unreduced configuration)")
-    return ReducedIntegrand(q, slope * twin_pairing(V, om))
+    return slope * twin_pairing(V, om)
 
 
 # ----------------------------------------------------------------------
@@ -309,10 +295,11 @@ def _fbp(sino: Sinogram, axes) -> np.ndarray:
     ext = np.concatenate(([ang[-1] - np.pi], ang, [ang[0] + np.pi]))
     wa = 0.5 * (ext[2:] - ext[:-2])
     for ja, a in enumerate(ang):
+        _, perp = sweep_frame(a)
         p = np.zeros(npad)
         p[pad0:pad0 + n] = sino.samples[:, ja]
         q = np.fft.irfft(np.fft.rfft(p) * filt, npad)
-        s = -np.sin(a) * X1 + np.cos(a) * X2  # signed offset of each pixel
+        s = perp[0] * X1 + perp[1] * X2  # signed offset of each pixel
         # linear interpolation of the filtered projection (incl. tails)
         u = (s - s0) / ds
         i0 = np.clip(np.floor(u).astype(int), 0, npad - 2)
@@ -355,8 +342,9 @@ def _xray_matrix(sino: Sinogram, axes) -> sparse.csr_matrix:
     data = np.empty(cap)
     nnz = 0
     for ja, a in enumerate(sino.angles):
-        u = (nu * np.cos(a) - off * np.sin(a) - x1[0]) / d1
-        v = (off * np.cos(a) + nu * np.sin(a) - x2[0]) / d2
+        om, perp = sweep_frame(a)
+        u = (nu * om[0] + off * perp[0] - x1[0]) / d1
+        v = (off * perp[1] + nu * om[1] - x2[0]) / d2
         inside = ((u >= -_EDGE_TOL) & (u <= n1 - 1 + _EDGE_TOL)
                   & (v >= -_EDGE_TOL) & (v <= n2 - 1 + _EDGE_TOL))
         u, v, rows = u[inside], v[inside], ray[inside]
@@ -446,4 +434,4 @@ def invert_xray_2d(sino: Sinogram, axes, method: str = "fbp",
         denom = float(np.sqrt(np.sum(t * t)))
         if denom > 0:
             err = float(np.sqrt(np.sum((values - t) ** 2))) / denom
-    return Reconstruction(axes, values, method, reg, err)
+    return Reconstruction(values, method, err)

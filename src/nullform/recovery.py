@@ -38,7 +38,7 @@ from .geoptics import AnsatzSpec, a10_points, dt_u_incident, u_incident
 from .minkowski import LightVector
 from .potential import Potential
 from .profiles import Profile
-from .raytransform import Sinogram, invert_xray_2d, xray_reduce
+from .raytransform import Sinogram, invert_xray_2d, sweep_frame, xray_reduce
 
 
 # ----------------------------------------------------------------------
@@ -270,8 +270,7 @@ def _sweep_vectors(angle: float):
     term -2 q phi' sign(V) d_t, and the +1 choice feeds a finite-time
     blow-up of the full solve for O(1) potentials.
     """
-    om = np.array([np.cos(angle), np.sin(angle)])
-    th = np.array([-om[1], om[0]])
+    om, th = sweep_frame(angle)
     return om, th, LightVector(-1, tuple(th)), LightVector(-1, tuple(om))
 
 
@@ -319,7 +318,7 @@ def ansatz_measurements(q: Potential, phi: Profile, chi: Profile,
     probes = []
     for a in np.asarray(angles, dtype=float):
         om, th, V, W = _sweep_vectors(float(a))
-        red = xray_reduce(q, phi, V, W)  # validates the reduced config
+        weight = xray_reduce(q, phi, V, W)  # validates the reduced config
         # the band must lie wholly behind supp q, whose back edge along
         # omega is omega.c - R
         if band_front >= om @ np.asarray(q.center) - q.R:
@@ -334,7 +333,7 @@ def ansatz_measurements(q: Potential, phi: Profile, chi: Profile,
             return TimeSliceMeasurement(bg + osc, r, hh, Tprime, bg)
 
         half = slice_at(0.5 * h) if richardson else None
-        probes.append(Probe(np.array([a]), red.weight, offsets,
+        probes.append(Probe(np.array([a]), weight, offsets,
                             slice_at(h), half))
     return probes
 
@@ -386,7 +385,7 @@ def fdtd_measurements(q: Potential, phi: Profile, chi: Profile,
                           "supp q at the initial time")
 
     _, _, V0, W0 = _sweep_vectors(0.0)
-    red = xray_reduce(q, phi, V0, W0)
+    weight = xray_reduce(q, phi, V0, W0)
     d = 2.0 * np.pi * h / ppw
     span = Tprime - T0
     band = chi.support_radius + BAND_PAD
@@ -431,7 +430,7 @@ def fdtd_measurements(q: Potential, phi: Profile, chi: Profile,
     bg = np.broadcast_to(phi.f(-Tprime * V0.sign + offsets)[:, None],
                          rows.shape).copy()
     # the pulse band crosses the scatterer plane omega.x = 0 at t = 0
-    return Probe(angles, red.weight, offsets,
+    return Probe(angles, weight, offsets,
                  TimeSliceMeasurement(rows, r, h, Tprime, bg),
                  backpropagate=Tprime)
 

@@ -29,7 +29,7 @@ from nullform.geoptics import (_EDGE_LEVELS, _Frame, _ray_sigma_bounds,
                                a10_points)
 from nullform.grids import (SpacetimeGrid, diff1, diff2, l2_norm, laplacian2,
                             shift)
-from nullform.minkowski import twin_pairing
+from nullform.minkowski import phase_arg, twin_pairing
 from nullform.raytransform import Sinogram, _line_bounds, _sweep
 from nullform.recovery import (ExtractedAmplitude, TimeSliceMeasurement,
                                _r_window, _sweep_vectors)
@@ -136,25 +136,26 @@ def pts_a10_points(q, phi, chi, V, W, A, B, t, xp):
     return out
 
 
-def pts_lightray_forward(fld, V, offsets, angles) -> Sinogram:
+def pts_lightray_forward(q, phi, V, offsets, angles) -> Sinogram:
     """lightray_forward's sweep, one pts_line_integral per angle."""
     offsets = np.asarray(offsets, dtype=float)
     angles = np.asarray(angles, dtype=float)
-    tr = fld.q.time_radius
+    tr = q.time_radius
     window = (-np.inf, np.inf) if tr is None else (-tr, tr)
-    center = np.array(fld.q.center)
+    center = np.array(q.center)
     samples = np.zeros((offsets.size, angles.size))
     for ja, a in enumerate(angles):
         om = np.array([np.cos(a), np.sin(a)])
         perp = np.array([-np.sin(a), np.cos(a)])
         base = offsets[:, None] * perp[None, :]
-        lo, hi = _line_bounds(center, fld.q.R, base, om)
+        lo, hi = _line_bounds(center, q.R, base, om)
         lo = np.maximum(lo, window[0])
         length = np.maximum(np.minimum(hi, window[1]) - lo, 0.0)
 
         def fvals(sig, pts, om=om):
-            pref = fld.scalar_prefactor(sig, [pts[..., 0], pts[..., 1]])
-            return pref * twin_pairing(V, om)
+            xs = [pts[..., 0], pts[..., 1]]
+            f, df = phi.f_df(phase_arg(sig, xs, V))
+            return q.q(sig, xs, f) * df * twin_pairing(V, om)
 
         samples[:, ja] = pts_line_integral(fvals, base, om, lo, length)
     return Sinogram(offsets, angles, samples)

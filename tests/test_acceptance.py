@@ -101,7 +101,7 @@ def test_criterion_3_transport_vs_closed_form():
     nt = int(round(3.0 / d)) + 1          # t in (-2, 1)
     grid = SpacetimeGrid(-2.0, d, nt, (-1.6, -0.8), (d, d), (nx, ny))
     T, X, Y = grid.coords()
-    F = scalar_F(q, PHI, V, W, T, [X, Y]) + np.zeros(grid.shape)
+    F = scalar_F(q, PHI, V, W.direction, T, [X, Y]) + np.zeros(grid.shape)
     inflow = (0.5 * (1.0 - 0.5j) * CHI.f(-2.0 + grid.axis(0))[:, None]
               * np.ones((nx, ny)))
     A = solve_transport(0.0, F, (1.0, 0.0), inflow, grid)

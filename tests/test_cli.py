@@ -277,6 +277,33 @@ def test_nonpositive_size_exits_2(tmp_path, capsys, scenario, section, key,
         not list((tmp_path / "out").rglob("summary.json"))
 
 
+@pytest.mark.parametrize("scenario,section,key,value", [
+    ("forward_bump2d", "forward", "angles", "0"),
+    ("forward_bump2d", "forward", "angles", "0:1:0"),
+    ("forward_bump2d", "forward", "offsets", "-0.8:0.8:0"),
+    ("recover_small", "recover", "angles", "-1"),
+    ("recover_small", "recover", "offsets", "-0.8:0.8:0"),
+    ("recover_small", "recover", "offsets", "-0.8:0.8:1"),
+    ("recover_small", "recover", "axes", "-0.8:0.8:1")])
+def test_empty_sweep_range_exits_2(tmp_path, capsys, monkeypatch, scenario,
+                                   section, key, value):
+    # a recover range that cannot give a uniform grid is rejected before
+    # any probe is synthesized
+    def no_synthesis(*args, **kwargs):
+        raise AssertionError("probe synthesis ran before validation")
+
+    monkeypatch.setattr("nullform.cli.ansatz_measurements", no_synthesis)
+    parser = configparser.ConfigParser(interpolation=None)
+    parser.read(SCENARIOS / f"{scenario}.cfg")
+    parser[section][key] = value
+    p = tmp_path / "scn.cfg"
+    with open(p, "w") as fh:
+        parser.write(fh)
+    assert main(["run", str(p), "--out", str(tmp_path / "out")]) == 2
+    assert f"[{section}] {key}: sample count must be >=" in \
+        capsys.readouterr().err
+
+
 # ----------------------------------------------------------------------
 # compare
 

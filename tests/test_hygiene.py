@@ -1,6 +1,6 @@
 """Source hygiene without a linter: no dead imports, no unread constants,
-no unread private functions or classes, no heavy scipy subpackage on the
-import path."""
+no unread private functions or classes, no unread dataclass fields, no
+heavy scipy subpackage on the import path."""
 
 import ast
 import json
@@ -83,6 +83,33 @@ def test_every_private_def_is_read():
             if node.name not in read:
                 dead.append(f"{name}:{node.name}")
     assert not dead, f"private definitions nothing in src/ reads: {dead}"
+
+
+def _is_dataclass(cls):
+    for dec in cls.decorator_list:
+        fn = dec.func if isinstance(dec, ast.Call) else dec
+        if "dataclass" in (getattr(fn, "id", None), getattr(fn, "attr", None)):
+            return True
+    return False
+
+
+def test_every_dataclass_field_is_read():
+    # a field written but never read as an attribute, in src/ or tests/,
+    # is state nothing consumes
+    tests = sorted(Path(__file__).resolve().parent.glob("*.py"))
+    read = set()
+    for path in MODULES + tests:
+        read |= {node.attr for node in ast.walk(_tree(path))
+                 if isinstance(node, ast.Attribute)
+                 and isinstance(node.ctx, ast.Load)}
+    unread = [f"{path.name}:{cls.name}.{stmt.target.id}"
+              for path in MODULES for cls in ast.walk(_tree(path))
+              if isinstance(cls, ast.ClassDef) and _is_dataclass(cls)
+              for stmt in cls.body
+              if isinstance(stmt, ast.AnnAssign)
+              and isinstance(stmt.target, ast.Name)
+              and stmt.target.id not in read]
+    assert not unread, f"dataclass fields nothing reads: {unread}"
 
 
 def test_cli_import_loads_no_heavy_scipy():

@@ -2,11 +2,11 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from nullform.errors import ConfigError
-from nullform.minkowski import LightVector, mdot_vec, phase_arg
+from nullform.minkowski import LightVector, mdot_vec, phase_arg, twin_pairing
 from nullform.profiles import (PROFILE_CATALOG, bump, cos4_window, get_profile,
                                ramp, sbump)
 
@@ -42,6 +42,21 @@ def test_minkowski_dot_examples():
     for V in [LightVector(1, (0.6, 0.8)), LightVector(-1, (0.6, 0.8))]:
         assert phase_arg(*_pt(*x), V) == pytest.approx(
             mdot_vec(x, _covector(V)), abs=1e-15)
+
+
+_unit_components = st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3)
+
+
+@given(n=st.integers(1, 3), sign=st.sampled_from((-1, 1)),
+       theta=_unit_components, omega=_unit_components)
+def test_twin_pairing_is_the_metric_pairing(n, sign, theta, omega):
+    # <Vt,Wt>_M for the carrier's twin Wt = (1, omega); both sides are O(1)
+    th, om = np.array(theta[:n]), np.array(omega[:n])
+    assume(min(np.linalg.norm(th), np.linalg.norm(om)) > 0.1)
+    V = LightVector(sign, tuple(th / np.linalg.norm(th)))
+    om = om / np.linalg.norm(om)
+    want = mdot_vec(V.twin_array(), [1.0, *om])
+    assert abs(twin_pairing(V, om) - want) <= 4 * np.finfo(float).eps
 
 
 def test_lightvector_invariants():

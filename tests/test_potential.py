@@ -9,8 +9,8 @@ from nullform.errors import ConfigError
 from nullform.fdtd import null_form_grid
 from nullform.minkowski import LightVector, phase_arg
 from nullform.potential import (
-    SeparablePotential, VectorFieldF, exterior_derivative, get_potential,
-    list_potentials, scalar_F, uniqueness_certificate,
+    SeparablePotential, exterior_derivative, get_potential, list_potentials,
+    scalar_F, uniqueness_certificate,
 )
 from nullform.profiles import bump, cos4_window, ramp, sbump
 
@@ -160,49 +160,48 @@ def test_scalar_F_examples():
     p = get_potential("radial_bump", 2)
     phi = cos4_window(2.0, 1.0)
     V = LightVector(1, (0.0, 1.0))
-    W = LightVector(-1, (1.0, 0.0))
+    om = (1.0, 0.0)  # carrier W = (-1, om)
     # outside supp q
-    assert scalar_F(p, phi, V, W, *_pt(0.0, 5.0, 0.0)) == 0.0
+    assert scalar_F(p, phi, V, om, *_pt(0.0, 5.0, 0.0)) == 0.0
     # phi' vanishes at the window centre argument s = <x,V>_M = 0 (t = x2)
-    assert scalar_F(p, phi, V, W, *_pt(0.2, 0.1, 0.2)) == \
+    assert scalar_F(p, phi, V, om, *_pt(0.2, 0.1, 0.2)) == \
         pytest.approx(0.0, abs=1e-15)
     # independent per-factor oracle
     sarg = -0.1 + (-0.3)
     expect = float(p.q(0.1, [np.array(0.2), np.array(-0.3)], phi.f(sarg))) \
         * float(phi.df(sarg)) * (1.0 + 0.0)  # <Vt,Wt>_M = sV + theta.omega
-    assert scalar_F(p, phi, V, W, *_pt(0.1, 0.2, -0.3)) == \
+    assert scalar_F(p, phi, V, om, *_pt(0.1, 0.2, -0.3)) == \
         pytest.approx(expect, rel=1e-13)
     # on a broadcast grid every entry is the point value, bit for bit
     T = np.array([-0.1, 0.1])[:, None, None]
     X = np.array([-0.2, 0.0, 0.2])[None, :, None]
     Y = np.array([-0.3, 0.25])[None, None, :]
-    grid = scalar_F(p, phi, V, W, T, [X, Y])
+    grid = scalar_F(p, phi, V, om, T, [X, Y])
     assert grid.shape == (2, 3, 2) and np.any(grid != 0.0)
     for (i, j, k), val in np.ndenumerate(grid):
         pt = _pt(T[i, 0, 0], X[0, j, 0], Y[0, 0, k])
-        assert val == scalar_F(p, phi, V, W, *pt)
-    with pytest.raises(ConfigError):
-        scalar_F(p, phi, V, LightVector(1, (1.0, 0.0)), *_pt(0.1, 0.2, -0.3))
+        assert val == scalar_F(p, phi, V, om, *pt)
 
 
 def test_scalar_F_sign_flip_with_phip():
     # flipping the profile's derivative sign flips F, |F| preserved
     p = get_potential("radial_bump", 2)
     V = LightVector(1, (0.0, 1.0))
-    W = LightVector(-1, (1.0, 0.0))
+    om = (1.0, 0.0)  # carrier W = (-1, om)
     phi = sbump(1.5, 1.0)
     phir = sbump(1.5, -1.0)  # phi(-s) has derivative -phi'(-s); odd profile: f(-s)=-f(s)
     x = _pt(0.05, 0.1, 0.2)
-    f1 = scalar_F(get_potential("radial_bump", 2), phi, V, W, *x)
+    f1 = scalar_F(get_potential("radial_bump", 2), phi, V, om, *x)
     # same point evaluated with the mirrored profile
     # (u-independent q, so only phi' enters)
-    f2 = scalar_F(p, phir, V, W, *x)
+    f2 = scalar_F(p, phir, V, om, *x)
     assert f1 == pytest.approx(-f2, rel=1e-12)
 
 
 def _eta(q, phi, V, t, xs):
     """η_j = q(x, φ_V) φ'_V Vt_j, stacked over j."""
-    pref = VectorFieldF(q, phi, V).scalar_prefactor(t, xs)
+    f, df = phi.f_df(phase_arg(t, xs, V))
+    pref = q.q(t, xs, f) * df
     return np.stack([pref * vj for vj in V.twin_array()])
 
 

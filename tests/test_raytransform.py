@@ -10,21 +10,22 @@ from hypothesis import strategies as st
 from nullform.errors import ConfigError, QuadratureError
 from nullform.geoptics import ray_exponent
 from nullform.minkowski import LightVector
-from nullform.potential import Potential, VectorFieldF, get_potential
+from nullform.potential import Potential, get_potential, scalar_F
 from nullform.profiles import bump, ramp
 from nullform.raytransform import (
     Sinogram, _adaptive_line_integral, _xray_matrix, invert_xray_2d,
-    lightray_forward, xray_reduce,
+    lightray_forward, sweep_frame, xray_reduce,
 )
 from oracles import pts_lightray_forward, xray_forward_2d
 
 PHI = ramp(1.5, 0.5, 1.0)
 W0 = LightVector(-1, (1.0, 0.0))
+V1 = LightVector(1, (0.0, 1.0))
 
 
-def _field(key="radial_bump", theta=(0.0, 1.0), amplitude=None):
+def _forward(offsets, angles, key="radial_bump", amplitude=None):
     q = get_potential(key, 2, amplitude=amplitude)
-    return VectorFieldF(q, PHI, LightVector(1, theta))
+    return lightray_forward(q, PHI, V1, offsets, angles)
 
 
 def _phantom_integrand(q):
@@ -38,29 +39,29 @@ def _phantom_integrand(q):
 
 
 def test_zero_potential_zero_sinogram():
-    fld = _field("zero")
-    sino = lightray_forward(fld, fld.V, W0, np.linspace(-1, 1, 11),
-                            np.linspace(0, np.pi, 8, endpoint=False))
+    sino = _forward(np.linspace(-1, 1, 11),
+                    np.linspace(0, np.pi, 8, endpoint=False), "zero")
     assert np.all(sino.samples == 0.0)
 
 
 def test_rays_missing_support_vanish():
-    fld = _field()  # supp q = ball of radius 0.5
-    sino = lightray_forward(fld, fld.V, W0, np.array([-0.9, 0.7, 1.5]),
-                            np.linspace(0, np.pi, 12, endpoint=False))
+    # supp q = ball of radius 0.5
+    sino = _forward(np.array([-0.9, 0.7, 1.5]),
+                    np.linspace(0, np.pi, 12, endpoint=False))
     assert np.max(np.abs(sino.samples)) == 0.0
 
 
 def test_axis_ray_matches_dense_quadrature():
     # oracle: Simpson at 10x the node density of the adaptive pass
     from scipy.integrate import simpson
-    fld = _field()
+    q = get_potential("radial_bump", 2)
     offsets = np.array([0.0, 0.15, -0.3])
-    sino = lightray_forward(fld, fld.V, W0, offsets, np.array([0.0]))
+    sino = _forward(offsets, np.array([0.0]))
     for i, s in enumerate(offsets):
         nu = np.linspace(-0.6, 0.6, 20001)
         # ray (nu, nu, s): t = nu, x1 = nu, x2 = s; pairing = 1 + 0
-        vals = fld.scalar_prefactor(nu, [nu, np.full_like(nu, s)])
+        vals = scalar_F(q, PHI, V1, W0.direction, nu,
+                        [nu, np.full_like(nu, s)])
         assert sino.samples[i, 0] == pytest.approx(
             simpson(vals, x=nu), abs=1e-8)
 
@@ -68,10 +69,8 @@ def test_axis_ray_matches_dense_quadrature():
 def test_forward_linearity_in_amplitude():
     offsets = np.linspace(-0.5, 0.5, 9)
     angles = np.linspace(0, np.pi, 6, endpoint=False)
-    a = lightray_forward(_field(), LightVector(1, (0.0, 1.0)), W0,
-                         offsets, angles)
-    b = lightray_forward(_field(amplitude=3.0), LightVector(1, (0.0, 1.0)),
-                         W0, offsets, angles)
+    a = _forward(offsets, angles)
+    b = _forward(offsets, angles, amplitude=3.0)
     assert np.allclose(b.samples, 3.0 * a.samples, atol=1e-10)
 
 
@@ -80,11 +79,11 @@ def test_forward_linearity_in_amplitude():
                                      ("bump_t_xy", PHI)])
 def test_sinogram_matches_interleaved_points_bit_for_bit(key, phi):
     q = get_potential(key, 2)
-    fld = VectorFieldF(q, phi, LightVector(1, (0.6, 0.8)))
+    V = LightVector(1, (0.6, 0.8))
     offsets = np.linspace(-0.9, 0.9, 19)
     angles = np.linspace(0.0, np.pi, 16, endpoint=False)
-    got = lightray_forward(fld, fld.V, W0, offsets, angles)
-    want = pts_lightray_forward(fld, fld.V, offsets, angles)
+    got = lightray_forward(q, phi, V, offsets, angles)
+    want = pts_lightray_forward(q, phi, V, offsets, angles)
     assert np.max(np.abs(got.samples)) > 0.01
     assert np.array_equal(got.samples, want.samples)
 
@@ -301,13 +300,9 @@ def test_line_integral_stops_at_node_budget(monkeypatch):
 
 
 def test_forward_rejects_bad_args():
-    fld = _field()
-    with pytest.raises(ConfigError):
-        lightray_forward(fld, fld.V, LightVector(1, (1.0, 0.0)),
-                         np.zeros(3), np.zeros(2))
-    with pytest.raises(ConfigError):
-        lightray_forward(fld, LightVector(-1, (0.0, 1.0)), W0,
-                         np.zeros(3), np.zeros(2))
+    with pytest.raises(ConfigError):  # the sweep is 2-D only
+        lightray_forward(get_potential("radial_bump", 1), PHI,
+                         LightVector(1, (1.0,)), np.zeros(3), np.zeros(2))
 
 
 # ----------------------------------------------------------------------
@@ -317,9 +312,7 @@ def test_forward_rejects_bad_args():
 def test_reduce_weight_by_hand():
     # V = (+1,(0,1)), omega = (1,0): <Vt,Wt>_M = 1, phi'(0) = 1
     q = get_potential("radial_bump", 2)
-    red = xray_reduce(q, PHI, LightVector(1, (0.0, 1.0)), W0)
-    assert red.weight == pytest.approx(1.0)
-    assert red(0.0, 0.0) == pytest.approx(q.q(0.0, [0.0, 0.0], 0.0))
+    assert xray_reduce(q, PHI, V1, W0) == pytest.approx(1.0)
 
 
 def test_reduce_rejections():
@@ -343,10 +336,14 @@ def test_reduced_xray_matches_lightray():
         th = (-np.sin(a), np.cos(a))
         V = LightVector(1, th)
         W = LightVector(-1, om)
-        red = xray_reduce(q, PHI, V, W)
-        lray = lightray_forward(VectorFieldF(q, PHI, V), V, W0, offsets,
-                                np.array([a]))
-        xray = xray_forward_2d(red, offsets, np.array([a]), q.center, q.R)
+        weight = xray_reduce(q, PHI, V, W)
+        lray = lightray_forward(q, PHI, V, offsets, np.array([a]))
+
+        def reduced(x1, x2):
+            return weight * _phantom_integrand(q)(x1, x2)
+
+        xray = xray_forward_2d(reduced, offsets, np.array([a]), q.center,
+                               q.R)
         scale = np.max(np.abs(xray.samples))
         assert np.max(np.abs(lray.samples - xray.samples)) < 1e-6 * scale
 
@@ -476,6 +473,14 @@ def test_xray_matrix_matches_stacked_angle_blocks():
     assert A.has_canonical_format
     for name in ("indptr", "indices", "data"):
         assert np.array_equal(getattr(A, name), getattr(want, name))
+
+
+def test_sweep_frame_is_the_sinogram_convention():
+    # omega = (cos a, sin a) and omega-perp = (-sin a, cos a), bit for bit
+    for a in np.linspace(0.0, np.pi, 7):
+        om, perp = sweep_frame(a)
+        assert np.array_equal(om, [np.cos(a), np.sin(a)])
+        assert np.array_equal(perp, [-np.sin(a), np.cos(a)])
 
 
 def test_xray_matrix_keeps_edge_rays():
