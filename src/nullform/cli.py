@@ -30,6 +30,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .constants import FBP_MIN_ANGLES
 from .errors import ConfigError, NullformError
 from .fdtd import (WeightedNormSpec, check_energy_estimate, picard_iterate,
                    solve_semilinear)
@@ -155,15 +156,15 @@ class ScenarioConfig:
                 f"[{sec}] {key}: must be > {above}, got {value!r}")
         return value
 
-    def angles(self, sec, key, default=_REQUIRED):
-        """Either a count (uniform half-turn sweep) or 'lo:hi:n'."""
+    def angles(self, sec, key, default=_REQUIRED, least=1):
+        """A count (uniform half-turn sweep) or 'lo:hi:n', each n >= least."""
         def conv(s):
             if ":" in s:
                 lo, hi, n = s.split(":")
                 return np.linspace(_number(lo), _number(hi),
-                                   self._count(sec, key, n, 1),
+                                   self._count(sec, key, n, least),
                                    endpoint=False)
-            return np.linspace(0.0, np.pi, self._count(sec, key, s, 1),
+            return np.linspace(0.0, np.pi, self._count(sec, key, s, least),
                                endpoint=False)
         return self._cast(sec, key, default, conv,
                           "an angle count or 'lo:hi:n'")
@@ -457,7 +458,7 @@ def run_recover(cfg, n, outdir, jobs):
     # the sinogram and the pixel grid must be uniform: two samples each
     offsets = cfg.linspace("recover", "offsets", least=2)
     ax = cfg.linspace("recover", "axes", offsets, least=2)
-    angles = cfg.angles("recover", "angles")
+    angles = cfg.angles("recover", "angles", least=FBP_MIN_ANGLES)
     method = cfg.str("recover", "method", "fbp")
     if method not in ("fbp", "rls"):
         raise ConfigError(f"[recover] method: unknown '{method}' "

@@ -16,7 +16,7 @@ FDTD_CONE_MARGIN = 32          # cells the rk4 light-cone window adds on each
                                # side: discrete waves outrun speed 1
 
 # quadrature
-RAY_QUAD_ABS_TOL = 1e-9        # adaptive Simpson absolute tolerance
+RAY_QUAD_ABS_TOL = 1e-9        # trapezoid/Simpson update that retires a line
 RAY_QUAD_MAX_DOUBLINGS = 22
 RAY_QUAD_MAX_NODES = 2 ** 22   # active lines x nodes a doubling may reach;
                                # the largest call in the tests uses 1.5M

@@ -144,9 +144,8 @@ def ray_exponent(q: Potential, phi: Profile, V: LightVector,
                  W: LightVector, t, xp) -> np.ndarray:
     """I(t,x') = int_0^inf F(t - sigma, x' + sigma omega) d sigma.
 
-    Vectorized adaptive composite Simpson over the sigma interval where
-    the ray meets supp q; doubles the node count until the update is
-    below RAY_QUAD_ABS_TOL.  t is a scalar; xp has shape (npts, n).
+    The adaptive line integral of raytransform over the sigma interval
+    where the ray meets supp q.  t is a scalar; xp has shape (npts, n).
     """
     omega = np.array(W.direction)
     lo, hi = _ray_sigma_bounds(q, t, xp, omega)

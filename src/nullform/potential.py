@@ -45,7 +45,10 @@ class RadialFactor:
     def _masked(self, fn, w):
         """fn(w) inside the support, zero elsewhere."""
         w = np.asarray(w, dtype=float)
-        inside = w < self.R**2 * (1.0 - 1e-14)
+        edge = self.R**2 * (1.0 - 1e-14)
+        if w.size and w.ndim and np.max(w) < edge:  # elementwise: same bits
+            return fn(w)
+        inside = w < edge
         out = np.zeros_like(w)
         if np.any(inside):
             out[inside] = fn(w[inside])

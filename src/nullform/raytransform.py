@@ -112,18 +112,21 @@ def _adaptive_line_integral(fvals, base, direction, lo, length):
     sig has shape (lines, nodes) and xs is the list of coordinate planes
     xs[j] = base[:, j] + sig*direction[j], each of sig's shape.  Each
     line runs over lo <= sig <= lo + length; lines with length <= 0
-    give 0 and are never evaluated.  Composite Simpson, doubling the
-    nodes of each line until its own update is below RAY_QUAD_ABS_TOL:
-    after each doubling the converged lines keep that value and leave
-    the active set, whose arrays are compacted.  Every node is
-    evaluated once: a doubling evaluates fvals only at the new midpoints
-    and interleaves them with the stored values, which are the even
-    nodes of the finer rule (linspace is dyadic for these power-of-two
-    node counts, so they are the values a fresh evaluation would give).
-    A doubling that would take the active lines past RAY_QUAD_MAX_NODES
-    nodes in all is not made: the quadrature stops unconverged.  On
-    failure to converge, or on a non-finite integral, the
-    QuadratureError's `ray` indexes the worst line.
+    give 0 and are never evaluated.  The composite trapezoid rule on
+    n = 16, 32, ... segments follows the recurrence T_2n = T_n/2 +
+    (length/2n)*sum(f at the n new midpoints), and Simpson's rule is
+    S_2n = (4 T_2n - T_n)/3; the first call evaluates the 17 nodes of
+    T_16 and T_8.  A line leaves the active set, whose arrays are
+    compacted, at the first doubling where the smaller of |T_2n - T_n|
+    and |S_2n - S_n| is below RAY_QUAD_ABS_TOL, with that rule's value:
+    on a chord of a support whose integrand is C^inf-flat at both ends
+    T converges faster than any power of n, elsewhere Simpson's update
+    is the smaller.  Only the current doubling's midpoints are held, and
+    they never fall on a line's ends.  A doubling that would take the
+    active lines past RAY_QUAD_MAX_NODES nodes in all is not made: the
+    quadrature stops unconverged.  On failure to converge, or on a
+    non-finite integral, the QuadratureError's `ray` indexes the worst
+    line.
     """
     out = np.zeros(length.shape)
     act = np.flatnonzero(length > 0)
@@ -136,41 +139,37 @@ def _adaptive_line_integral(fvals, base, direction, lo, length):
         return fvals(sig, [base[:, j, None] + sig * d
                            for j, d in enumerate(direction)])
 
-    def simpson(g):
-        nseg = g.shape[1] - 1
-        wts = np.ones(nseg + 1)
-        wts[1:-1:2] = 4.0
-        wts[2:-1:2] = 2.0
-        return (length / (3.0 * nseg)) * (g @ wts)
+    def refine(trap, mid, nseg):
+        return 0.5 * trap + (length / nseg) * np.sum(mid, axis=1)
 
     nseg = 16
     g = at(np.linspace(0.0, 1.0, nseg + 1))
-    prev = simpson(g)
+    coarse = (length / 8) * (0.5 * (g[:, 0] + g[:, -1])
+                             + np.sum(g[:, 2:-1:2], axis=1))
+    trap = refine(coarse, g[:, 1::2], nseg)
+    simp = (4.0 * trap - coarse) / 3.0
     update = np.full(act.size, np.inf)
     for _ in range(RAY_QUAD_MAX_DOUBLINGS):
         if act.size * (2 * nseg + 1) > RAY_QUAD_MAX_NODES:
             break
         nseg *= 2
-        mid = at(np.linspace(0.0, 1.0, nseg + 1)[1::2])
-        finer = np.empty((act.size, nseg + 1), np.result_type(g, mid))
-        finer[:, 0::2] = g
-        finer[:, 1::2] = mid
-        g = finer
-        cur = simpson(g)
-        update = np.abs(cur - prev)
-        bad = ~np.isfinite(update)
+        t2 = refine(trap, at(np.arange(1, nseg, 2) / nseg), nseg)
+        bad = ~np.isfinite(t2)
         if np.any(bad):  # doubling on would only exhaust memory
             raise QuadratureError("line quadrature: non-finite integrand",
                                   ray=int(act[np.argmax(bad)]))
+        s2 = (4.0 * t2 - trap) / 3.0
+        dt, ds = np.abs(t2 - trap), np.abs(s2 - simp)
+        update = np.minimum(dt, ds)
         done = update < RAY_QUAD_ABS_TOL
         if np.any(done):
-            out[act[done]] = cur[done]
+            out[act[done]] = np.where(dt < ds, t2, s2)[done]
             if np.all(done):
                 return out
             left = ~done
-            g, lo, length, base = g[left], lo[left], length[left], base[left]
-            act, cur, update = act[left], cur[left], update[left]
-        prev = cur
+            lo, length, base = lo[left], length[left], base[left]
+            act, t2, s2, update = act[left], t2[left], s2[left], update[left]
+        trap, simp = t2, s2
     raise QuadratureError(
         f"line quadrature not converged (last update {np.max(update):.2e}, "
         f"{nseg + 1} nodes on each of {act.size} lines)",

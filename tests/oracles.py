@@ -60,54 +60,74 @@ def xray_forward_2d(integrand, offsets, angles, support_center,
     return Sinogram(offsets, angles, samples)
 
 
+def _recurrence_line_integral(at, length, simpson_only=False):
+    """_adaptive_line_integral's trapezoid recurrence on lines of positive
+    length, at(keep, xi) giving the integrand on the lines `keep` at the
+    fractions xi of their length.  Each line leaves at its own first
+    doubling where the smaller update of the trapezoid and Simpson rules
+    (of Simpson's alone if simpson_only) is below RAY_QUAD_ABS_TOL, with
+    that rule's value."""
+    out = np.zeros(length.shape)
+    keep = np.arange(length.size)
+    nseg = 16
+    g = at(keep, np.linspace(0.0, 1.0, nseg + 1))
+    coarse = (length / 8) * (0.5 * (g[:, 0] + g[:, -1])
+                             + np.sum(g[:, 2:-1:2], axis=1))
+    trap = 0.5 * coarse + (length / nseg) * np.sum(g[:, 1::2], axis=1)
+    simp = (4.0 * trap - coarse) / 3.0
+    for _ in range(RAY_QUAD_MAX_DOUBLINGS):
+        if keep.size * (2 * nseg + 1) > RAY_QUAD_MAX_NODES:
+            break
+        nseg *= 2
+        mid = at(keep, np.arange(1, nseg, 2) / nseg)
+        t2 = 0.5 * trap + (length[keep] / nseg) * np.sum(mid, axis=1)
+        if np.any(~np.isfinite(t2)):
+            break
+        s2 = (4.0 * t2 - trap) / 3.0
+        dt, ds = np.abs(t2 - trap), np.abs(s2 - simp)
+        use_t = np.zeros(keep.size, bool) if simpson_only else dt < ds
+        done = np.where(use_t, dt, ds) < RAY_QUAD_ABS_TOL
+        out[keep[done]] = np.where(use_t, t2, s2)[done]
+        if np.all(done):
+            return out
+        keep, trap, simp = keep[~done], t2[~done], s2[~done]
+    raise QuadratureError("line quadrature oracle: not converged")
+
+
 def pts_line_integral(fvals, base, direction, lo, length):
     """_adaptive_line_integral with fvals(sig, pts) on the interleaved
-    points pts = base + sig*direction of shape (lines, nodes, n); each
-    line leaves at its own first update below RAY_QUAD_ABS_TOL."""
+    points pts = base + sig*direction of shape (lines, nodes, n)."""
     out = np.zeros(length.shape)
     act = np.flatnonzero(length > 0)
     if act.size == 0:
         return out
     lo, length, base = lo[act], length[act], base[act]
 
-    def at(xi):
-        sig = lo[:, None] + length[:, None] * xi[None, :]
-        pts = base[:, None, :] + sig[..., None] * direction
-        return fvals(sig, pts)
+    def at(keep, xi):
+        sig = lo[keep, None] + length[keep, None] * xi[None, :]
+        return fvals(sig, base[keep, None, :] + sig[..., None] * direction)
 
-    def simpson(g):
-        nseg = g.shape[1] - 1
-        wts = np.ones(nseg + 1)
-        wts[1:-1:2] = 4.0
-        wts[2:-1:2] = 2.0
-        return (length / (3.0 * nseg)) * (g @ wts)
+    out[act] = _recurrence_line_integral(at, length)
+    return out
 
-    nseg = 16
-    g = at(np.linspace(0.0, 1.0, nseg + 1))
-    prev = simpson(g)
-    for _ in range(RAY_QUAD_MAX_DOUBLINGS):
-        if act.size * (2 * nseg + 1) > RAY_QUAD_MAX_NODES:
-            break
-        nseg *= 2
-        mid = at(np.linspace(0.0, 1.0, nseg + 1)[1::2])
-        finer = np.empty((act.size, nseg + 1), np.result_type(g, mid))
-        finer[:, 0::2] = g
-        finer[:, 1::2] = mid
-        g = finer
-        cur = simpson(g)
-        update = np.abs(cur - prev)
-        if np.any(~np.isfinite(update)):
-            break
-        done = update < RAY_QUAD_ABS_TOL
-        out[act[done]] = cur[done]
-        if np.all(done):
-            return out
-        if np.any(done):
-            left = ~done
-            g, lo, length, base = g[left], lo[left], length[left], base[left]
-            act, cur = act[left], cur[left]
-        prev = cur
-    raise QuadratureError("pts_line_integral: not converged")
+
+def simpson_line_integral(fvals, base, direction, lo, length):
+    """_adaptive_line_integral with Simpson's update alone deciding when
+    a line leaves: the stop that spends about one doubling more per
+    line on integrands flat at both ends."""
+    out = np.zeros(length.shape)
+    act = np.flatnonzero(length > 0)
+    if act.size == 0:
+        return out
+    lo, length, base = lo[act], length[act], base[act]
+
+    def at(keep, xi):
+        sig = lo[keep, None] + length[keep, None] * xi[None, :]
+        return fvals(sig, [base[keep, j, None] + sig * d
+                           for j, d in enumerate(direction)])
+
+    out[act] = _recurrence_line_integral(at, length, simpson_only=True)
+    return out
 
 
 def pts_a10_points(q, phi, chi, V, W, A, B, t, xp):

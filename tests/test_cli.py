@@ -304,6 +304,27 @@ def test_empty_sweep_range_exits_2(tmp_path, capsys, monkeypatch, scenario,
         capsys.readouterr().err
 
 
+@pytest.mark.parametrize("scenario", ["recover_small", "recover_fdtd_h64"])
+def test_too_few_recovery_angles_exit_2_before_synthesis(
+        tmp_path, capsys, monkeypatch, scenario):
+    # the sweep needs FBP_MIN_ANGLES directions; the config check says so
+    # before a probe is synthesized (an FDTD solve at h = 1/64 takes ~30 s)
+    calls = []
+    for name in ("ansatz_measurements", "fdtd_measurements"):
+        monkeypatch.setattr(f"nullform.cli.{name}",
+                            lambda *a, name=name, **k: calls.append(name))
+    parser = configparser.ConfigParser(interpolation=None)
+    parser.read(SCENARIOS / f"{scenario}.cfg")
+    parser["recover"]["angles"] = "8"
+    p = tmp_path / "scn.cfg"
+    with open(p, "w") as fh:
+        parser.write(fh)
+    assert main(["run", str(p), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "[recover] angles: sample count must be >= 90, got 8" in err
+    assert calls == []
+
+
 # ----------------------------------------------------------------------
 # compare
 

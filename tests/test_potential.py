@@ -9,8 +9,9 @@ from nullform.errors import ConfigError
 from nullform.fdtd import null_form_grid
 from nullform.minkowski import LightVector, phase_arg
 from nullform.potential import (
-    SeparablePotential, exterior_derivative, get_potential, list_potentials,
-    scalar_F, uniqueness_certificate,
+    SeparablePotential, exterior_derivative, gaussian_cut_factor,
+    get_potential, list_potentials, radial_bump_factor, scalar_F,
+    uniqueness_certificate,
 )
 from nullform.profiles import bump, cos4_window, ramp, sbump
 
@@ -20,6 +21,39 @@ def test_potential_support_invariant():
         p = get_potential(key, 2)
         far = [np.array(p.center[0] + p.R + 0.5), np.array(p.center[1])]
         assert np.all(p.q(0.0, far, 0.3) == 0.0)
+
+
+def _same_bits(got, ref):
+    return (np.shape(got) == np.shape(ref) and got.dtype == ref.dtype
+            and got.tobytes() == ref.tobytes())
+
+
+@settings(deadline=None, max_examples=60)
+@given(factor=st.sampled_from([radial_bump_factor(0.5, 1.3),
+                               gaussian_cut_factor(0.25, 0.8, 0.7)]),
+       frac=st.lists(st.floats(-1.0, 1.0), max_size=40),
+       with_nan=st.booleans(), as_row=st.booleans())
+def test_radial_factor_fast_path_gives_masked_bits(factor, frac, with_nan,
+                                                   as_row):
+    # an array wholly inside w < R^2 goes to h or dh unmasked: each output
+    # must have the bits, signbit of +-0 included, of the same values
+    # inside an array that reaches the rim and beyond (masked path); so
+    # must arrays holding NaN (masked to 0), and 0-d and empty inputs
+    edge = factor.R**2 * (1.0 - 1e-14)
+    w = np.array(frac + [0.0, -0.0]) * np.nextafter(edge, 0.0)
+    if with_nan:
+        w = np.append(w, np.nan)
+    if as_row:
+        w = w[None, :]
+    wide = np.concatenate([w.ravel(), [edge, factor.R**2, 2 * factor.R**2]])
+    for fn in (factor.value, factor.deriv):
+        ref = fn(wide)
+        assert not with_nan or ref[w.size - 1] == 0.0
+        assert _same_bits(fn(w), ref[:w.size].reshape(w.shape))
+        for i in range(w.size):  # 0-d inputs
+            assert _same_bits(fn(w.ravel()[i]), ref[i])
+        for empty in (np.zeros(0), np.zeros((0, 3))):
+            assert _same_bits(fn(empty), empty)
 
 
 _KEYS = [(key, n) for n in (1, 2) for key in list_potentials(n)]

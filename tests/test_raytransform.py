@@ -16,7 +16,8 @@ from nullform.raytransform import (
     Sinogram, _adaptive_line_integral, _xray_matrix, invert_xray_2d,
     lightray_forward, sweep_frame, xray_reduce,
 )
-from oracles import pts_lightray_forward, xray_forward_2d
+from oracles import (pts_lightray_forward, simpson_line_integral,
+                     xray_forward_2d)
 
 PHI = ramp(1.5, 0.5, 1.0)
 W0 = LightVector(-1, (1.0, 0.0))
@@ -122,10 +123,12 @@ def test_line_integral_reports_nonconvergence(monkeypatch):
 
 
 def _reevaluating_line_integral(fvals, base, direction, lo, length):
-    """Reference: the Simpson loop that evaluates every node of the
-    active lines at each doubling, each line leaving at its own first
-    update below tolerance.  Returns the integrals and each line's final
-    segment count (0 for lines never evaluated)."""
+    """Reference: the trapezoid recurrence that evaluates every node of
+    the active lines at each doubling and takes the odd ones as the new
+    midpoints, each line leaving at its own first doubling where the
+    smaller update of the trapezoid and Simpson rules is below
+    tolerance.  Returns the integrals and each line's final segment
+    count (0 for lines never evaluated)."""
     from nullform.raytransform import (RAY_QUAD_ABS_TOL,
                                        RAY_QUAD_MAX_DOUBLINGS)
     out = np.zeros(length.shape)
@@ -135,29 +138,31 @@ def _reevaluating_line_integral(fvals, base, direction, lo, length):
         return out, nsegs
     lo, length, base = lo[act], length[act], base[act]
 
-    def simpson(nseg):
-        xi = np.linspace(0.0, 1.0, nseg + 1)
-        wts = np.ones(nseg + 1)
-        wts[1:-1:2] = 4.0
-        wts[2:-1:2] = 2.0
-        sig = lo[:, None] + length[:, None] * xi[None, :]
-        xs = [base[:, j, None] + sig * d for j, d in enumerate(direction)]
-        return (length / (3.0 * nseg)) * (fvals(sig, xs) @ wts)
+    def nodes(nseg):
+        sig = lo[:, None] + length[:, None] * np.linspace(0.0, 1.0, nseg + 1)
+        return fvals(sig, [base[:, j, None] + sig * d
+                           for j, d in enumerate(direction)])
 
     nseg = 16
-    prev = simpson(nseg)
+    g = nodes(nseg)
+    coarse = (length / 8) * (0.5 * (g[:, 0] + g[:, -1])
+                             + np.sum(g[:, 2:-1:2], axis=1))
+    trap = 0.5 * coarse + (length / nseg) * np.sum(g[:, 1::2], axis=1)
+    simp = (4.0 * trap - coarse) / 3.0
     for _ in range(RAY_QUAD_MAX_DOUBLINGS):
         nseg *= 2
-        cur = simpson(nseg)
-        done = np.abs(cur - prev) < RAY_QUAD_ABS_TOL
-        out[act[done]] = cur[done]
+        t2 = 0.5 * trap + (length / nseg) * np.sum(nodes(nseg)[:, 1::2],
+                                                   axis=1)
+        s2 = (4.0 * t2 - trap) / 3.0
+        dt, ds = np.abs(t2 - trap), np.abs(s2 - simp)
+        done = np.minimum(dt, ds) < RAY_QUAD_ABS_TOL
+        out[act[done]] = np.where(dt < ds, t2, s2)[done]
         nsegs[act[done]] = nseg
         if np.all(done):
             return out, nsegs
-        if np.any(done):
-            lo, length, base = lo[~done], length[~done], base[~done]
-            act, cur = act[~done], cur[~done]
-        prev = cur
+        left = ~done
+        lo, length, base = lo[left], length[left], base[left]
+        act, trap, simp = act[left], t2[left], s2[left]
     raise AssertionError("reference did not converge")
 
 
@@ -204,9 +209,10 @@ def test_nested_simpson_matches_reevaluating_loop(n, nlines, k, seed,
 def test_each_line_stops_at_its_own_first_converged_doubling(nlines, k,
                                                               seed):
     # a line's integral does not depend on the other lines of the call:
-    # it is a fresh one-line composite Simpson at the first doubling whose
-    # update is below tolerance, up to the rounding of the weighted sum
-    # (the batch sums by rows of a matrix product, one line by a dot)
+    # it is a fresh one-line trapezoid or Simpson sum at the first
+    # doubling where the smaller of the two updates is below tolerance,
+    # up to rounding (the batch builds T_n by the recurrence over the
+    # new midpoints, one line here by a fresh sum over all its nodes)
     from nullform.raytransform import RAY_QUAD_ABS_TOL
     rng = np.random.default_rng(seed)
     base = rng.uniform(-1.0, 1.0, (nlines, 2))
@@ -226,14 +232,13 @@ def test_each_line_stops_at_its_own_first_converged_doubling(nlines, k,
         return fvals(sig, xs)
 
     def one_line(i, nseg):
-        """(Simpson sum, bound on its rounding) on line i alone."""
+        """(trapezoid sum, bound on its rounding) on line i alone."""
         wts = np.ones(nseg + 1)
-        wts[1:-1:2] = 4.0
-        wts[2:-1:2] = 2.0
+        wts[[0, -1]] = 0.5
         sig = lo[i] + length[i] * np.linspace(0.0, 1.0, nseg + 1)
         g = fvals(sig, [base[i, 0] + sig * direction[0],
                         base[i, 1] + sig * direction[1]])
-        scale = length[i] / (3.0 * nseg)
+        scale = length[i] / nseg
         return scale * (g @ wts), \
             (nseg + 1) * np.finfo(float).eps * scale * (np.abs(g) @ wts)
 
@@ -242,16 +247,138 @@ def test_each_line_stops_at_its_own_first_converged_doubling(nlines, k,
     nodes = 0
     for i in range(nlines):
         nseg = 16
-        prev, _ = one_line(i, nseg)
+        trap = one_line(i, nseg)[0]
+        simp = (4.0 * trap - one_line(i, nseg // 2)[0]) / 3.0
         while True:
             nseg *= 2
-            cur, err = one_line(i, nseg)
-            if abs(cur - prev) < RAY_QUAD_ABS_TOL:
+            t2, err = one_line(i, nseg)
+            s2 = (4.0 * t2 - trap) / 3.0
+            dt, ds = abs(t2 - trap), abs(s2 - simp)
+            if min(dt, ds) < RAY_QUAD_ABS_TOL:
+                cur = t2 if dt < ds else s2
                 break
-            prev = cur
+            trap, simp = t2, s2
         assert abs(got[i] - cur) <= err
         nodes += nseg + 1
     assert sum(seen) == nodes
+
+
+def _counted(fvals, seen):
+    def fn(sig, xs):
+        seen.append(sig.size)
+        return fvals(sig, xs)
+    return fn
+
+
+@settings(deadline=None, max_examples=40)
+@given(radius=st.floats(0.01, 2.0), amplitude=st.floats(0.1, 3.0),
+       shift=st.floats(-1.0, 1.0), a=st.floats(0.0, np.pi))
+def test_flat_ended_chords_stop_before_simpson(radius, amplitude, shift, a):
+    # the radial bump is C^inf-flat at the rim, so on its chords the
+    # trapezoid update falls below tolerance before Simpson's: the value
+    # is within tolerance of a 2^14-segment trapezoid sum, for fewer
+    # nodes than Simpson's update alone deciding
+    from nullform.potential import radial_bump_factor
+    from nullform.raytransform import RAY_QUAD_ABS_TOL, _line_bounds
+    rf = radial_bump_factor(radius, amplitude)
+    om, perp = sweep_frame(a)
+    base = radius * (np.linspace(-0.9, 0.9, 9) + 0.1 * shift)[:, None] * perp
+    lo, hi = _line_bounds(np.zeros(2), radius, base, om)
+
+    def fvals(sig, xs):
+        return rf.value(xs[0] ** 2 + xs[1] ** 2)
+
+    seen, seen_simpson = [], []
+    got = _adaptive_line_integral(_counted(fvals, seen), base, om, lo,
+                                  hi - lo)
+    simpson_line_integral(_counted(fvals, seen_simpson), base, om, lo,
+                          hi - lo)
+    nseg = 2 ** 14
+    sig = lo[:, None] + (hi - lo)[:, None] * np.linspace(0.0, 1.0, nseg + 1)
+    g = fvals(sig, [base[:, j, None] + sig * om[j] for j in range(2)])
+    want = (hi - lo) / nseg * (np.sum(g[:, 1:-1], axis=1)
+                               + 0.5 * (g[:, 0] + g[:, -1]))
+    assert np.max(np.abs(got - want)) < RAY_QUAD_ABS_TOL
+    assert sum(seen) < sum(seen_simpson)
+
+
+@settings(deadline=None, max_examples=40)
+@given(n=st.integers(1, 3), nlines=st.integers(1, 12),
+       k=st.floats(0.0, 40.0), seed=st.integers(0, 2**32 - 1),
+       degree=st.integers(0, 7))
+def test_two_rule_stop_never_costs_more_than_simpson(n, nlines, k, seed,
+                                                     degree):
+    # where the integrand is not flat at the ends Simpson's update decides
+    # as it alone would: never more nodes than that stop, and the value
+    # within tolerance of a 2^14-segment Simpson sum (the nested test's
+    # family) or of the exact integral (a polynomial on intervals clipped
+    # to a window, some empty)
+    from numpy.polynomial import polynomial as P
+
+    from nullform.raytransform import RAY_QUAD_ABS_TOL
+    rng = np.random.default_rng(seed)
+    base = rng.uniform(-1.0, 1.0, (nlines, n))
+    direction = rng.normal(size=n)
+    direction /= np.linalg.norm(direction)
+    lo = rng.uniform(-1.0, 1.0, nlines)
+    length = rng.uniform(0.0, 2.0, nlines)
+    th = rng.normal(size=n)
+    coef = rng.normal(size=degree + 1)
+
+    def nested(sig, xs):
+        s = sum(x * c for x, c in zip(xs, th))
+        return np.exp(-s**2) * np.cos(k * sig) + np.sin(3.0 * s) * sig
+
+    def poly(sig, xs):
+        return P.polyval(sig, coef)
+
+    nseg = 2 ** 14
+    wts = np.ones(nseg + 1)
+    wts[1:-1:2] = 4.0
+    wts[2:-1:2] = 2.0
+    sig = lo[:, None] + length[:, None] * np.linspace(0.0, 1.0, nseg + 1)
+    xs = [base[:, j, None] + sig * direction[j] for j in range(n)]
+    anti = P.polyint(coef)
+    clip_lo = np.maximum(lo, -0.5)
+    clip_len = np.minimum(lo + length, 0.5) - clip_lo
+    exact = P.polyval(clip_lo + clip_len, anti) - P.polyval(clip_lo, anti)
+    cases = [(nested, lo, length,
+              length / (3.0 * nseg) * (nested(sig, xs) @ wts)),
+             (poly, clip_lo, clip_len, np.where(clip_len > 0, exact, 0.0))]
+    with mock.patch("nullform.raytransform.RAY_QUAD_MAX_DOUBLINGS", 12):
+        for fvals, a, ln, want in cases:
+            seen, seen_simpson = [], []
+            got = _adaptive_line_integral(_counted(fvals, seen), base,
+                                          direction, a, ln)
+            simpson_line_integral(_counted(fvals, seen_simpson), base,
+                                  direction, a, ln)
+            assert np.max(np.abs(got - want)) < RAY_QUAD_ABS_TOL
+            assert sum(seen) <= sum(seen_simpson)
+
+
+def test_bump_sweep_node_count_guard():
+    # the two-rule stop saves about a doubling per line on the radial
+    # bump's chords (0.53 of the Simpson-only nodes when written); the
+    # one-rule stop coming back fails here
+    import nullform.raytransform as rt
+    counts = []
+
+    def run(quad):
+        seen = []
+
+        def counted_F(q, phi, V, om, sig, xs):
+            seen.append(xs[0].size)
+            return scalar_F(q, phi, V, om, sig, xs)
+
+        with mock.patch.object(rt, "scalar_F", counted_F), \
+                mock.patch.object(rt, "_adaptive_line_integral", quad):
+            _forward(np.linspace(-0.8, 0.8, 33),
+                     np.linspace(0.0, np.pi, 12, endpoint=False))
+        counts.append(sum(seen))
+
+    run(_adaptive_line_integral)
+    run(simpson_line_integral)
+    assert counts[0] <= 0.7 * counts[1]
 
 
 def test_line_integral_rejects_non_finite_integrand(monkeypatch):
