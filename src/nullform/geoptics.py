@@ -760,8 +760,10 @@ def _bin_slopes(coeffs, grid: SpacetimeGrid):
     return {k: s[:, i].T for i, k in enumerate(keys)}
 
 
-# time levels per block in _norms_from_coeffs: bounds the fine-grid
-# arrays to a few (block x nx_fine) arrays per bin and call
+# time levels per block in _norms_from_coeffs: a block's carrier-times-
+# coefficient planes (level, cell, bin, power) and its (level, fine x)
+# residual stay in cache, and no fine-grid array spans all levels;
+# blocks of 16 levels, or one of all, measured slower
 _NORM_BLOCK = 8
 
 
@@ -773,47 +775,58 @@ def _norms_from_coeffs(coeffs, slopes, table: CoeffTable, h: float,
     residual is g_0 + 2 sum_{m>0} Re(e^{im psi/h} g_m).  Each g_m, m >= 0,
     is one not-a-knot cubic spline in x over all measured levels, with
     the same sums of the C_{p,m} and of their knot `slopes`
-    (_bin_slopes).  The fine points sit at refine fixed offsets in each
-    cell, so a block of levels is one matmul of the spline coefficients
-    with the powers of those offsets (a last constant cell gives the
-    knot value at xf[-1]).  The carrier e^{i psi/h} is a time factor
-    times a space factor.
+    (_bin_slopes).  The fine points sit at refine fixed offsets o_r in
+    each cell, so with psi = t + omega x and c_{m,k}(l, i) the spline
+    coefficients of cell i at level l,
+
+        R(t_l, x_i + o_r) = sum_{m>=0, k} Re(e^{im(t_l + omega x_i)/h}
+                            c_{m,k}(l, i) o_r^(3-k) e^{im omega o_r/h}).
+
+    The carrier's (level, cell) factor multiplies the coefficients; the
+    (m, k, offset) basis is shared by every cell and level, so a block of
+    levels is one real matmul of the basis with the real and imaginary
+    parts of those products, in fine-grid order.  A last constant cell
+    gives the knot value at x[-1].
     """
     grid = table.grid
     x = grid.axis(0)
     dx = np.diff(x)
-    xf = np.linspace(x[0], x[-1], (len(x) - 1) * refine + 1)
-    dxf = xf[1] - xf[0]
+    nf = (len(x) - 1) * refine + 1  # fine points, x[0] to x[-1]
+    dxf = (x[-1] - x[0]) / (nf - 1)
     om = table.W.direction[0]
     levels = slice(_EDGE_LEVELS, grid.nt - _EDGE_LEVELS)
-    bins: Dict[int, tuple] = {}  # per bin: (values, knot slopes)
+    t = grid.t[levels]
+    ms = sorted({m for _, m in slopes})
+    # (values/slopes, x, level, bin): the spline sweep runs along x on
+    # the real and imaginary planes
+    g = np.zeros((2, len(x), t.size, len(ms)), complex)
     for (p, m), s in slopes.items():
         w = (2 if m else 1) * h ** p
-        g, d = bins.get(m, (0, 0))
-        bins[m] = (g + w * coeffs[(p, m)][levels], d + w * s[levels])
-    t = grid.t[levels]
-    coef = {}  # per bin: (level, re/im, cell, power of x - x_cell)
-    for m, (g, d) in bins.items():
-        c = np.pad(_hermite_coeffs(dx, g.T, d.T), ((0, 0), (0, 1), (0, 0)))
-        c[3, -1] = g[:, -1]
-        coef[m] = np.stack([c.real.T, c.imag.T], axis=1)
-    powers = (np.arange(refine) * dxf) ** np.arange(3, -1, -1)[:, None]
-    space = np.exp(1j * om * xf / h)
+        g[0, :, :, ms.index(m)] += w * coeffs[(p, m)][levels].T
+        g[1, :, :, ms.index(m)] += w * s[levels].T
+    mf = np.array(ms, float)
+    cell = np.exp(1j * om / h * np.multiply.outer(x, mf))
+    level = np.exp(1j / h * np.multiply.outer(t, mf))
+    o = np.arange(refine) * dxf
+    basis = (o ** np.arange(3, -1, -1)[:, None]
+             * np.exp(1j * om / h * np.multiply.outer(mf, o))[:, None])
+    # rows (bin, power, re/im) against the real view of `prod`
+    basis = np.stack([basis.real, -basis.imag], axis=2).reshape(-1, refine)
+    prod = np.zeros((_NORM_BLOCK, len(x), len(ms), 4), complex)
     sup_l2 = sup_linf = 0.0
     for k0 in range(0, t.size, _NORM_BLOCK):
         blk = slice(k0, k0 + _NORM_BLOCK)
-        carrier = [1.0, np.exp(1j * t[blk, None] / h) * space]
-        while len(carrier) <= max(coef, default=0):
-            carrier.append(carrier[-1] * carrier[1])
-        R = np.zeros(carrier[1].shape)
-        for m, c in coef.items():
-            g = (c[blk].reshape(-1, 4) @ powers).reshape(len(R), 2, -1)
-            R += carrier[m].real * g[:, 0, :xf.size] \
-                - carrier[m].imag * g[:, 1, :xf.size]
-        l2 = np.sqrt(np.sum(R**2, axis=1) * dxf)
-        sup_l2 = max(sup_l2, float(np.max(l2)))
+        carrier = cell[:, None] * level[blk]  # (cell, level, bin)
+        c = _hermite_coeffs(dx, g[0, :, blk].view(float),
+                            g[1, :, blk].view(float)).view(complex)
+        d = prod[:carrier.shape[1]]  # c is (power, cell, level, bin)
+        np.multiply(c, carrier[:-1], out=d[:, :-1].transpose(3, 1, 0, 2))
+        d[:, -1, :, 3] = g[0, -1, blk] * carrier[-1]
+        R = d.view(float).reshape(-1, len(basis)) @ basis
+        R = R.reshape(len(d), -1)[:, :nf]
+        sup_l2 = max(sup_l2, float(np.max(np.einsum("lx,lx->l", R, R))))
         sup_linf = max(sup_linf, float(np.max(np.abs(R))))
-    return sup_l2, sup_linf
+    return float(np.sqrt(sup_l2 * dxf)), sup_linf
 
 
 def measure_residual_order(spec: AnsatzSpec, q: Potential) -> ResidualReport:

@@ -31,17 +31,6 @@ from .constants import UNIT_NORM_TOL
 from .errors import ConfigError
 
 
-def mdot_vec(a, b) -> np.ndarray:
-    """Minkowski pairing of two (n+1)-component objects.
-
-    Components may be arrays (broadcast pointwise); index 0 is time.
-    """
-    out = -a[0] * b[0]
-    for j in range(1, len(a)):
-        out = out + a[j] * b[j]
-    return out
-
-
 @dataclass(frozen=True)
 class LightVector:
     """Null covector V = (sign, theta) with |theta| = 1."""

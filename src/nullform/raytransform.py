@@ -66,19 +66,6 @@ class Sinogram:
             lines.append(f"{float(s)!r},{row}")
         return "\n".join(lines) + "\n"
 
-    @classmethod
-    def from_csv(cls, text: str) -> "Sinogram":
-        lines = [ln for ln in text.strip().split("\n") if ln]
-        if not lines[0].startswith("#"):
-            raise ConfigError("Sinogram.from_csv: missing header")
-        angles = np.array([float(v) for v in lines[1].split(",")[1:]])
-        offsets, rows = [], []
-        for ln in lines[2:]:
-            vals = [float(v) for v in ln.split(",")]
-            offsets.append(vals[0])
-            rows.append(vals[1:])
-        return cls(np.array(offsets), angles, np.array(rows))
-
 
 @dataclass
 class Reconstruction:

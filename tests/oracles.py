@@ -10,7 +10,9 @@ ray data by the complex log, the linear leapfrog step on a CFL-checked
 state, the transport march with every shift made level by level, the
 transport rows' ray defects from one shift per level, and the residual
 series of the ansatz hierarchy from eagerly built factor lists and with
-every t-factor formed again for each q-factor it meets.
+every t-factor formed again for each q-factor it meets.  It also holds
+the Minkowski pairing of component lists and the reader of
+Sinogram.to_csv, which only the tests use.
 """
 
 import functools
@@ -494,3 +496,28 @@ def series_per_q_factor(cache, fr: _Frame, want):
                     qarr = qthunk()
                 put((qo + to, qm + tm), qarr * tthunk())
     return out
+
+
+def mdot_vec(a, b) -> np.ndarray:
+    """Minkowski pairing of two (n+1)-component objects.
+
+    Components may be arrays (broadcast pointwise); index 0 is time.
+    """
+    out = -a[0] * b[0]
+    for j in range(1, len(a)):
+        out = out + a[j] * b[j]
+    return out
+
+
+def sinogram_from_csv(text: str) -> Sinogram:
+    """The Sinogram that Sinogram.to_csv wrote as `text`."""
+    lines = [ln for ln in text.strip().split("\n") if ln]
+    if not lines[0].startswith("#"):
+        raise ConfigError("sinogram_from_csv: missing header")
+    angles = np.array([float(v) for v in lines[1].split(",")[1:]])
+    offsets, rows = [], []
+    for ln in lines[2:]:
+        vals = [float(v) for v in ln.split(",")]
+        offsets.append(vals[0])
+        rows.append(vals[1:])
+    return Sinogram(np.array(offsets), angles, np.array(rows))

@@ -1,5 +1,9 @@
 """Hierarchy build, closed-form leading amplitude, residual measurement."""
 
+import functools
+import tracemalloc
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -538,14 +542,23 @@ def _norms_per_level(coeffs, table, h, refine, margin=2):
     return sup_l2, sup_linf
 
 
-@pytest.fixture(scope="module", params=[0, 1])
-def residual_table(request):
-    # N = 1 has carrier bins up to |m| = 4
-    spec = _spec(N=request.param, dx=0.04)
+@functools.lru_cache(maxsize=None)
+def _residual_table(N, mirrored=False):
+    # N = 1 has carrier bins up to |m| = 4; the mirrored pair W = (-1, -1),
+    # V = (-1, 1) has omega = -1
+    spec = _spec(N=N, dx=0.04)
+    if mirrored:
+        spec = replace(spec, V=W1, W=V1)
     q = get_potential("radial_bump", 1)
     table = build_hierarchy(spec, q)
     coeffs, _ = residual_coefficients(spec, q, table)
     return coeffs, table
+
+
+@pytest.fixture(scope="module", params=[(0, False), (1, False), (1, True)],
+                ids=["0", "1", "1-mirrored"])
+def residual_table(request):
+    return _residual_table(*request.param)
 
 
 def test_residual_coefficients_conjugate_symmetric(residual_table):
@@ -567,8 +580,9 @@ def test_norms_from_coeffs_match_per_level_splines(residual_table, h):
     # the last block of measured levels is a partial one
     assert (table.grid.nt - 4) % _NORM_BLOCK != 0
     slopes = _bin_slopes(coeffs, table.grid)
-    # refine = 27 (odd, not a power of two) is the benchmark's value
-    for refine in (4, 27):
+    # refine = 27 (odd, not a power of two) is the benchmark's value;
+    # refine = 1 puts the fine points on the knots
+    for refine in (1, 4, 27):
         got = _norms_from_coeffs(coeffs, slopes, table, h, refine=refine)
         want = _norms_per_level(coeffs, table, h, refine=refine)
         np.testing.assert_allclose(got, want, rtol=1e-12)
@@ -587,6 +601,35 @@ def test_norms_from_coeffs_read_the_last_fine_point(residual_table):
         got = _norms_from_coeffs(coeffs, slopes, table, 1 / 8, refine=refine)
         want = _norms_per_level(coeffs, table, 1 / 8, refine=refine)
         np.testing.assert_allclose(got, want, rtol=1e-12)
+
+
+def test_norms_from_coeffs_with_only_the_m0_bin(residual_table):
+    # no carrier at all: the (level, cell) factor and the basis are real
+    coeffs, table = residual_table
+    only_m0 = {k: arr for k, arr in coeffs.items() if k[1] == 0}
+    assert 0 < len(only_m0) < len(coeffs)
+    slopes = _bin_slopes(only_m0, table.grid)
+    for refine in (1, 27):
+        got = _norms_from_coeffs(only_m0, slopes, table, 1 / 8, refine=refine)
+        want = _norms_per_level(only_m0, table, 1 / 8, refine=refine)
+        np.testing.assert_allclose(got, want, rtol=1e-12)
+
+
+def test_norms_from_coeffs_peak_memory():
+    # tracemalloc peak of one call on the N = 1 table (97 measured levels,
+    # 201 knots, bins m = 0..4) at refine = 27: 14,102,552 bytes when every
+    # bin had its own fine-grid matmul and carrier, 5,687,328 bytes with
+    # the carrier factored into level, cell and sub-cell parts
+    coeffs, table = _residual_table(1)
+    slopes = _bin_slopes(coeffs, table.grid)
+    _norms_from_coeffs(coeffs, slopes, table, 1 / 32, refine=27)
+    tracemalloc.start()
+    try:
+        _norms_from_coeffs(coeffs, slopes, table, 1 / 32, refine=27)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 14_102_552
 
 
 def test_residual_needs_polynomial_potential():

@@ -17,7 +17,7 @@ from nullform.raytransform import (
     lightray_forward, sweep_frame, xray_reduce,
 )
 from oracles import (pts_lightray_forward, simpson_line_integral,
-                     xray_forward_2d)
+                     sinogram_from_csv, xray_forward_2d)
 
 PHI = ramp(1.5, 0.5, 1.0)
 W0 = LightVector(-1, (1.0, 0.0))
@@ -483,7 +483,7 @@ def test_sinogram_csv_roundtrip():
     sino = Sinogram(np.linspace(-1, 1, 5), np.linspace(0, np.pi, 4,
                                                        endpoint=False),
                     np.arange(20.0).reshape(5, 4))
-    back = Sinogram.from_csv(sino.to_csv())
+    back = sinogram_from_csv(sino.to_csv())
     assert np.array_equal(back.offsets, sino.offsets)
     assert np.array_equal(back.angles, sino.angles)
     assert np.array_equal(back.samples, sino.samples)
