@@ -19,7 +19,8 @@ FDTD_CONE_MARGIN = 32          # cells the rk4 light-cone window adds on each
 RAY_QUAD_ABS_TOL = 1e-9        # trapezoid/Simpson update that retires a line
 RAY_QUAD_MAX_DOUBLINGS = 22
 RAY_QUAD_MAX_NODES = 2 ** 22   # active lines x nodes a doubling may reach;
-                               # the largest call in the tests uses 1.5M
+                               # the largest call in Tier-1 reaches 0.26M
+RAY_QUAD_BATCH_LINES = 512     # lines per quadrature call, in whole angles
 
 # demodulation / recovery
 PPW_MIN = 16                   # samples per carrier wavelength required

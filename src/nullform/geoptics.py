@@ -145,13 +145,15 @@ def ray_exponent(q: Potential, phi: Profile, V: LightVector,
     """I(t,x') = int_0^inf F(t - sigma, x' + sigma omega) d sigma.
 
     The adaptive line integral of raytransform over the sigma interval
-    where the ray meets supp q.  t is a scalar; xp has shape (npts, n).
+    where the ray meets supp q.  t is a scalar; xp has shape (npts, n),
+    and V and W hold one light vector or one per point.
     """
-    omega = np.array(W.direction)
+    theta, omega = V.rows(len(xp)), W.rows(len(xp))
     lo, hi = _ray_sigma_bounds(q, t, xp, omega)
 
-    def fvals(sig, xs):
-        return scalar_F(q, phi, V, omega, t - sig, xs)
+    def fvals(sig, xs, rows):
+        return scalar_F(q, phi, LightVector(V.sign, theta[rows].T[..., None]),
+                        omega[rows].T[..., None], t - sig, xs)
 
     try:
         return _adaptive_line_integral(fvals, xp, omega, lo, hi - lo)
@@ -162,15 +164,19 @@ def ray_exponent(q: Potential, phi: Profile, V: LightVector,
 
 def a10_points(q: Potential, phi: Profile, chi: Profile, V: LightVector,
                W: LightVector, A: float, B: float, t, xp) -> np.ndarray:
-    """Closed-form leading amplitude at points: 1/2 chi (A - iB) e^I."""
+    """Closed-form leading amplitude at points: 1/2 chi (A - iB) e^I;
+    V and W hold one light vector or one per point."""
     xp = np.atleast_2d(np.asarray(xp, dtype=float))
-    omega = np.array(W.direction)
-    psi = t + xp @ omega
-    chiv = chi.f(psi)
+    theta, omega = V.rows(len(xp)), W.rows(len(xp))
+    chiv = chi.f(t + np.sum(xp * omega, axis=-1))
     out = np.zeros(xp.shape[0], dtype=complex)
-    live = chiv != 0.0
-    if np.any(live):
-        I = ray_exponent(q, phi, V, W, t, xp[live])
+    live = np.flatnonzero(chiv != 0.0)
+    if live.size:
+        try:
+            I = ray_exponent(q, phi, LightVector(V.sign, theta[live].T),
+                             LightVector(W.sign, omega[live].T), t, xp[live])
+        except QuadratureError as exc:
+            raise QuadratureError(str(exc), int(live[exc.ray])) from None
         out[live] = 0.5 * (A - 1j * B) * chiv[live] * np.exp(I)
     return out
 

@@ -33,7 +33,8 @@ from .errors import ConfigError
 
 @dataclass(frozen=True)
 class LightVector:
-    """Null covector V = (sign, theta) with |theta| = 1."""
+    """Null covector V = (sign, theta) with |theta| = 1; theta's
+    components may be arrays of one shape, one light vector per entry."""
 
     sign: int
     direction: tuple
@@ -42,13 +43,18 @@ class LightVector:
         if self.sign not in (-1, 1):
             raise ConfigError("LightVector.sign must be +-1")
         d = np.asarray(self.direction, dtype=float)
-        object.__setattr__(self, "direction", tuple(d.tolist()))
-        if abs(np.linalg.norm(d) - 1.0) > UNIT_NORM_TOL:
+        object.__setattr__(self, "direction",
+                           tuple(d.tolist()) if d.ndim == 1 else tuple(d))
+        if np.any(np.abs(np.linalg.norm(d, axis=0) - 1.0) > UNIT_NORM_TOL):
             raise ConfigError("LightVector.direction must be a unit vector")
 
     @property
     def n(self) -> int:
         return len(self.direction)
+
+    def rows(self, npts: int) -> np.ndarray:
+        """theta as (npts, n) rows; a single light vector is repeated."""
+        return np.broadcast_to(np.transpose(self.direction), (npts, self.n))
 
     def twin_array(self) -> np.ndarray:
         return np.array([-float(self.sign), *self.direction])
@@ -62,6 +68,6 @@ def phase_arg(t, xs, V: LightVector):
     return out
 
 
-def twin_pairing(V: LightVector, omega) -> float:
-    """<Vt,Wt>_M = sign(V) + theta.omega with Wt = (1, omega)."""
-    return float(V.sign + np.array(V.direction) @ np.asarray(omega))
+def twin_pairing(V: LightVector, omega):
+    """<Vt,Wt>_M = sign(V) + theta.omega, Wt = (1, omega), term by term."""
+    return V.sign + sum(th * om for th, om in zip(V.direction, omega))

@@ -23,8 +23,8 @@ import numpy as np
 from scipy import sparse
 
 from .constants import (FBP_APODIZATION_NYQUIST, FBP_MIN_ANGLES,
-                        RAY_QUAD_ABS_TOL, RAY_QUAD_MAX_DOUBLINGS,
-                        RAY_QUAD_MAX_NODES)
+                        RAY_QUAD_ABS_TOL, RAY_QUAD_BATCH_LINES,
+                        RAY_QUAD_MAX_DOUBLINGS, RAY_QUAD_MAX_NODES)
 from .errors import ConfigError, QuadratureError
 from .minkowski import LightVector, twin_pairing
 from .potential import Potential, scalar_F
@@ -83,7 +83,7 @@ class Reconstruction:
 def _line_bounds(center, R, base, direction):
     """nu-interval where base + nu*direction meets the ball (center, R)."""
     d = base - center  # (..., 2)
-    b = d @ direction
+    b = np.sum(d * direction, axis=-1)
     cc = np.sum(d * d, axis=-1) - R**2
     disc = b * b - cc
     ok = disc > 0
@@ -94,37 +94,39 @@ def _line_bounds(center, R, base, direction):
 
 
 def _adaptive_line_integral(fvals, base, direction, lo, length):
-    """Integrals of fvals(sig, xs) along the lines base + sig*direction.
+    """Integrals of fvals(sig, xs, rows) along the lines base + sig*direction.
 
-    sig has shape (lines, nodes) and xs is the list of coordinate planes
-    xs[j] = base[:, j] + sig*direction[j], each of sig's shape.  Each
-    line runs over lo <= sig <= lo + length; lines with length <= 0
-    give 0 and are never evaluated.  The composite trapezoid rule on
-    n = 16, 32, ... segments follows the recurrence T_2n = T_n/2 +
-    (length/2n)*sum(f at the n new midpoints), and Simpson's rule is
-    S_2n = (4 T_2n - T_n)/3; the first call evaluates the 17 nodes of
-    T_16 and T_8.  A line leaves the active set, whose arrays are
-    compacted, at the first doubling where the smaller of |T_2n - T_n|
-    and |S_2n - S_n| is below RAY_QUAD_ABS_TOL, with that rule's value:
-    on a chord of a support whose integrand is C^inf-flat at both ends
-    T converges faster than any power of n, elsewhere Simpson's update
-    is the smaller.  Only the current doubling's midpoints are held, and
-    they never fall on a line's ends.  A doubling that would take the
-    active lines past RAY_QUAD_MAX_NODES nodes in all is not made: the
-    quadrature stops unconverged.  On failure to converge, or on a
-    non-finite integral, the QuadratureError's `ray` indexes the worst
-    line.
+    direction is one row per line or one for all.  sig has shape (lines,
+    nodes), xs is the list of coordinate planes xs[j] = base[:, j] +
+    sig*direction[:, j], each of sig's shape, and rows indexes the lines
+    evaluated among the call's.  Each line runs over lo <= sig <= lo +
+    length; lines with length <= 0 give 0 and are never evaluated.  The
+    composite trapezoid rule on n = 16, 32, ... segments follows the
+    recurrence T_2n = T_n/2 + (length/2n)*sum(f at the n new midpoints), and
+    Simpson's rule is S_2n = (4 T_2n - T_n)/3; the first call evaluates the
+    17 nodes of T_16 and T_8.  A line leaves the active set, whose arrays
+    are compacted, at the first doubling where the smaller of |T_2n - T_n|
+    and |S_2n - S_n| is below RAY_QUAD_ABS_TOL, with that rule's value: on a
+    chord of a support whose integrand is C^inf-flat at both ends T
+    converges faster than any power of n, elsewhere Simpson's update is the
+    smaller.  Only the current doubling's midpoints are held, and they never
+    fall on a line's ends.  A doubling that would take the active lines past
+    RAY_QUAD_MAX_NODES nodes in all is not made: the quadrature stops
+    unconverged.  On failure to converge, or on a non-finite integral, the
+    QuadratureError's `ray` indexes the worst line.  A line's value does not
+    depend on the other lines of the call.
     """
     out = np.zeros(length.shape)
     act = np.flatnonzero(length > 0)
     if act.size == 0:
         return out
-    lo, length, base = lo[act], length[act], base[act]
+    lo, length, base, direction = (v[act] for v in (
+        lo, length, base, np.broadcast_to(direction, base.shape)))
 
     def at(xi):
         sig = lo[:, None] + length[:, None] * xi[None, :]
-        return fvals(sig, [base[:, j, None] + sig * d
-                           for j, d in enumerate(direction)])
+        return fvals(sig, [base[:, j, None] + sig * direction[:, j, None]
+                           for j in range(base.shape[1])], act)
 
     def refine(trap, mid, nseg):
         return 0.5 * trap + (length / nseg) * np.sum(mid, axis=1)
@@ -154,7 +156,8 @@ def _adaptive_line_integral(fvals, base, direction, lo, length):
             if np.all(done):
                 return out
             left = ~done
-            lo, length, base = lo[left], length[left], base[left]
+            lo, length, base, direction = lo[left], length[left], \
+                base[left], direction[left]
             act, t2, s2, update = act[left], t2[left], s2[left], update[left]
         trap, simp = t2, s2
     raise QuadratureError(
@@ -170,22 +173,22 @@ def sweep_frame(a):
     return np.array([c, s]), np.array([-s, c])
 
 
-def _sweep(offsets, angles, center, R, fvals, window):
-    """Integrals of fvals(sig, xs, omega) along every sweep line.
-
-    nu runs over the chord of the ball (center, R), clamped to `window`.
-    """
-    offsets = np.asarray(offsets, dtype=float)
-    samples = np.zeros((offsets.size, np.size(angles)))
-    for ja, a in enumerate(np.asarray(angles, dtype=float)):
-        om, perp = sweep_frame(a)
-        base = offsets[:, None] * perp[None, :]
-        lo, hi = _line_bounds(center, R, base, om)
-        lo = np.maximum(lo, window[0])
-        length = np.maximum(np.minimum(hi, window[1]) - lo, 0.0)
-        samples[:, ja] = _adaptive_line_integral(
-            lambda sig, xs: fvals(sig, xs, om), base, om, lo, length)
-    return samples
+def sweep_batches(angles, offsets, integrate):
+    """Yield (js, integrate(js) as (angles, offsets)) for slices js of whole
+    angles, at most RAY_QUAD_BATCH_LINES lines or one angle, offsets inner;
+    a QuadratureError is raised again naming the line's angle and offset."""
+    n = len(offsets)
+    step = max(1, RAY_QUAD_BATCH_LINES // n)
+    for j in range(0, len(angles), step):
+        js = slice(j, j + step)
+        try:
+            vals = integrate(js)
+        except QuadratureError as exc:
+            ja, i = divmod(exc.ray, n)
+            raise QuadratureError(f"sweep angle {angles[j + ja]!r}, offset "
+                                  f"{offsets[i]!r}: {exc}",
+                                  j * n + exc.ray) from None
+        yield js, vals.reshape(-1, n)
 
 
 def lightray_forward(q: Potential, phi: Profile, V: LightVector,
@@ -193,18 +196,28 @@ def lightray_forward(q: Potential, phi: Profile, V: LightVector,
     """Sinogram of the light-ray transform of scalar_F over an angle sweep.
 
     The carrier W = (-1, omega) takes each omega of the sweep in turn.
-    Each line is at time 0 at nu = 0.
+    Each line is at time 0 at nu = 0 and runs over supp q in space-time.
     """
     if q.n != 2:
         raise ConfigError("lightray_forward: sinogram sweep is 2-D only")
-    tr = q.time_radius
-    window = (-np.inf, np.inf) if tr is None else (-tr, tr)
+    offsets = np.asarray(offsets, dtype=float)
+    angles = np.asarray(angles, dtype=float)
+    frames = np.array([sweep_frame(a) for a in angles]).reshape(-1, 2, 2)
+    tr = np.inf if q.time_radius is None else q.time_radius
 
-    def fvals(sig, xs, om):
-        return scalar_F(q, phi, V, om, sig, xs)
+    def integrate(js):
+        om = np.repeat(frames[js, 0], offsets.size, axis=0)
+        base = (offsets[:, None] * frames[js, None, 1]).reshape(-1, 2)
+        lo, hi = _line_bounds(np.array(q.center), q.R, base, om)
+        lo = np.maximum(lo, -tr)
+        length = np.maximum(np.minimum(hi, tr) - lo, 0.0)
+        return _adaptive_line_integral(
+            lambda sig, xs, rows: scalar_F(q, phi, V, om[rows].T[..., None],
+                                           sig, xs), base, om, lo, length)
 
-    samples = _sweep(offsets, angles, np.array(q.center), q.R, fvals,
-                     window)
+    samples = np.zeros((offsets.size, angles.size))
+    for js, vals in sweep_batches(angles, offsets, integrate):
+        samples[:, js] = vals.T
     return Sinogram(offsets, angles, samples)
 
 

@@ -38,7 +38,8 @@ from .geoptics import AnsatzSpec, a10_points, dt_u_incident, u_incident
 from .minkowski import LightVector
 from .potential import Potential
 from .profiles import Profile
-from .raytransform import Sinogram, invert_xray_2d, sweep_frame, xray_reduce
+from .raytransform import (Sinogram, invert_xray_2d, sweep_batches,
+                           sweep_frame, xray_reduce)
 
 
 # ----------------------------------------------------------------------
@@ -292,7 +293,7 @@ def ansatz_measurements(q: Potential, phi: Profile, chi: Profile,
     In the reduced configuration the ray exponent is constant across
     the measurement band once the pulse has fully crossed supp q, so
     A_{1,0}(s, r) = A_{1,0}(s, -Tprime) chi(Tprime + r) / chi(0); the
-    quadrature runs once per offset instead of once per band point.
+    quadrature runs once per offset, for several angles per call.
     ConfigError unless, at every angle, the band lies wholly behind
     supp q along omega.  Everything but the amplitude at the band
     centres is the same at every angle and is formed once.
@@ -315,26 +316,38 @@ def ansatz_measurements(q: Potential, phi: Profile, chi: Profile,
     hs = (h, 0.5 * h) if richardson else (h,)
     carrier = {hh: np.exp(1j * psi / hh) for hh in hs}
     band_front = -Tprime + chi.support_radius + BAND_PAD
-    probes = []
-    for a in np.asarray(angles, dtype=float):
+    angles = np.asarray(angles, dtype=float)
+    weights, frames = [], []
+    for a in angles:
         om, th, V, W = _sweep_vectors(float(a))
-        weight = xray_reduce(q, phi, V, W)  # validates the reduced config
+        weights.append(xray_reduce(q, phi, V, W))  # validates the config
         # the band must lie wholly behind supp q, whose back edge along
         # omega is omega.c - R
         if band_front >= om @ np.asarray(q.center) - q.R:
             raise ConfigError("ansatz_measurements: band overlaps supp q "
                               "at Tprime; increase Tprime")
-        ctr = offsets[:, None] * th - Tprime * om
-        a_ctr = a10_points(q, phi, chi, V, W, A, B, Tprime, ctr)
-        amp = a_ctr[:, None] * env[None, :]
+        frames.append((om, th))
+    frames = np.reshape(frames, (-1, 2, 2))
 
-        def slice_at(hh):
-            osc = 2.0 * hh * np.real(amp * carrier[hh])
-            return TimeSliceMeasurement(bg + osc, r, hh, Tprime, bg)
+    def band_centres(js):
+        fr = frames[js]
+        ctr = offsets[:, None] * fr[:, None, 1] - Tprime * fr[:, None, 0]
+        om, th = np.repeat(fr, offsets.size, axis=0).transpose(1, 2, 0)
+        return a10_points(q, phi, chi, LightVector(-1, th),
+                          LightVector(-1, om), A, B, Tprime,
+                          ctr.reshape(-1, 2))
 
-        half = slice_at(0.5 * h) if richardson else None
-        probes.append(Probe(np.array([a]), weight, offsets,
-                            slice_at(h), half))
+    def slice_at(amp, hh):
+        osc = 2.0 * hh * np.real(amp * carrier[hh])
+        return TimeSliceMeasurement(bg + osc, r, hh, Tprime, bg)
+
+    probes = []
+    for js, a_ctr in sweep_batches(angles, offsets, band_centres):
+        for a, weight, ac in zip(angles[js], weights[js], a_ctr):
+            amp = ac[:, None] * env[None, :]
+            half = slice_at(amp, 0.5 * h) if richardson else None
+            probes.append(Probe(np.array([a]), weight, offsets,
+                                slice_at(amp, h), half))
     return probes
 
 

@@ -32,7 +32,7 @@ from nullform.geoptics import (_EDGE_LEVELS, _Frame, _ray_sigma_bounds,
 from nullform.grids import (SpacetimeGrid, diff1, diff2, l2_norm, laplacian2,
                             shift)
 from nullform.minkowski import phase_arg, twin_pairing
-from nullform.raytransform import Sinogram, _line_bounds, _sweep
+from nullform.raytransform import Sinogram, _line_bounds
 from nullform.recovery import (ExtractedAmplitude, TimeSliceMeasurement,
                                _r_window, _sweep_vectors)
 
@@ -53,13 +53,11 @@ def solve_A10_closed_form(q, phi, chi, V, W, A, B,
 def xray_forward_2d(integrand, offsets, angles, support_center,
                     support_R) -> Sinogram:
     """Straight-line integrals of a scalar integrand (phantom path)."""
-    def fvals(sig, xs, om):
-        return integrand(xs[0], xs[1])
+    def fvals(sig, pts, om):
+        return integrand(pts[..., 0], pts[..., 1])
 
-    samples = _sweep(offsets, angles,
-                     np.asarray(support_center, dtype=float), support_R,
-                     fvals, (-np.inf, np.inf))
-    return Sinogram(offsets, angles, samples)
+    return _sweep_by_angle(offsets, angles, support_center, support_R,
+                           (-np.inf, np.inf), fvals)
 
 
 def _recurrence_line_integral(at, length, simpson_only=False):
@@ -121,12 +119,13 @@ def simpson_line_integral(fvals, base, direction, lo, length):
     act = np.flatnonzero(length > 0)
     if act.size == 0:
         return out
+    direction = np.broadcast_to(direction, base.shape)[act]
     lo, length, base = lo[act], length[act], base[act]
 
     def at(keep, xi):
         sig = lo[keep, None] + length[keep, None] * xi[None, :]
-        return fvals(sig, [base[keep, j, None] + sig * d
-                           for j, d in enumerate(direction)])
+        return fvals(sig, [base[keep, j, None] + sig * direction[keep, j, None]
+                           for j in range(base.shape[1])], act[keep])
 
     out[act] = _recurrence_line_integral(at, length, simpson_only=True)
     return out
@@ -139,7 +138,7 @@ def pts_a10_points(q, phi, chi, V, W, A, B, t, xp):
     th = np.array(V.direction)
     omega = np.array(W.direction)
     pairing = twin_pairing(V, omega)
-    chiv = chi.f(t + xp @ omega)
+    chiv = chi.f(t + np.sum(xp * omega, axis=-1))
     out = np.zeros(xp.shape[0], dtype=complex)
     live = chiv != 0.0
     if not np.any(live):
@@ -158,29 +157,36 @@ def pts_a10_points(q, phi, chi, V, W, A, B, t, xp):
     return out
 
 
-def pts_lightray_forward(q, phi, V, offsets, angles) -> Sinogram:
-    """lightray_forward's sweep, one pts_line_integral per angle."""
+def _sweep_by_angle(offsets, angles, center, R, window, fvals) -> Sinogram:
+    """Integrals of fvals(sig, pts, omega) along the sweep's lines, one
+    pts_line_integral per angle, nu over the chord of the ball (center,
+    R) clamped to window."""
     offsets = np.asarray(offsets, dtype=float)
     angles = np.asarray(angles, dtype=float)
-    tr = q.time_radius
-    window = (-np.inf, np.inf) if tr is None else (-tr, tr)
-    center = np.array(q.center)
     samples = np.zeros((offsets.size, angles.size))
     for ja, a in enumerate(angles):
         om = np.array([np.cos(a), np.sin(a)])
         perp = np.array([-np.sin(a), np.cos(a)])
         base = offsets[:, None] * perp[None, :]
-        lo, hi = _line_bounds(center, q.R, base, om)
+        lo, hi = _line_bounds(np.asarray(center, dtype=float), R, base, om)
         lo = np.maximum(lo, window[0])
         length = np.maximum(np.minimum(hi, window[1]) - lo, 0.0)
-
-        def fvals(sig, pts, om=om):
-            xs = [pts[..., 0], pts[..., 1]]
-            f, df = phi.f_df(phase_arg(sig, xs, V))
-            return q.q(sig, xs, f) * df * twin_pairing(V, om)
-
-        samples[:, ja] = pts_line_integral(fvals, base, om, lo, length)
+        samples[:, ja] = pts_line_integral(
+            lambda sig, pts: fvals(sig, pts, om), base, om, lo, length)
     return Sinogram(offsets, angles, samples)
+
+
+def pts_lightray_forward(q, phi, V, offsets, angles) -> Sinogram:
+    """lightray_forward's sweep, one pts_line_integral per angle."""
+    tr = q.time_radius
+    window = (-np.inf, np.inf) if tr is None else (-tr, tr)
+
+    def fvals(sig, pts, om):
+        xs = [pts[..., 0], pts[..., 1]]
+        f, df = phi.f_df(phase_arg(sig, xs, V))
+        return q.q(sig, xs, f) * df * twin_pairing(V, om)
+
+    return _sweep_by_angle(offsets, angles, q.center, q.R, window, fvals)
 
 
 def ansatz_slices_by_angle(q, phi, chi, A, B, h, offsets, angles, Tprime,

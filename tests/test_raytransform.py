@@ -105,7 +105,7 @@ def test_line_integral_reports_nonconvergence(monkeypatch):
     import nullform.raytransform as rt
     monkeypatch.setattr(rt, "RAY_QUAD_MAX_DOUBLINGS", 1)
 
-    def step(sig, xs):
+    def step(sig, xs, rows):
         return (xs[0] > 0.3).astype(float)
 
     # line 1 crosses the jump; line 0 is empty and line 2 sees a constant
@@ -141,7 +141,7 @@ def _reevaluating_line_integral(fvals, base, direction, lo, length):
     def nodes(nseg):
         sig = lo[:, None] + length[:, None] * np.linspace(0.0, 1.0, nseg + 1)
         return fvals(sig, [base[:, j, None] + sig * d
-                           for j, d in enumerate(direction)])
+                           for j, d in enumerate(direction)], act)
 
     nseg = 16
     g = nodes(nseg)
@@ -182,15 +182,15 @@ def test_nested_simpson_matches_reevaluating_loop(n, nlines, k, seed,
     length[rng.random(nlines) < 0.1] *= -1.0
     th = rng.normal(size=n)
 
-    def fvals(sig, xs):
+    def fvals(sig, xs, rows):
         s = sum(x * c for x, c in zip(xs, th))
         return np.exp(-s**2) * np.cos(k * sig) + np.sin(3.0 * s) * sig
 
     seen = []
 
-    def counted(sig, xs):
+    def counted(sig, xs, rows):
         seen.append(sig.size)
-        return fvals(sig, xs)
+        return fvals(sig, xs, rows)
 
     # 12 doublings (65,537 nodes a line) bound the memory of a broken
     # quadrature; these integrands converge well before that
@@ -221,13 +221,13 @@ def test_each_line_stops_at_its_own_first_converged_doubling(nlines, k,
     length = rng.uniform(0.0, 2.0, nlines)
     th = rng.normal(size=2)
 
-    def fvals(sig, xs):
+    def fvals(sig, xs, rows=None):
         s = xs[0] * th[0] + xs[1] * th[1]
         return np.exp(-s**2) * np.cos(k * sig) + np.sin(3.0 * s) * sig
 
     seen = []
 
-    def counted(sig, xs):
+    def counted(sig, xs, rows):
         seen.append(sig.size)
         return fvals(sig, xs)
 
@@ -264,9 +264,9 @@ def test_each_line_stops_at_its_own_first_converged_doubling(nlines, k,
 
 
 def _counted(fvals, seen):
-    def fn(sig, xs):
+    def fn(sig, xs, rows):
         seen.append(sig.size)
-        return fvals(sig, xs)
+        return fvals(sig, xs, rows)
     return fn
 
 
@@ -285,7 +285,7 @@ def test_flat_ended_chords_stop_before_simpson(radius, amplitude, shift, a):
     base = radius * (np.linspace(-0.9, 0.9, 9) + 0.1 * shift)[:, None] * perp
     lo, hi = _line_bounds(np.zeros(2), radius, base, om)
 
-    def fvals(sig, xs):
+    def fvals(sig, xs, rows=None):
         return rf.value(xs[0] ** 2 + xs[1] ** 2)
 
     seen, seen_simpson = [], []
@@ -325,11 +325,11 @@ def test_two_rule_stop_never_costs_more_than_simpson(n, nlines, k, seed,
     th = rng.normal(size=n)
     coef = rng.normal(size=degree + 1)
 
-    def nested(sig, xs):
+    def nested(sig, xs, rows=None):
         s = sum(x * c for x, c in zip(xs, th))
         return np.exp(-s**2) * np.cos(k * sig) + np.sin(3.0 * s) * sig
 
-    def poly(sig, xs):
+    def poly(sig, xs, rows):
         return P.polyval(sig, coef)
 
     nseg = 2 ** 14
@@ -386,7 +386,7 @@ def test_line_integral_rejects_non_finite_integrand(monkeypatch):
     monkeypatch.setattr(rt, "RAY_QUAD_MAX_DOUBLINGS", 3)
     calls = []
 
-    def nan_on_line_2(sig, xs):
+    def nan_on_line_2(sig, xs, rows):
         calls.append(sig.shape)
         out = np.cos(sig)
         out[xs[1][:, 0] == 2.0] = np.nan
@@ -411,7 +411,7 @@ def test_line_integral_stops_at_node_budget(monkeypatch):
     rng = np.random.default_rng(3)
     nodes = []
 
-    def noise(sig, xs):
+    def noise(sig, xs, rows):
         nodes.append(sig.size)
         return rng.normal(size=sig.shape)
 

@@ -8,12 +8,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from unittest import mock
+
 from nullform.constants import PPW_MIN
-from nullform.errors import ConfigError, UnresolvedCarrierError
+from nullform.errors import ConfigError, QuadratureError, \
+    UnresolvedCarrierError
 from nullform.geoptics import AnsatzSpec, a10_points, assemble_uN, \
     background_field, build_hierarchy
 from nullform.minkowski import LightVector
-from nullform.potential import get_potential
+from nullform.potential import Potential, get_potential
 from nullform.profiles import bump, ramp
 import nullform.recovery as recovery
 from nullform.recovery import (
@@ -21,8 +24,9 @@ from nullform.recovery import (
     backpropagate_amplitude, demodulate, fdtd_measurements,
     log_recover_ray_data, recover_potential_2d, richardson_extract,
 )
+from nullform.raytransform import lightray_forward
 from oracles import (ansatz_slices_by_angle, complex_log_ray_data,
-                     fft_demodulate)
+                     fft_demodulate, pts_lightray_forward)
 
 PHI = ramp(1.5, 0.5, 1.0)
 CHI = bump(0.3, 1.0)
@@ -374,6 +378,87 @@ def test_ansatz_band_check_uses_back_edge_of_support():
     u = p.slc.background + 2 * h * np.real(
         direct * np.exp(1j * (tp + p.slc.r) / h))
     assert np.max(np.abs(u - p.slc.u)) < 1e-12
+
+
+def _sweeps_at(batch, q, offsets, angles):
+    """Both sweeps' samples with RAY_QUAD_BATCH_LINES = batch: the
+    light-ray sinogram and the ansatz slices stacked by angle."""
+    with mock.patch("nullform.raytransform.RAY_QUAD_BATCH_LINES", batch):
+        sino = lightray_forward(q, PHI, LightVector(1, (0.6, 0.8)), offsets,
+                                angles)
+        probes = ansatz_measurements(q, PHI, CHI, A, B, 1 / 32, offsets,
+                                     angles, TP)
+    return sino.samples, np.array([p.slc.u for p in probes])
+
+
+@settings(deadline=None, max_examples=25)
+@given(key=st.sampled_from(["radial_bump", "offset_bump"]),
+       n_off=st.integers(1, 9), n_ang=st.integers(1, 7),
+       batch=st.integers(1, 70), start=st.floats(0.0, np.pi))
+def test_sweeps_do_not_depend_on_batch_size(key, n_off, n_ang, batch,
+                                            start):
+    # a line's value does not depend on the lines sharing its quadrature
+    # call: the same bits at one line per call (one angle per batch), at
+    # any batch size whether or not it divides the sweep, and with the
+    # whole sweep in one call; and the per-angle loops to rounding
+    q = get_potential(key, 2)
+    offsets = np.linspace(-0.85, 0.85, n_off)
+    angles = start + np.pi * np.arange(n_ang) / max(n_ang, 2)
+    got = _sweeps_at(batch, q, offsets, angles)
+    for other in (1, n_off * n_ang):
+        for a, b in zip(got, _sweeps_at(other, q, offsets, angles)):
+            assert np.array_equal(a, b)
+    sino, slices = got
+    want = pts_lightray_forward(q, PHI, LightVector(1, (0.6, 0.8)), offsets,
+                                angles).samples
+    assert np.max(np.abs(sino - want)) <= 1e-15 * np.max(np.abs(want))
+    want = np.array([s.u for s, _ in ansatz_slices_by_angle(
+        q, PHI, CHI, A, B, 1 / 32, offsets, angles, TP)])
+    assert np.max(np.abs(slices - want)) <= 1e-15 * np.max(np.abs(want))
+
+
+class _SpeckPotential(Potential):
+    """q = 10 x1 on the disk of radius 0.03 about (0.3, 0) and 0 elsewhere
+    in |x'| < 0.5: a jump that one sweep line of _SPECK_SWEEP crosses."""
+
+    key = "speck"
+    R = 0.5
+    center = (0.0, 0.0)
+    n = 2
+    u_degree = 0
+
+    def q(self, t, xs, u):
+        inside = (xs[0] - 0.3) ** 2 + xs[1] ** 2 < 0.03 ** 2
+        return np.broadcast_to(np.where(inside, 10.0 * xs[0], 0.0),
+                               np.broadcast(t, *xs, u).shape)
+
+
+# theta.(0.3, 0) = -0.3 sin a is -0.15, -0.2 and -0.25 at these angles:
+# only the line at the second angle and offset -0.2 meets the speck
+_SPECK_SWEEP = (np.linspace(-0.5, 0.5, 11),
+                np.arcsin(np.array([0.5, 2.0 / 3.0, 5.0 / 6.0])))
+
+
+def test_quadrature_error_names_the_failing_line_of_a_batch(monkeypatch):
+    import nullform.raytransform as rt
+    monkeypatch.setattr(rt, "RAY_QUAD_MAX_DOUBLINGS", 4)
+    offsets, angles = _SPECK_SWEEP
+    line = 1 * offsets.size + 3  # angle 1, offset -0.2, mid-batch
+    with pytest.raises(QuadratureError, match="not converged") as exc:
+        lightray_forward(_SpeckPotential(), PHI, LightVector(1, (0.6, 0.8)),
+                         offsets, angles)
+    assert exc.value.ray == line
+    assert str(exc.value).startswith(
+        f"sweep angle {angles[1]!r}, offset {offsets[3]!r}: ")
+    with pytest.raises(QuadratureError, match="not converged") as exc:
+        ansatz_measurements(_SpeckPotential(), PHI, CHI, A, B, 1 / 32,
+                            offsets, angles, TP)
+    assert exc.value.ray == line
+    om, th, _, _ = recovery._sweep_vectors(angles[1])
+    xp = offsets[3] * th - TP * om
+    assert str(exc.value).startswith(
+        f"sweep angle {angles[1]!r}, offset {offsets[3]!r}: "
+        f"ray quadrature at x'={xp} (t={TP}): ")
 
 
 def test_fdtd_provider_validations():
