@@ -17,6 +17,8 @@ FDTD_CONE_MARGIN = 32          # cells the rk4 light-cone window adds on each
 
 # quadrature
 RAY_QUAD_ABS_TOL = 1e-9        # trapezoid/Simpson update that retires a line
+RAY_QUAD_TRAP_PRIOR_MAX = 1e-6  # trapezoid update after which its next
+                                # one may not retire a line
 RAY_QUAD_MAX_DOUBLINGS = 22
 RAY_QUAD_MAX_NODES = 2 ** 22   # active lines x nodes a doubling may reach;
                                # the largest call in Tier-1 reaches 0.26M

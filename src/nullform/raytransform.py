@@ -24,7 +24,8 @@ from scipy import sparse
 
 from .constants import (FBP_APODIZATION_NYQUIST, FBP_MIN_ANGLES,
                         RAY_QUAD_ABS_TOL, RAY_QUAD_BATCH_LINES,
-                        RAY_QUAD_MAX_DOUBLINGS, RAY_QUAD_MAX_NODES)
+                        RAY_QUAD_MAX_DOUBLINGS, RAY_QUAD_MAX_NODES,
+                        RAY_QUAD_TRAP_PRIOR_MAX)
 from .errors import ConfigError, QuadratureError
 from .minkowski import LightVector, twin_pairing
 from .potential import Potential, scalar_F
@@ -93,6 +94,29 @@ def _line_bounds(center, R, base, direction):
     return lo, hi
 
 
+def _two_rule_stop(dt, ds, dt1, ds1, dt2):
+    """(done, use_t) for lines whose trapezoid and Simpson updates at this
+    doubling are dt = |T_2n - T_n| and ds = |S_2n - S_n|, with dt1, ds1 the
+    updates of the doubling before and dt2 the trapezoid's of the one before
+    that.  The smaller trusted update retires a line once it is below
+    RAY_QUAD_ABS_TOL, and use_t is where that is the trapezoid's.
+
+    On a chord of a support whose integrand is C^inf-flat at both ends T
+    converges faster than any power of n, elsewhere Simpson's update is the
+    smaller; either can dip below tolerance by a cancellation while the
+    value is still off by more.  Simpson's update is not trusted where the
+    trapezoid's was the smaller one doubling before after falling more than
+    16-fold, faster than Simpson's own h^4: the ends are flat there, and
+    S_2n = T_2n + (T_2n - T_n)/3 carries T_n's error.  The trapezoid's is
+    not trusted right after one of RAY_QUAD_TRAP_PRIOR_MAX or more, a fall
+    of over three decades that on coarse grids can be an alias.
+    """
+    dt = np.where(dt1 < RAY_QUAD_TRAP_PRIOR_MAX, dt, np.inf)
+    ds = np.where((dt1 < ds1) & (dt2 > 16.0 * dt1), np.inf, ds)
+    use_t = dt < ds
+    return np.minimum(dt, ds) < RAY_QUAD_ABS_TOL, use_t
+
+
 def _adaptive_line_integral(fvals, base, direction, lo, length):
     """Integrals of fvals(sig, xs, rows) along the lines base + sig*direction.
 
@@ -104,17 +128,15 @@ def _adaptive_line_integral(fvals, base, direction, lo, length):
     composite trapezoid rule on n = 16, 32, ... segments follows the
     recurrence T_2n = T_n/2 + (length/2n)*sum(f at the n new midpoints), and
     Simpson's rule is S_2n = (4 T_2n - T_n)/3; the first call evaluates the
-    17 nodes of T_16 and T_8.  A line leaves the active set, whose arrays
-    are compacted, at the first doubling where the smaller of |T_2n - T_n|
-    and |S_2n - S_n| is below RAY_QUAD_ABS_TOL, with that rule's value: on a
-    chord of a support whose integrand is C^inf-flat at both ends T
-    converges faster than any power of n, elsewhere Simpson's update is the
-    smaller.  Only the current doubling's midpoints are held, and they never
-    fall on a line's ends.  A doubling that would take the active lines past
-    RAY_QUAD_MAX_NODES nodes in all is not made: the quadrature stops
-    unconverged.  On failure to converge, or on a non-finite integral, the
-    QuadratureError's `ray` indexes the worst line.  A line's value does not
-    depend on the other lines of the call.
+    17 nodes of T_16, T_8 and T_4.  A line leaves the active set, whose
+    arrays are compacted, at the first doubling where _two_rule_stop
+    retires it, with the value of the rule that decided.  Only the current
+    doubling's midpoints are held, and they never fall on a line's ends.  A
+    doubling that would take the active lines past RAY_QUAD_MAX_NODES nodes
+    in all is not made: the quadrature stops unconverged.  On failure to
+    converge, or on a non-finite integral, the QuadratureError's `ray`
+    indexes the worst line.  A line's value does not depend on the other
+    lines of the call.
     """
     out = np.zeros(length.shape)
     act = np.flatnonzero(length > 0)
@@ -133,10 +155,15 @@ def _adaptive_line_integral(fvals, base, direction, lo, length):
 
     nseg = 16
     g = at(np.linspace(0.0, 1.0, nseg + 1))
-    coarse = (length / 8) * (0.5 * (g[:, 0] + g[:, -1])
-                             + np.sum(g[:, 2:-1:2], axis=1))
+    ends = 0.5 * (g[:, 0] + g[:, -1])
+    quarter = (length / 4) * (ends + np.sum(g[:, 4:-1:4], axis=1))
+    coarse = (length / 8) * (ends + np.sum(g[:, 2:-1:2], axis=1))
     trap = refine(coarse, g[:, 1::2], nseg)
     simp = (4.0 * trap - coarse) / 3.0
+    # the updates of the doubling before (dt1, ds1) and the trapezoid's of
+    # the one before that (dt2), here T_16 - T_8, S_16 - S_8 and T_8 - T_4
+    dt1, dt2 = np.abs(trap - coarse), np.abs(coarse - quarter)
+    ds1 = np.abs(simp - (4.0 * coarse - quarter) / 3.0)
     update = np.full(act.size, np.inf)
     for _ in range(RAY_QUAD_MAX_DOUBLINGS):
         if act.size * (2 * nseg + 1) > RAY_QUAD_MAX_NODES:
@@ -150,16 +177,18 @@ def _adaptive_line_integral(fvals, base, direction, lo, length):
         s2 = (4.0 * t2 - trap) / 3.0
         dt, ds = np.abs(t2 - trap), np.abs(s2 - simp)
         update = np.minimum(dt, ds)
-        done = update < RAY_QUAD_ABS_TOL
+        done, use_t = _two_rule_stop(dt, ds, dt1, ds1, dt2)
         if np.any(done):
-            out[act[done]] = np.where(dt < ds, t2, s2)[done]
+            out[act[done]] = np.where(use_t, t2, s2)[done]
             if np.all(done):
                 return out
             left = ~done
             lo, length, base, direction = lo[left], length[left], \
                 base[left], direction[left]
             act, t2, s2, update = act[left], t2[left], s2[left], update[left]
+            dt, ds, dt1 = dt[left], ds[left], dt1[left]
         trap, simp = t2, s2
+        dt1, ds1, dt2 = dt, ds, dt1
     raise QuadratureError(
         f"line quadrature not converged (last update {np.max(update):.2e}, "
         f"{nseg + 1} nodes on each of {act.size} lines)",

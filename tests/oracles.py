@@ -32,7 +32,7 @@ from nullform.geoptics import (_EDGE_LEVELS, _Frame, _ray_sigma_bounds,
 from nullform.grids import (SpacetimeGrid, diff1, diff2, l2_norm, laplacian2,
                             shift)
 from nullform.minkowski import phase_arg, twin_pairing
-from nullform.raytransform import Sinogram, _line_bounds
+from nullform.raytransform import Sinogram, _line_bounds, _two_rule_stop
 from nullform.recovery import (ExtractedAmplitude, TimeSliceMeasurement,
                                _r_window, _sweep_vectors)
 
@@ -64,17 +64,21 @@ def _recurrence_line_integral(at, length, simpson_only=False):
     """_adaptive_line_integral's trapezoid recurrence on lines of positive
     length, at(keep, xi) giving the integrand on the lines `keep` at the
     fractions xi of their length.  Each line leaves at its own first
-    doubling where the smaller update of the trapezoid and Simpson rules
-    (of Simpson's alone if simpson_only) is below RAY_QUAD_ABS_TOL, with
-    that rule's value."""
+    doubling where _two_rule_stop retires it (where Simpson's update is
+    below RAY_QUAD_ABS_TOL if simpson_only), with the deciding rule's
+    value."""
     out = np.zeros(length.shape)
     keep = np.arange(length.size)
     nseg = 16
     g = at(keep, np.linspace(0.0, 1.0, nseg + 1))
+    quarter = (length / 4) * (0.5 * (g[:, 0] + g[:, -1])
+                              + np.sum(g[:, 4:-1:4], axis=1))
     coarse = (length / 8) * (0.5 * (g[:, 0] + g[:, -1])
                              + np.sum(g[:, 2:-1:2], axis=1))
     trap = 0.5 * coarse + (length / nseg) * np.sum(g[:, 1::2], axis=1)
     simp = (4.0 * trap - coarse) / 3.0
+    dt1, dt2 = np.abs(trap - coarse), np.abs(coarse - quarter)
+    ds1 = np.abs(simp - (4.0 * coarse - quarter) / 3.0)
     for _ in range(RAY_QUAD_MAX_DOUBLINGS):
         if keep.size * (2 * nseg + 1) > RAY_QUAD_MAX_NODES:
             break
@@ -85,12 +89,16 @@ def _recurrence_line_integral(at, length, simpson_only=False):
             break
         s2 = (4.0 * t2 - trap) / 3.0
         dt, ds = np.abs(t2 - trap), np.abs(s2 - simp)
-        use_t = np.zeros(keep.size, bool) if simpson_only else dt < ds
-        done = np.where(use_t, dt, ds) < RAY_QUAD_ABS_TOL
+        if simpson_only:
+            done, use_t = ds < RAY_QUAD_ABS_TOL, np.zeros(keep.size, bool)
+        else:
+            done, use_t = _two_rule_stop(dt, ds, dt1, ds1, dt2)
         out[keep[done]] = np.where(use_t, t2, s2)[done]
         if np.all(done):
             return out
-        keep, trap, simp = keep[~done], t2[~done], s2[~done]
+        left = ~done
+        keep, trap, simp = keep[left], t2[left], s2[left]
+        dt1, ds1, dt2 = dt[left], ds[left], dt1[left]
     raise QuadratureError("line quadrature oracle: not converged")
 
 
