@@ -54,6 +54,12 @@ class Sinogram:
         self.samples = np.asarray(self.samples, dtype=float)
         if self.samples.shape != (self.offsets.size, self.angles.size):
             raise ConfigError("Sinogram: samples shape mismatch")
+        bad = np.argwhere(~np.isfinite(self.samples))
+        if bad.size:
+            i, j = bad[0]
+            raise ConfigError(f"Sinogram: sample {self.samples[i, j]} at "
+                              f"offset {self.offsets[i]:.6g}, angle "
+                              f"{self.angles[j]:.6g} is not finite")
 
     def to_csv(self) -> str:
         ds = self.offsets[1] - self.offsets[0] if self.offsets.size > 1 \
@@ -338,6 +344,8 @@ def _fbp(sino: Sinogram, axes) -> np.ndarray:
 
 # tolerance, in cells, of the pixel-box edge test in _xray_matrix
 _EDGE_TOL = 1e-9
+# most (offset, pixel) bins in one dense block of _xray_matrix (2 MB)
+_BLOCK_BINS = 1 << 18
 
 
 def _xray_matrix(sino: Sinogram, axes) -> sparse.csr_matrix:
@@ -349,58 +357,72 @@ def _xray_matrix(sino: Sinogram, axes) -> sparse.csr_matrix:
     _EDGE_TOL cells of its edge lines count as on them, so whether a ray
     along an edge is kept does not hang on the rounding of (p - x0)/d.
 
-    Each angle's block is converted to canonical CSR on its own and
-    copied, in row order, into buffers sized for four entries per
-    sample; their unused tail is then cut off.  Pages never written are
-    never resident, so the operator is held in memory once.
+    Each angle's duplicate samples are summed in input order by one
+    np.bincount over row-major (offset, pixel) keys into a dense block of
+    at most _BLOCK_BINS bins, in row groups when an angle needs more.
+    The touched bins, explicit zeros included, come out of flatnonzero
+    in canonical order and are copied into buffers sized for four
+    entries per sample; their unused tail is then cut off.  Pages never
+    written are never resident, so the operator is held in memory once.
+    scipy only holds the finished CSR, for the matvecs.
     """
     x1, x2 = axes
     d1 = _check_uniform(x1, "axis 1")
     d2 = _check_uniform(x2, "axis 2")
     n1, n2 = x1.size, x2.size
+    npix = n1 * n2
     step = 0.5 * min(d1, d2)
     span = float(np.hypot(x1[-1] - x1[0], x2[-1] - x2[0]))
     nu = np.arange(-0.5 * span, 0.5 * span + step, step)
-    off = sino.offsets[:, None]
-    ray = np.broadcast_to(np.arange(off.size)[:, None], (off.size, nu.size))
-    cap = 4 * ray.size * sino.angles.size
-    itype = np.int32 if max(cap, n1 * n2) < 2**31 else np.int64
-    indptr = np.zeros(off.size * sino.angles.size + 1, itype)
+    noff = sino.offsets.size
+    group = min(noff, max(1, _BLOCK_BINS // npix))
+    ray = np.broadcast_to(np.arange(group)[:, None], (group, nu.size))
+    cap = 4 * noff * nu.size * sino.angles.size
+    itype = np.int32 if max(cap, npix) < 2**31 else np.int64
+    indptr = np.zeros(noff * sino.angles.size + 1, itype)
     indices = np.empty(cap, itype)
     data = np.empty(cap)
     nnz = 0
     for ja, a in enumerate(sino.angles):
         om, perp = sweep_frame(a)
-        u = (nu * om[0] + off * perp[0] - x1[0]) / d1
-        v = (off * perp[1] + nu * om[1] - x2[0]) / d2
-        inside = ((u >= -_EDGE_TOL) & (u <= n1 - 1 + _EDGE_TOL)
-                  & (v >= -_EDGE_TOL) & (v <= n2 - 1 + _EDGE_TOL))
-        u, v, rows = u[inside], v[inside], ray[inside]
-        i0 = np.clip(np.floor(u).astype(int), 0, n1 - 2)
-        j0 = np.clip(np.floor(v).astype(int), 0, n2 - 2)
-        fu = np.clip(u - i0, 0.0, 1.0)
-        fv = np.clip(v - j0, 0.0, 1.0)
-        col = i0 * n2 + j0
-        wts = np.concatenate([(1 - fu) * (1 - fv), fu * (1 - fv),
-                              (1 - fu) * fv, fu * fv]) * step
-        cols = np.concatenate([col, col + n2, col + 1, col + n2 + 1])
-        # duplicate (row, col) pairs are summed on conversion
-        blk = sparse.csr_matrix((wts, (np.tile(rows, 4), cols)),
-                                shape=(off.size, n1 * n2))
-        indices[nnz:nnz + blk.nnz] = blk.indices
-        data[nnz:nnz + blk.nnz] = blk.data
-        first = ja * off.size
-        indptr[first + 1:first + off.size + 1] = blk.indptr[1:] + nnz
-        nnz += blk.nnz
+        for r0 in range(0, noff, group):
+            off = sino.offsets[r0:r0 + group, None]
+            u = (nu * om[0] + off * perp[0] - x1[0]) / d1
+            v = (off * perp[1] + nu * om[1] - x2[0]) / d2
+            inside = ((u >= -_EDGE_TOL) & (u <= n1 - 1 + _EDGE_TOL)
+                      & (v >= -_EDGE_TOL) & (v <= n2 - 1 + _EDGE_TOL))
+            u, v, rows = u[inside], v[inside], ray[:off.size][inside]
+            i0 = np.clip(np.floor(u).astype(int), 0, n1 - 2)
+            j0 = np.clip(np.floor(v).astype(int), 0, n2 - 2)
+            fu = np.clip(u - i0, 0.0, 1.0)
+            fv = np.clip(v - j0, 0.0, 1.0)
+            key = rows * npix + i0 * n2 + j0
+            wts = np.concatenate([(1 - fu) * (1 - fv), fu * (1 - fv),
+                                  (1 - fu) * fv, fu * fv]) * step
+            keys = np.concatenate([key, key + n2, key + 1, key + n2 + 1])
+            bins = off.size * npix
+            touched = np.zeros(bins, bool)
+            touched[keys] = True
+            hit = np.flatnonzero(touched)
+            row, col = np.divmod(hit, npix)
+            indices[nnz:nnz + hit.size] = col
+            data[nnz:nnz + hit.size] = np.bincount(keys, wts,
+                                                   minlength=bins)[hit]
+            first = ja * noff + r0
+            indptr[first + 1:first + off.size + 1] = nnz + np.cumsum(
+                np.bincount(row, minlength=off.size))
+            nnz += hit.size
     indices.resize(nnz, refcheck=False)  # no views of either remain
     data.resize(nnz, refcheck=False)
     return sparse.csr_matrix((data, indices, indptr),
-                             shape=(indptr.size - 1, n1 * n2))
+                             shape=(indptr.size - 1, npix))
 
 
 def _rls(sino: Sinogram, axes, reg: float, iters: int = 60,
          tol: float = 1e-10) -> np.ndarray:
-    """CGLS on the normal equations (A^T A + reg I) x = A^T b."""
+    """Conjugate gradients on the normal equations (A^T A + reg I) x =
+    A^T b from x = 0, stopped at a relative residual of `tol` or after
+    `iters` iterations, whichever comes first."""
     A = _xray_matrix(sino, axes)
 
     def normal(x):
@@ -431,8 +453,9 @@ def invert_xray_2d(sino: Sinogram, axes, method: str = "fbp",
     fbp: apodized ramp filter + bilinear backprojection (needs >=
     FBP_MIN_ANGLES angles, else falls back to rls with a warning; gaps in
     the sweep are absorbed by midpoint quadrature weights).
-    rls: conjugate-gradient least squares with Tikhonov weight `reg`
-    (finite, >= 0) on the sparse ray-sampling matrix.
+    rls: conjugate gradients, at most 60 iterations, on the normal
+    equations with Tikhonov weight `reg` (finite, >= 0) of the sparse
+    ray-sampling matrix.
     """
     if method not in ("fbp", "rls"):
         raise ConfigError(f"invert_xray_2d: unknown method '{method}'")

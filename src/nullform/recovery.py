@@ -467,7 +467,8 @@ def recover_potential_2d(probes, axes, chi: Profile, A: float, B: float,
     dropped with a warning; isolated missing offsets are interpolated
     from their neighbours and counted in the report once per angle.
 
-    Returns (Reconstruction, report dict).
+    Returns (Reconstruction, report dict); report["sinogram"] is the
+    Sinogram that was inverted.
     """
     probes = list(probes)
     angles = np.concatenate([p.angles for p in probes])
@@ -536,5 +537,6 @@ def recover_potential_2d(probes, axes, chi: Profile, A: float, B: float,
         "fit_residual_max": fit_residual,
         "method": rec.method,
         "rel_l2_error": rec.rel_l2_error,
+        "sinogram": sino,
     }
     return rec, report

@@ -10,9 +10,10 @@ ray data by the complex log, the linear leapfrog step on a CFL-checked
 state, the transport march with every shift made level by level, the
 transport rows' ray defects from one shift per level, and the residual
 series of the ansatz hierarchy from eagerly built factor lists and with
-every t-factor formed again for each q-factor it meets.  It also holds
-the Minkowski pairing of component lists and the reader of
-Sinogram.to_csv, which only the tests use.
+every t-factor formed again for each q-factor it meets, and the RLS
+X-ray matrix with each angle's duplicate samples summed by scipy's COO to
+CSR conversion.  It also holds the Minkowski pairing of component lists
+and the reader of Sinogram.to_csv, which only the tests use.
 """
 
 import functools
@@ -32,7 +33,8 @@ from nullform.geoptics import (_EDGE_LEVELS, _Frame, _ray_sigma_bounds,
 from nullform.grids import (SpacetimeGrid, diff1, diff2, l2_norm, laplacian2,
                             shift)
 from nullform.minkowski import phase_arg, twin_pairing
-from nullform.raytransform import Sinogram, _line_bounds, _two_rule_stop
+from nullform.raytransform import (_EDGE_TOL, Sinogram, _check_uniform,
+                                   _line_bounds, _two_rule_stop, sweep_frame)
 from nullform.recovery import (ExtractedAmplitude, TimeSliceMeasurement,
                                _r_window, _sweep_vectors)
 
@@ -182,6 +184,40 @@ def _sweep_by_angle(offsets, angles, center, R, window, fvals) -> Sinogram:
         samples[:, ja] = pts_line_integral(
             lambda sig, pts: fvals(sig, pts, om), base, om, lo, length)
     return Sinogram(offsets, angles, samples)
+
+
+def xray_matrix_coo(sino: Sinogram, axes):
+    """raytransform._xray_matrix with each angle's block converted from
+    COO by scipy, which sums the duplicate (row, column) samples."""
+    from scipy import sparse
+    x1, x2 = axes
+    d1 = _check_uniform(x1, "axis 1")
+    d2 = _check_uniform(x2, "axis 2")
+    n1, n2 = x1.size, x2.size
+    step = 0.5 * min(d1, d2)
+    span = float(np.hypot(x1[-1] - x1[0], x2[-1] - x2[0]))
+    nu = np.arange(-0.5 * span, 0.5 * span + step, step)
+    off = sino.offsets[:, None]
+    ray = np.broadcast_to(np.arange(off.size)[:, None], (off.size, nu.size))
+    blocks = []
+    for a in sino.angles:
+        om, perp = sweep_frame(a)
+        u = (nu * om[0] + off * perp[0] - x1[0]) / d1
+        v = (off * perp[1] + nu * om[1] - x2[0]) / d2
+        inside = ((u >= -_EDGE_TOL) & (u <= n1 - 1 + _EDGE_TOL)
+                  & (v >= -_EDGE_TOL) & (v <= n2 - 1 + _EDGE_TOL))
+        u, v, rows = u[inside], v[inside], ray[inside]
+        i0 = np.clip(np.floor(u).astype(int), 0, n1 - 2)
+        j0 = np.clip(np.floor(v).astype(int), 0, n2 - 2)
+        fu = np.clip(u - i0, 0.0, 1.0)
+        fv = np.clip(v - j0, 0.0, 1.0)
+        col = i0 * n2 + j0
+        wts = np.concatenate([(1 - fu) * (1 - fv), fu * (1 - fv),
+                              (1 - fu) * fv, fu * fv]) * step
+        cols = np.concatenate([col, col + n2, col + 1, col + n2 + 1])
+        blocks.append(sparse.csr_matrix((wts, (np.tile(rows, 4), cols)),
+                                        shape=(off.size, n1 * n2)))
+    return sparse.vstack(blocks, format="csr")
 
 
 def pts_lightray_forward(q, phi, V, offsets, angles) -> Sinogram:

@@ -25,7 +25,7 @@ from nullform.cli import compare_golden, config_hash, load_scenario, \
 
 ROOT = Path(__file__).resolve().parent.parent
 FAST = ("ansatz_n1", "certify_catalog", "energy_suite", "forward_bump2d",
-        "picard_lam8", "recover_small", "residual_n0")
+        "picard_lam8", "recover_rls", "recover_small", "residual_n0")
 SLOW = ("residual_n1", "recover_ansatz_h64", "recover_fdtd_h64")
 
 

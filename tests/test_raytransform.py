@@ -1,5 +1,6 @@
 """Light-ray transform, X-ray reduction, FBP/RLS inversion."""
 
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -17,7 +18,7 @@ from nullform.raytransform import (
     lightray_forward, sweep_frame, xray_reduce,
 )
 from oracles import (pts_lightray_forward, simpson_line_integral,
-                     sinogram_from_csv, xray_forward_2d)
+                     sinogram_from_csv, xray_forward_2d, xray_matrix_coo)
 
 PHI = ramp(1.5, 0.5, 1.0)
 W0 = LightVector(-1, (1.0, 0.0))
@@ -501,6 +502,18 @@ def test_sinogram_csv_roundtrip():
     assert np.array_equal(back.samples, sino.samples)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_sinogram_rejects_non_finite_samples(bad):
+    # unchecked, one inf makes RLS return an all-zero image (CG's first
+    # stop test reads inf <= inf * 1e-20) and FBP an all-NaN one
+    samples = np.ones((9, 4))
+    samples[6, 2] = samples[7, 3] = bad
+    with pytest.raises(ConfigError, match=f"sample {bad} at offset 0.5, "
+                                          f"angle 1.5708 is not finite"):
+        Sinogram(np.linspace(-1, 1, 9),
+                 np.linspace(0, np.pi, 4, endpoint=False), samples)
+
+
 # ----------------------------------------------------------------------
 # inversion
 
@@ -612,6 +625,60 @@ def test_xray_matrix_matches_stacked_angle_blocks():
     assert A.has_canonical_format
     for name in ("indptr", "indices", "data"):
         assert np.array_equal(getattr(A, name), getattr(want, name))
+
+
+def _dyadic_axis(n, k, start):
+    return start / 16 + 2.0 ** -k * np.arange(n)
+
+
+@settings(deadline=None, max_examples=60)
+@given(n=st.tuples(st.integers(2, 24), st.integers(2, 24)),
+       k=st.tuples(st.integers(2, 5), st.integers(0, 1)),
+       start=st.tuples(*[st.integers(-40, 4)] * 3),
+       noff=st.integers(1, 19), koff=st.integers(2, 5),
+       edge=st.lists(st.sampled_from([0.0, np.pi / 2]), max_size=2),
+       tilt=st.lists(st.floats(0.0, 3.14), max_size=3),
+       group=st.sampled_from([1, 2, 5]))
+def test_xray_matrix_matches_coo_oracle(n, k, start, noff, koff, edge, tilt,
+                                        group):
+    # dyadic spacings and starts put samples exactly on grid lines at
+    # angles 0 and pi/2, so the pixel box's edge lines are hit; the two
+    # axes differ in size and by up to 2x in spacing.  Only the order in
+    # which duplicate samples are summed differs from scipy's conversion:
+    # at most 4 ulps in a scan of 3,000 random grids.  Row groups of
+    # `group` offsets give the same bits as one block per angle.
+    ax = (_dyadic_axis(n[0], k[0], start[0]),
+          _dyadic_axis(n[1], k[0] + k[1], start[1]))
+    angles = np.array(edge + tilt) if edge + tilt else np.zeros(1)
+    sino = Sinogram(_dyadic_axis(noff, koff, start[2]), angles,
+                    np.zeros((noff, angles.size)))
+    got, want = _xray_matrix(sino, ax), xray_matrix_coo(sino, ax)
+    assert got.has_canonical_format
+    assert np.array_equal(got.indptr, want.indptr)
+    assert np.array_equal(got.indices, want.indices)
+    assert np.all(np.abs(got.data - want.data)
+                  <= 8 * np.spacing(np.abs(want.data)))
+    with mock.patch("nullform.raytransform._BLOCK_BINS",
+                    group * n[0] * n[1]):
+        split = _xray_matrix(sino, ax)
+    for name in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(split, name), getattr(got, name))
+
+
+def test_xray_matrix_one_angle_memory():
+    # one angle at 161 offsets x 161^2 pixels: 4.2M (offset, pixel) bins,
+    # a 33 MB block in one piece (tracemalloc peak 49 MB) and 12.4 MB
+    # through scipy's COO conversion; in row groups of at most
+    # _BLOCK_BINS bins it peaks at 6.4 MB
+    x = np.linspace(-0.8, 0.8, 161)
+    sino = Sinogram(x, [0.3], np.zeros((161, 1)))
+    tracemalloc.start()
+    try:
+        _xray_matrix(sino, (x, x))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8e6
 
 
 def test_sweep_frame_is_the_sinogram_convention():

@@ -24,7 +24,7 @@ from nullform.recovery import (
     backpropagate_amplitude, demodulate, fdtd_measurements,
     log_recover_ray_data, recover_potential_2d, richardson_extract,
 )
-from nullform.raytransform import lightray_forward
+from nullform.raytransform import _xray_matrix, lightray_forward
 from oracles import (ansatz_slices_by_angle, complex_log_ray_data,
                      fft_demodulate, pts_lightray_forward)
 
@@ -590,25 +590,15 @@ def test_recover_processes_each_shared_slice_once(monkeypatch):
     rec_own, report_own = recover_potential_2d(own, (ax, ax), CHI, A, B)
     assert len(calls) == len(angles)
     assert np.array_equal(rec.values, rec_own.values)
+    sino, sino_own = report.pop("sinogram"), report_own.pop("sinogram")
+    for name in ("offsets", "angles", "samples"):
+        assert np.array_equal(getattr(sino, name), getattr(sino_own, name))
     assert report == report_own
     assert report["interpolated_offsets"] == len(angles)
     assert report["n_angles"] == report["n_angles_used"] == len(angles)
 
 
-def _captured_sinogram(monkeypatch):
-    """Sinogram samples recover_potential_2d hands to the inversion."""
-    seen = []
-
-    def capture(sino, *args, **kwargs):
-        seen.append(sino.samples.copy())
-        return invert(sino, *args, **kwargs)
-
-    invert = recovery.invert_xray_2d
-    monkeypatch.setattr(recovery, "invert_xray_2d", capture)
-    return seen
-
-
-def test_recover_interpolates_a_missing_offset(monkeypatch):
+def test_recover_interpolates_a_missing_offset():
     q = get_potential("radial_bump", 2)
     offsets = np.linspace(-0.8, 0.8, 17)
     angles = np.linspace(0, np.pi, 90, endpoint=False)
@@ -617,12 +607,11 @@ def test_recover_interpolates_a_missing_offset(monkeypatch):
     i = 7  # offset -0.1, over supp q
     for p in probes:
         p.slc.u[i] = p.slc.background[i]  # row demodulates to exactly 0
-    seen = _captured_sinogram(monkeypatch)
     ax = np.linspace(-0.8, 0.8, 17)
     rec, report = recover_potential_2d(probes, (ax, ax), CHI, A, B)
     assert report["interpolated_offsets"] == len(angles)
     assert report["n_angles_used"] == len(angles)
-    sino = seen[0]
+    sino = report["sinogram"].samples
     assert np.min(np.abs(sino[i])) > 0.1
     np.testing.assert_allclose(sino[i], 0.5 * (sino[i - 1] + sino[i + 1]),
                                rtol=1e-14, atol=0)
@@ -647,7 +636,6 @@ def test_recover_band_average_over_ragged_valid_points(monkeypatch):
         return ray
 
     monkeypatch.setattr(recovery, "log_recover_ray_data", ragged)
-    seen = _captured_sinogram(monkeypatch)
     ax = np.linspace(-0.8, 0.8, 17)
     rec, report = recover_potential_2d(probes, (ax, ax), CHI, A, B)
     assert report["interpolated_offsets"] == len(angles)
@@ -662,8 +650,30 @@ def test_recover_band_average_over_ragged_valid_points(monkeypatch):
                 want[j, k] = np.sum(wts[v] * ray.values[j, v]) / np.sum(wts[v])
         want[5, k] = 0.5 * (want[4, k] + want[6, k])
         want[:, k] /= p.weight
-    np.testing.assert_allclose(seen[0], want, rtol=1e-14,
+    np.testing.assert_allclose(report["sinogram"].samples, want, rtol=1e-14,
                                atol=1e-14 * np.max(np.abs(want)))
+
+
+def test_rls_fits_its_data_better_than_fbp():
+    # data consistency ||A x - b|| / ||b|| with A the RLS operator and b
+    # the sinogram the recovery inverted: least squares minimises it, so
+    # RLS reads below FBP (0.0019 against 0.0298 on this setup).  It is a
+    # fit, not a quality figure: the true image reads 0.0471 here.
+    q = get_potential("radial_bump", 2)
+    offsets = np.linspace(-0.8, 0.8, 33)
+    angles = np.linspace(0, np.pi, 90, endpoint=False)
+    probes = ansatz_measurements(q, PHI, CHI, A, B, 1 / 32, offsets,
+                                 angles, TP)
+    misfit = {}
+    for method in ("fbp", "rls"):
+        rec, report = recover_potential_2d(probes, (offsets, offsets), CHI,
+                                           A, B, method=method, reg=1e-8)
+        sino = report["sinogram"]
+        assert np.array_equal(sino.angles, angles)
+        b = sino.samples.T.ravel()
+        Ax = _xray_matrix(sino, (offsets, offsets)) @ rec.values.ravel()
+        misfit[method] = np.linalg.norm(Ax - b) / np.linalg.norm(b)
+    assert misfit["rls"] < 0.5 * misfit["fbp"]
 
 
 def test_recover_fdtd_small():
