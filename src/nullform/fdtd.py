@@ -299,7 +299,6 @@ class WeightedNormSpec:
     m: int
     mu: float
     lam: float
-    T: float
 
     def __post_init__(self):
         if self.m < 0 or self.mu <= 0 or self.lam <= 0:

@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .minkowski import LightVector, phase_arg, twin_pairing
-from .profiles import Profile, bump
+from .profiles import Profile, _masked, bump
 
 
 # ----------------------------------------------------------------------
@@ -42,23 +42,11 @@ class RadialFactor:
     h: Callable
     dh: Callable
 
-    def _masked(self, fn, w):
-        """fn(w) inside the support, zero elsewhere."""
-        w = np.asarray(w, dtype=float)
-        edge = self.R**2 * (1.0 - 1e-14)
-        if w.size and w.ndim and np.max(w) < edge:  # elementwise: same bits
-            return fn(w)
-        inside = w < edge
-        out = np.zeros_like(w)
-        if np.any(inside):
-            out[inside] = fn(w[inside])
-        return out
-
     def value(self, w):
-        return self._masked(self.h, w)
+        return _masked(self.R**2, self.h)(w)
 
     def deriv(self, w):
-        return self._masked(self.dh, w)
+        return _masked(self.R**2, self.dh)(w)
 
 
 def radial_bump_factor(radius=0.5, amplitude=1.0) -> RadialFactor:
@@ -188,9 +176,9 @@ class SeparablePotential(Potential):
         if self.tprof is None and self.u_coeffs == (1.0,):
             # tau = 1 and U = 1: the product would only copy S, broadcast
             # against u
-            shape = np.broadcast_shapes(S.shape, np.shape(u))
-            out = S if shape == S.shape else np.broadcast_to(S, shape).copy()
-            return out if out.ndim else out[()]
+            shape = np.broadcast_shapes(np.shape(S), np.shape(u))
+            return S if shape == np.shape(S) else \
+                np.broadcast_to(S, shape).copy()
         return S * self._tau(t) * self._U(u, 0)
 
     def q_u(self, t, xs, u):

@@ -40,10 +40,6 @@ class Profile:
     def d2f(self, s):
         return self._d2f(np.asarray(s, dtype=float))
 
-    # convenience aliases
-    def __call__(self, s):
-        return self.f(s)
-
 
 def _masked(radius, raw, n=1):
     """Wrap a raw evaluator of n outputs to be exactly 0 off the support.

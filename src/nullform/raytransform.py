@@ -208,6 +208,11 @@ def sweep_frame(a):
     return np.array([c, s]), np.array([-s, c])
 
 
+def sweep_frames(angles):
+    """The sweep's frames stacked as (angles, (omega, omega-perp), 2)."""
+    return np.array([sweep_frame(a) for a in angles]).reshape(-1, 2, 2)
+
+
 def sweep_batches(angles, offsets, integrate):
     """Yield (js, integrate(js) as (angles, offsets)) for slices js of whole
     angles, at most RAY_QUAD_BATCH_LINES lines or one angle, offsets inner;
@@ -237,7 +242,7 @@ def lightray_forward(q: Potential, phi: Profile, V: LightVector,
         raise ConfigError("lightray_forward: sinogram sweep is 2-D only")
     offsets = np.asarray(offsets, dtype=float)
     angles = np.asarray(angles, dtype=float)
-    frames = np.array([sweep_frame(a) for a in angles]).reshape(-1, 2, 2)
+    frames = sweep_frames(angles)
     tr = np.inf if q.time_radius is None else q.time_radius
 
     def integrate(js):
@@ -261,13 +266,15 @@ def lightray_forward(q: Potential, phi: Profile, V: LightVector,
 
 
 def xray_reduce(q: Potential, phi: Profile, V: LightVector,
-                W: LightVector) -> float:
+                W: LightVector):
     """The weight phi'(0) <Vt,Wt>_M that reduces L_1 to an X-ray transform.
 
     Valid only in the reduced configuration, which is checked: q
     time-independent and u-independent, theta perpendicular to omega,
     and phi' constant over the interaction window.  Then scalar_F
-    collapses to weight * q(x') on every ray.
+    collapses to weight * q(x') on every ray.  V and W may hold one
+    direction per sweep angle: each pair is checked on its own window
+    and the weights come back per angle.
     """
     if q.n != 2:
         raise ConfigError("xray_reduce: 2-D potentials only")
@@ -276,21 +283,21 @@ def xray_reduce(q: Potential, phi: Profile, V: LightVector,
     if getattr(q, "u_degree", None) != 0:
         raise ConfigError("xray_reduce: q must be u-independent "
                           "(unreduced configuration)")
-    th = np.array(V.direction)
-    om = np.array(W.direction)
-    if abs(float(th @ om)) > 1e-12:
+    th = np.transpose(V.direction)
+    om = np.transpose(W.direction)
+    if np.any(np.abs(np.sum(th * om, axis=-1)) > 1e-12):
         raise ConfigError("xray_reduce: need theta perpendicular to omega "
                           "(unreduced configuration)")
     # phi' must be constant over every argument the rays can produce:
     # |<x,V>_M| <= |theta.c| + R + nu-span along the ray
     c = np.array(q.center)
-    margin = abs(float(th @ c)) + q.R + (abs(float(om @ c)) + q.R)
+    margin = np.abs(th @ c) + q.R + (np.abs(om @ c) + q.R)
     s = np.linspace(-margin, margin, 101)
     slope = float(phi.df(0.0))
-    if np.max(np.abs(phi.df(s) - slope)) > 1e-12:
+    if np.max(np.abs(phi.df(s) - slope), initial=0.0) > 1e-12:
         raise ConfigError("xray_reduce: phi' not constant over the "
                           "interaction window (unreduced configuration)")
-    return slope * twin_pairing(V, om)
+    return slope * twin_pairing(V, om.T)
 
 
 # ----------------------------------------------------------------------
@@ -473,9 +480,7 @@ def invert_xray_2d(sino: Sinogram, axes, method: str = "fbp",
             if np.any(da <= 0) or sino.angles[-1] - sino.angles[0] >= np.pi:
                 raise ConfigError("invert_xray_2d: angles must increase "
                                   "within one half-turn")
-    if np.all(sino.samples == 0.0):
-        values = np.zeros((axes[0].size, axes[1].size))
-    elif method == "fbp":
+    if method == "fbp":
         values = _fbp(sino, axes)
     else:
         values = _rls(sino, axes, reg)

@@ -39,7 +39,7 @@ from .minkowski import LightVector
 from .potential import Potential
 from .profiles import Profile
 from .raytransform import (Sinogram, invert_xray_2d, sweep_batches,
-                           sweep_frame, xray_reduce)
+                           sweep_frame, sweep_frames, xray_reduce)
 
 
 # ----------------------------------------------------------------------
@@ -263,16 +263,19 @@ class Probe:
     backpropagate: Optional[float] = None
 
 
-def _sweep_vectors(angle: float):
-    """omega, theta = omega-perp, and the probe light vectors (pairing -1).
+def _sweep_vectors(frame):
+    """The probe light vectors V = (-1, theta), W = (-1, omega) of one
+    sweep frame (omega, theta = omega-perp), or of the sweep's stack of
+    frames with one direction per angle.
 
     sign(V) = -1 makes the background/probe interaction dissipative: the
     linearization of the null form around phi_V carries a first-order
     term -2 q phi' sign(V) d_t, and the +1 choice feeds a finite-time
     blow-up of the full solve for O(1) potentials.
     """
-    om, th = sweep_frame(angle)
-    return om, th, LightVector(-1, tuple(th)), LightVector(-1, tuple(om))
+    frame = np.asarray(frame)
+    om, th = frame[..., 0, :], frame[..., 1, :]
+    return LightVector(-1, tuple(th.T)), LightVector(-1, tuple(om.T))
 
 
 def _r_window(chi: Profile, Tprime: float, h: float, ppw: int):
@@ -295,8 +298,9 @@ def ansatz_measurements(q: Potential, phi: Profile, chi: Profile,
     A_{1,0}(s, r) = A_{1,0}(s, -Tprime) chi(Tprime + r) / chi(0); the
     quadrature runs once per offset, for several angles per call.
     ConfigError unless, at every angle, the band lies wholly behind
-    supp q along omega.  Everything but the amplitude at the band
-    centres is the same at every angle and is formed once.
+    supp q along omega.  The sweep's frames, light vectors, weights and
+    configuration checks are formed once for all angles, and everything
+    but the amplitude at the band centres is the same at every angle.
     """
     offsets = np.asarray(offsets, dtype=float)
     chi0 = float(chi.f(0.0))
@@ -317,24 +321,20 @@ def ansatz_measurements(q: Potential, phi: Profile, chi: Profile,
     carrier = {hh: np.exp(1j * psi / hh) for hh in hs}
     band_front = -Tprime + chi.support_radius + BAND_PAD
     angles = np.asarray(angles, dtype=float)
-    weights, frames = [], []
-    for a in angles:
-        om, th, V, W = _sweep_vectors(float(a))
-        weights.append(xray_reduce(q, phi, V, W))  # validates the config
-        # the band must lie wholly behind supp q, whose back edge along
-        # omega is omega.c - R
-        if band_front >= om @ np.asarray(q.center) - q.R:
-            raise ConfigError("ansatz_measurements: band overlaps supp q "
-                              "at Tprime; increase Tprime")
-        frames.append((om, th))
-    frames = np.reshape(frames, (-1, 2, 2))
+    frames = sweep_frames(angles)
+    # validates the config at every angle
+    weights = xray_reduce(q, phi, *_sweep_vectors(frames))
+    # the band must lie wholly behind supp q, whose back edge along omega
+    # is omega.c - R
+    if np.any(band_front >= frames[:, 0] @ np.asarray(q.center) - q.R):
+        raise ConfigError("ansatz_measurements: band overlaps supp q at "
+                          "Tprime; increase Tprime")
 
     def band_centres(js):
         fr = frames[js]
         ctr = offsets[:, None] * fr[:, None, 1] - Tprime * fr[:, None, 0]
-        om, th = np.repeat(fr, offsets.size, axis=0).transpose(1, 2, 0)
-        return a10_points(q, phi, chi, LightVector(-1, th),
-                          LightVector(-1, om), A, B, Tprime,
+        V, W = _sweep_vectors(np.repeat(fr, offsets.size, axis=0))
+        return a10_points(q, phi, chi, V, W, A, B, Tprime,
                           ctr.reshape(-1, 2))
 
     def slice_at(amp, hh):
@@ -397,7 +397,7 @@ def fdtd_measurements(q: Potential, phi: Profile, chi: Profile,
         raise ConfigError("fdtd_measurements: T0 too late; pulse overlaps "
                           "supp q at the initial time")
 
-    _, _, V0, W0 = _sweep_vectors(0.0)
+    V0, W0 = _sweep_vectors(sweep_frame(0.0))
     weight = xray_reduce(q, phi, V0, W0)
     d = 2.0 * np.pi * h / ppw
     span = Tprime - T0

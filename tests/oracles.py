@@ -243,7 +243,8 @@ def ansatz_slices_by_angle(q, phi, chi, A, B, h, offsets, angles, Tprime,
     h_fine = 0.5 * h if richardson else h
     slices = []
     for a in np.asarray(angles, dtype=float):
-        om, th, V, W = _sweep_vectors(float(a))
+        om, th = sweep_frame(float(a))
+        V, W = _sweep_vectors((om, th))
         r = _r_window(chi, Tprime, h_fine, ppw)
         ctr = offsets[:, None] * th - Tprime * om
         a_ctr = pts_a10_points(q, phi, chi, V, W, A, B, Tprime, ctr)

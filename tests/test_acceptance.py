@@ -186,7 +186,7 @@ def test_criterion_5_picard_contraction():
     q0 = get_potential("zero", 1)
     v_traj = solve_semilinear(q0, u0, v0, (x[0],), (0.012,), -2.0, 0.5,
                               scheme="leapfrog", dt=0.45 * 0.012)
-    norm_spec = WeightedNormSpec(m=2, mu=4.0, lam=8.0, T=2.5)
+    norm_spec = WeightedNormSpec(m=2, mu=4.0, lam=8.0)
     trace, _ = picard_iterate(q, v_traj, spec=norm_spec, tol=1e-10,
                               j_max=12)
     ok = (trace.converged and trace.j_stop <= 12

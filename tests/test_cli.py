@@ -7,10 +7,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from nullform import cli
 from nullform.cli import (ScenarioConfig, _number, compare_golden,
                           config_hash, load_scenario, main, run_scenario)
 from nullform.errors import ConfigError
-from nullform.gridio import read_bundle
+from nullform.gridio import read_bundle, write_bundle
 
 FORWARD_CFG = """\
 [scenario]
@@ -358,6 +359,21 @@ def test_compare_slope_uses_absolute_tolerance(tmp_path):
     (d2 / "summary.json").write_text(
         json.dumps({"results": {"slope": 2.08}}))
     assert compare_golden(d1, d2) != []
+
+
+def test_compare_reconstruction_uses_recon_tolerance(tmp_path, monkeypatch):
+    # the stored grid is held to the `recon` entry of TOLERANCES
+    b = np.linspace(1.0, 2.0, 12).reshape(3, 4)
+    d1, d2 = tmp_path / "run", tmp_path / "gold"
+    for d, values in ((d1, b * (1 + 5e-4)), (d2, b)):
+        d.mkdir()
+        (d / "summary.json").write_text(json.dumps({"results": {}}))
+        write_bundle(d / "reconstruction.nfg", {"values": values})
+    assert compare_golden(d1, d2) == []
+    monkeypatch.setattr(cli, "TOLERANCES", (("recon", "rel", 1e-4),
+                                            ("default", "rel", 1e-6)))
+    assert compare_golden(d1, d2) == [
+        "reconstruction.values: rel err 5.000e-04 > 0.0001"]
 
 
 def test_compare_missing_golden_is_instructive(tmp_path):

@@ -440,9 +440,9 @@ def test_weighted_norm_batched_matches_per_level(n, m, mu, lead, space, seed):
 
 def test_weighted_norm_spec_validation():
     with pytest.raises(ConfigError):
-        WeightedNormSpec(m=-1, mu=1.0, lam=1.0, T=1.0)
+        WeightedNormSpec(m=-1, mu=1.0, lam=1.0)
     with pytest.raises(ConfigError):
-        WeightedNormSpec(m=2, mu=0.0, lam=1.0, T=1.0)
+        WeightedNormSpec(m=2, mu=0.0, lam=1.0)
 
 
 def test_spacetime_norm_constant_in_time():
@@ -454,7 +454,7 @@ def test_spacetime_norm_constant_in_time():
     traj = Trajectory(times, np.broadcast_to(c, (nt, nx)).copy(),
                       np.zeros((nt, nx)), (0.0,), (dx,))
     lam = 1.5
-    spec = WeightedNormSpec(m=0, mu=1.0, lam=lam, T=T)
+    spec = WeightedNormSpec(m=0, mu=1.0, lam=lam)
     expect = 2.0 * np.sqrt(nx * dx) * np.sqrt((1 - np.exp(-2 * lam * T)) / (2 * lam))
     assert spacetime_norm(traj, spec) == pytest.approx(expect, rel=1e-3)
 
@@ -540,7 +540,7 @@ def _pulse_trajectory(eps, nx=240, t1=1.0):
 def test_picard_zero_residual_trivial():
     q0 = get_potential("zero", 1)
     traj = _pulse_trajectory(0.0, nx=80, t1=0.3)
-    spec = WeightedNormSpec(m=2, mu=4.0, lam=2.0, T=0.3)
+    spec = WeightedNormSpec(m=2, mu=4.0, lam=2.0)
     trace, w = picard_iterate(q0, traj, residual=np.zeros_like(traj.u),
                               spec=spec)
     assert trace.converged and trace.j_stop == 1
@@ -553,7 +553,7 @@ def test_picard_upgrades_approximate_solution():
     # exact solution: diffs decay geometrically, limit residual ~ tol.
     q = get_potential("radial_bump", 1, amplitude=2.0)
     traj = _pulse_trajectory(0.05)
-    spec = WeightedNormSpec(m=2, mu=4.0, lam=2.0, T=1.0)
+    spec = WeightedNormSpec(m=2, mu=4.0, lam=2.0)
     trace, w = picard_iterate(q, traj, spec=spec, tol=1e-10, j_max=12)
     assert trace.converged
     assert all(r < 0.5 for r in trace.ratios)

@@ -24,6 +24,7 @@ from nullform.minkowski import LightVector
 from nullform.potential import (SeparablePotential, get_potential,
                                 radial_bump_factor)
 from nullform.profiles import bump, get_profile, ramp
+from nullform.raytransform import sweep_frame
 from nullform.recovery import _sweep_vectors
 from oracles import (_series_above, _series_at, _series_parts,
                      pts_a10_points, ray_defects_by_levels,
@@ -138,7 +139,8 @@ def test_a10_sweep_matches_interleaved_points_bit_for_bit(key):
     q = get_potential(key, 2)
     offsets = np.linspace(-0.8, 0.8, 33)
     for a in np.linspace(0.0, np.pi, 24, endpoint=False):
-        om, th, V, W = _sweep_vectors(a)
+        om, th = sweep_frame(a)
+        V, W = _sweep_vectors((om, th))
         for t, xp in ((1.5, offsets[:, None] * th - 1.5 * om),
                       (1.5, 0.1 * th - 1.5 * om),
                       (0.2, offsets[:, None] * th - 1.5 * om)):
@@ -157,7 +159,8 @@ def test_a10_where_the_phase_reaches_the_integrand(key, phi):
     q = get_potential(key, 2)
     offsets = np.linspace(-0.8, 0.8, 33)
     for a in (0.3, 1.9):
-        om, th, V, W = _sweep_vectors(a)
+        om, th = sweep_frame(a)
+        V, W = _sweep_vectors((om, th))
         xp = offsets[:, None] * th - 1.5 * om
         got = a10_points(q, phi, CHI, V, W, 1.0, 0.5, 1.5, xp)
         want = pts_a10_points(q, phi, CHI, V, W, 1.0, 0.5, 1.5, xp)

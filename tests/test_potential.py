@@ -38,7 +38,8 @@ def test_radial_factor_fast_path_gives_masked_bits(factor, frac, with_nan,
     # an array wholly inside w < R^2 goes to h or dh unmasked: each output
     # must have the bits, signbit of +-0 included, of the same values
     # inside an array that reaches the rim and beyond (masked path); so
-    # must arrays holding NaN (masked to 0), and 0-d and empty inputs
+    # must arrays holding NaN (masked to 0), and empty inputs; a 0-d input
+    # gives a float of those bits
     edge = factor.R**2 * (1.0 - 1e-14)
     w = np.array(frac + [0.0, -0.0]) * np.nextafter(edge, 0.0)
     if with_nan:
@@ -51,7 +52,9 @@ def test_radial_factor_fast_path_gives_masked_bits(factor, frac, with_nan,
         assert not with_nan or ref[w.size - 1] == 0.0
         assert _same_bits(fn(w), ref[:w.size].reshape(w.shape))
         for i in range(w.size):  # 0-d inputs
-            assert _same_bits(fn(w.ravel()[i]), ref[i])
+            got = fn(w.ravel()[i])
+            assert type(got) is float
+            assert _same_bits(np.float64(got), ref[i])
         for empty in (np.zeros(0), np.zeros((0, 3))):
             assert _same_bits(fn(empty), empty)
 

@@ -15,7 +15,7 @@ from nullform.potential import Potential, get_potential, scalar_F
 from nullform.profiles import bump, ramp
 from nullform.raytransform import (
     Sinogram, _adaptive_line_integral, _xray_matrix, invert_xray_2d,
-    lightray_forward, sweep_frame, xray_reduce,
+    lightray_forward, sweep_frame, sweep_frames, xray_reduce,
 )
 from oracles import (pts_lightray_forward, simpson_line_integral,
                      sinogram_from_csv, xray_forward_2d, xray_matrix_coo)
@@ -467,6 +467,24 @@ def test_reduce_rejections():
                     LightVector(1, (1.0, 0.0)), W0)
 
 
+@pytest.mark.parametrize("sign", [-1, 1])
+def test_reduce_over_a_sweep_equals_the_per_angle_calls(sign):
+    # one direction per sweep angle: each weight has the bits of that
+    # angle's own call, and one non-perpendicular pair rejects the sweep
+    q = get_potential("offset_bump", 2)
+    om, th = sweep_frames(np.linspace(0.0, np.pi, 12, endpoint=False)
+                          ).transpose(1, 0, 2)
+    got = xray_reduce(q, PHI, LightVector(sign, tuple(th.T)),
+                      LightVector(-1, tuple(om.T)))
+    want = [xray_reduce(q, PHI, LightVector(sign, tuple(t)),
+                        LightVector(-1, tuple(o))) for t, o in zip(th, om)]
+    assert got.shape == (12,) and np.array_equal(got, want)
+    th[5] = om[5]
+    with pytest.raises(ConfigError, match="perpendicular"):
+        xray_reduce(q, PHI, LightVector(sign, tuple(th.T)),
+                    LightVector(-1, tuple(om.T)))
+
+
 def test_reduced_xray_matches_lightray():
     # per-angle V with theta = omega-perp keeps the reduced configuration
     q = get_potential("radial_bump", 2)
@@ -518,13 +536,16 @@ def test_sinogram_rejects_non_finite_samples(bad):
 # inversion
 
 
-def test_zero_sinogram_zero_reconstruction():
+@pytest.mark.parametrize("method", ["fbp", "rls"])
+def test_zero_sinogram_zero_reconstruction(method):
+    # both methods give exact +0.0 with no special case for zero data
     sino = Sinogram(np.linspace(-1, 1, 32),
                     np.linspace(0, np.pi, 100, endpoint=False),
                     np.zeros((32, 100)))
     ax = np.linspace(-1, 1, 33)
-    rec = invert_xray_2d(sino, (ax, ax))
-    assert np.all(rec.values == 0.0)
+    rec = invert_xray_2d(sino, (ax, ax), method=method)
+    assert rec.method == method
+    assert np.all(rec.values == 0.0) and not np.any(np.signbit(rec.values))
 
 
 def test_fbp_phantom_accuracy():

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from unittest import mock
 
-from nullform.constants import PPW_MIN
+from nullform.constants import PPW_MIN, RAY_QUAD_BATCH_LINES
 from nullform.errors import ConfigError, QuadratureError, \
     UnresolvedCarrierError
 from nullform.geoptics import AnsatzSpec, a10_points, assemble_uN, \
@@ -24,7 +24,8 @@ from nullform.recovery import (
     backpropagate_amplitude, demodulate, fdtd_measurements,
     log_recover_ray_data, recover_potential_2d, richardson_extract,
 )
-from nullform.raytransform import _xray_matrix, lightray_forward
+from nullform.raytransform import (_xray_matrix, lightray_forward,
+                                   sweep_frame, xray_reduce)
 from oracles import (ansatz_slices_by_angle, complex_log_ray_data,
                      fft_demodulate, pts_lightray_forward)
 
@@ -348,7 +349,9 @@ def test_ansatz_slices_match_per_angle_oracle_bit_for_bit(key, richardson):
     want = ansatz_slices_by_angle(q, PHI, CHI, A, B, 1 / 32, offsets,
                                   angles, TP, richardson=richardson)
     assert len(probes) == len(want) == angles.size
-    for p, slices in zip(probes, want):
+    for a, p, slices in zip(angles, probes, want):
+        weight = xray_reduce(q, PHI, *recovery._sweep_vectors(sweep_frame(a)))
+        assert p.weight == weight and type(p.weight) is type(weight)
         assert (p.slc_half is None) == (not richardson)
         for got, ref in zip((p.slc, p.slc_half), slices):
             if ref is None:
@@ -356,6 +359,26 @@ def test_ansatz_slices_match_per_angle_oracle_bit_for_bit(key, richardson):
             assert (got.h, got.Tprime) == (ref.h, ref.Tprime)
             for name in ("u", "r", "background"):
                 assert np.array_equal(getattr(got, name), getattr(ref, name))
+
+
+def test_ansatz_sweep_is_set_up_once():
+    # one reduced-configuration check for the whole sweep, and the probe
+    # light vectors built once for it and once per quadrature batch, never
+    # per angle
+    q = get_potential("offset_bump", 2)
+    offsets = np.linspace(-0.8, 0.8, 17)
+    angles = np.linspace(0.0, np.pi, 36, endpoint=False)
+    with mock.patch.object(recovery, "xray_reduce",
+                           wraps=xray_reduce) as reduce, \
+            mock.patch.object(recovery, "LightVector",
+                              wraps=LightVector) as light:
+        probes = ansatz_measurements(q, PHI, CHI, A, B, 1 / 32, offsets,
+                                     angles, TP)
+    assert len(probes) == angles.size
+    assert reduce.call_count == 1
+    batches = -(-angles.size // (RAY_QUAD_BATCH_LINES // offsets.size))
+    assert 1 < batches < angles.size
+    assert light.call_count == 2 + 2 * batches
 
 
 def test_ansatz_band_check_uses_back_edge_of_support():
@@ -367,11 +390,17 @@ def test_ansatz_band_check_uses_back_edge_of_support():
     h = 1 / 32
     with pytest.raises(ConfigError, match="band overlaps"):
         ansatz_measurements(q, PHI, CHI, A, B, h, offsets, [3.1], 0.9)
+    # at angle 0 the band is behind supp q (omega.c - R = -0.05): one
+    # overlapping angle of the sweep is enough
+    with pytest.raises(ConfigError, match="band overlaps"):
+        ansatz_measurements(q, PHI, CHI, A, B, h, offsets, [0.0, 3.1], 0.9)
+    ansatz_measurements(q, PHI, CHI, A, B, h, offsets, [0.0], 0.9)
     # once the band is behind that edge, the amplitude carried from the
     # band centre is the closed form at every band point
     tp = 1.2
     (p,) = ansatz_measurements(q, PHI, CHI, A, B, h, offsets, [3.1], tp)
-    om, th, V, W = recovery._sweep_vectors(3.1)
+    om, th = sweep_frame(3.1)
+    V, W = recovery._sweep_vectors((om, th))
     pts = offsets[:, None, None] * th + p.slc.r[None, :, None] * om
     direct = a10_points(q, PHI, CHI, V, W, A, B, tp,
                         pts.reshape(-1, 2)).reshape(p.slc.u.shape)
@@ -454,7 +483,7 @@ def test_quadrature_error_names_the_failing_line_of_a_batch(monkeypatch):
         ansatz_measurements(_SpeckPotential(), PHI, CHI, A, B, 1 / 32,
                             offsets, angles, TP)
     assert exc.value.ray == line
-    om, th, _, _ = recovery._sweep_vectors(angles[1])
+    om, th = sweep_frame(angles[1])
     xp = offsets[3] * th - TP * om
     assert str(exc.value).startswith(
         f"sweep angle {angles[1]!r}, offset {offsets[3]!r}: "
