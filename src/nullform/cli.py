@@ -458,6 +458,10 @@ def run_recover(cfg, n, outdir, jobs):
     # the sinogram and the pixel grid must be uniform: two samples each
     offsets = cfg.linspace("recover", "offsets", least=2)
     ax = cfg.linspace("recover", "axes", offsets, least=2)
+    for key, v in (("offsets", offsets), ("axes", ax)):
+        if not v[-1] > v[0]:
+            raise ConfigError(f"[recover] {key}: range must increase, got "
+                              f"{v[0]!r} to {v[-1]!r}")
     angles = cfg.angles("recover", "angles", least=FBP_MIN_ANGLES)
     method = cfg.str("recover", "method", "fbp")
     if method not in ("fbp", "rls"):

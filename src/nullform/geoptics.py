@@ -40,7 +40,7 @@ from .grids import (SpacetimeGrid, diff1, diff2, grad1_2, l2_norm,
 from .minkowski import LightVector, phase_arg, twin_pairing
 from .potential import Potential, scalar_F
 from .profiles import Profile
-from .raytransform import _adaptive_line_integral, _line_bounds
+from .raytransform import _adaptive_line_integral, _flat_slope, _line_bounds
 
 
 # ----------------------------------------------------------------------
@@ -147,13 +147,32 @@ def ray_exponent(q: Potential, phi: Profile, V: LightVector,
     The adaptive line integral of raytransform over the sigma interval
     where the ray meets supp q.  t is a scalar; xp has shape (npts, n),
     and V and W hold one light vector or one per point.
+
+    Reduced configuration: when q depends on neither t nor u and phi' is
+    one constant over the phases <x,V>_M = s0 + sigma <Vt,Wt>_M of every
+    line that meets supp q, F is (q(x') phi') <Vt,Wt>_M, evaluated in
+    scalar_F's order without the phase, the profile or a LightVector per
+    node.  Its node values are scalar_F's wherever phi' equals that
+    constant, so the quadrature takes the same steps.
     """
     theta, omega = V.rows(len(xp)), W.rows(len(xp))
     lo, hi = _ray_sigma_bounds(q, t, xp, omega)
+    slope = None
+    live = hi > lo
+    if q.time_radius is None and q.u_degree == 0 and np.any(live):
+        pairing = twin_pairing(V, omega.T)
+        s0 = (-V.sign * t + np.sum(xp * theta, axis=-1))[live]
+        ends = s0 + np.stack([lo[live], hi[live]]) * pairing[live]
+        slope = _flat_slope(phi, np.min(ends), np.max(ends))
 
-    def fvals(sig, xs, rows):
-        return scalar_F(q, phi, LightVector(V.sign, theta[rows].T[..., None]),
-                        omega[rows].T[..., None], t - sig, xs)
+    if slope is None:
+        def fvals(sig, xs, rows):
+            return scalar_F(q, phi,
+                            LightVector(V.sign, theta[rows].T[..., None]),
+                            omega[rows].T[..., None], t - sig, xs)
+    else:
+        def fvals(_sig, xs, rows):
+            return q.q(t, xs, 0.0) * slope * pairing[rows, None]
 
     try:
         return _adaptive_line_integral(fvals, xp, omega, lo, hi - lo)

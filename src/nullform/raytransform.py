@@ -292,12 +292,20 @@ def xray_reduce(q: Potential, phi: Profile, V: LightVector,
     # |<x,V>_M| <= |theta.c| + R + nu-span along the ray
     c = np.array(q.center)
     margin = np.abs(th @ c) + q.R + (np.abs(om @ c) + q.R)
-    s = np.linspace(-margin, margin, 101)
-    slope = float(phi.df(0.0))
-    if np.max(np.abs(phi.df(s) - slope), initial=0.0) > 1e-12:
+    slope = _flat_slope(phi, -margin, margin)
+    if slope is None:
         raise ConfigError("xray_reduce: phi' not constant over the "
                           "interaction window (unreduced configuration)")
     return slope * twin_pairing(V, om.T)
+
+
+def _flat_slope(phi: Profile, lo, hi):
+    """phi'(0) if phi' is within 1e-12 of it at 101 points across each
+    phase interval [lo, hi] (scalars or arrays of ends), else None: the
+    slope of a profile that is affine wherever the rays read it."""
+    slope = float(phi.df(0.0))
+    dev = np.abs(phi.df(np.linspace(lo, hi, 101)) - slope)
+    return None if np.max(dev, initial=0.0) > 1e-12 else slope
 
 
 # ----------------------------------------------------------------------
@@ -306,13 +314,13 @@ def xray_reduce(q: Potential, phi: Profile, V: LightVector,
 
 def _check_uniform(v, what):
     d = np.diff(v)
-    if v.size < 2 or np.max(np.abs(d - d[0])) > 1e-10 * abs(d[0]):
-        raise ConfigError(f"invert_xray_2d: {what} must be uniform")
+    if v.size < 2 or not d[0] > 0 or np.max(np.abs(d - d[0])) > 1e-10 * d[0]:
+        raise ConfigError(f"invert_xray_2d: {what} must be uniform and "
+                          "increasing")
     return float(d[0])
 
 
-def _fbp(sino: Sinogram, axes) -> np.ndarray:
-    ds = _check_uniform(sino.offsets, "offsets")
+def _fbp(sino: Sinogram, axes, ds) -> np.ndarray:
     n = sino.offsets.size
     # generous centered padding: the filtered projection's 1/s^2 tails
     # beyond the measured offsets matter for pixels near the box corners
@@ -431,12 +439,13 @@ def _rls(sino: Sinogram, axes, reg: float, iters: int = 60,
     A^T b from x = 0, stopped at a relative residual of `tol` or after
     `iters` iterations, whichever comes first."""
     A = _xray_matrix(sino, axes)
+    At = A.T
 
     def normal(x):
-        return A.T @ (A @ x) + reg * x
+        return At @ (A @ x) + reg * x
 
     x = np.zeros(A.shape[1])
-    r = A.T @ sino.samples.T.ravel()  # A^T b - N x0
+    r = At @ sino.samples.T.ravel()  # A^T b - N x0
     p = r.copy()
     rs = float(np.sum(r * r))
     rs0 = rs
@@ -457,6 +466,7 @@ def invert_xray_2d(sino: Sinogram, axes, method: str = "fbp",
                    reg: float = 0.0, truth=None) -> Reconstruction:
     """Invert a 2-D parallel-beam sinogram on the pixel grid `axes`.
 
+    Both methods need uniform increasing offsets (ConfigError otherwise).
     fbp: apodized ramp filter + bilinear backprojection (needs >=
     FBP_MIN_ANGLES angles, else falls back to rls with a warning; gaps in
     the sweep are absorbed by midpoint quadrature weights).
@@ -470,6 +480,7 @@ def invert_xray_2d(sino: Sinogram, axes, method: str = "fbp",
         raise ConfigError(f"invert_xray_2d: reg must be finite and >= 0, "
                           f"got {reg!r}")
     axes = (np.asarray(axes[0], dtype=float), np.asarray(axes[1], dtype=float))
+    ds = _check_uniform(sino.offsets, "offsets")
     if method == "fbp":
         if sino.angles.size < FBP_MIN_ANGLES:
             warnings.warn(f"invert_xray_2d: fewer than {FBP_MIN_ANGLES} "
@@ -481,7 +492,7 @@ def invert_xray_2d(sino: Sinogram, axes, method: str = "fbp",
                 raise ConfigError("invert_xray_2d: angles must increase "
                                   "within one half-turn")
     if method == "fbp":
-        values = _fbp(sino, axes)
+        values = _fbp(sino, axes, ds)
     else:
         values = _rls(sino, axes, reg)
     err = None

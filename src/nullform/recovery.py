@@ -24,6 +24,7 @@ with theta = omega-perp, so the carrier phase is psi = T' + r on every row.
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass
 from typing import Optional
@@ -134,7 +135,9 @@ def demodulate(slc: TimeSliceMeasurement) -> ExtractedAmplitude:
     explicitly.  Only the kept bins k are formed (a pruned DFT, k j taken
     mod n): spec = w @ (e^{-i psi_j/h} e^{-2 pi i k j/n}), real w times
     the basis' interleaved (re, im) view; the removed power is the
-    Parseval total n sum w^2 minus the kept power.
+    Parseval total n sum w^2 minus the kept power.  The basis and the
+    inverse map depend only on (r, h, Tprime) and are formed once for each
+    (_kept_band_basis).
     """
     h = float(slc.h)
     ppw = 2.0 * np.pi * h / slc.dr
@@ -150,16 +153,30 @@ def demodulate(slc: TimeSliceMeasurement) -> ExtractedAmplitude:
         # row mean kills its finite-window leakage into the kept band
         w = slc.u - np.mean(slc.u, axis=-1, keepdims=True)
     n = slc.r.size
-    keep = np.flatnonzero(np.abs(np.fft.fftfreq(n, d=slc.dr))
-                          <= 0.5 / (2.0 * np.pi * h))
-    twiddle = np.exp(-2j * np.pi / n * (np.outer(np.arange(n), keep) % n))
-    basis = np.exp(-1j * (slc.Tprime + slc.r) / h)[:, None] * twiddle
-    spec = (w @ basis.view(float)).view(complex)
-    values = spec @ (twiddle.conj().T / (n * h))
+    basis, inverse = _kept_band_basis(slc.r.tobytes(), h, slc.Tprime)
+    spec = (w @ basis).view(complex)
+    values = spec @ inverse
     total = n * float(np.vdot(w, w))
     removed = max(total - float(np.vdot(spec, spec).real), 0.0)
     fit = np.sqrt(removed / total) if total > 0 else 0.0
     return ExtractedAmplitude(values, slc.r, h, slc.Tprime, fit)
+
+
+@functools.lru_cache(maxsize=4)
+def _kept_band_basis(r_bytes, h, Tprime):
+    """demodulate's read-only pruned-DFT arrays for the r axis with bytes
+    `r_bytes`: the real (n, 2 kept) view of the carrier-times-twiddle
+    basis and the (kept, n) inverse map twiddle^H / (n h).  A sweep
+    demodulates every slice on one or two (r, h) windows."""
+    r = np.frombuffer(r_bytes)
+    n = r.size
+    keep = np.flatnonzero(np.abs(np.fft.fftfreq(n, d=float(r[1] - r[0])))
+                          <= 0.5 / (2.0 * np.pi * h))
+    twiddle = np.exp(-2j * np.pi / n * (np.outer(np.arange(n), keep) % n))
+    basis = (np.exp(-1j * (Tprime + r) / h)[:, None] * twiddle).view(float)
+    inverse = twiddle.conj().T / (n * h)
+    basis.flags.writeable = inverse.flags.writeable = False
+    return basis, inverse
 
 
 def richardson_extract(amp_h: ExtractedAmplitude,

@@ -305,6 +305,30 @@ def test_empty_sweep_range_exits_2(tmp_path, capsys, monkeypatch, scenario,
         capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key,value", [("offsets", "0.8:-0.8:33"),
+                                       ("offsets", "0.5:0.5:33"),
+                                       ("axes", "0.8:-0.8:33"),
+                                       ("axes", "0.5:0.5:33")])
+def test_recover_range_must_increase(tmp_path, capsys, monkeypatch, key,
+                                     value):
+    # a reversed range used to reconstruct nothing (error ~1.0, exit 0)
+    # and a degenerate one to fail in the FFT; both exit 2 before any
+    # probe is synthesized
+    def no_synthesis(*args, **kwargs):
+        raise AssertionError("probe synthesis ran before validation")
+
+    monkeypatch.setattr("nullform.cli.ansatz_measurements", no_synthesis)
+    parser = configparser.ConfigParser(interpolation=None)
+    parser.read(SCENARIOS / "recover_small.cfg")
+    parser["recover"]["offsets"] = "-0.8:0.8:33"
+    parser["recover"][key] = value
+    p = tmp_path / "scn.cfg"
+    with open(p, "w") as fh:
+        parser.write(fh)
+    assert main(["run", str(p), "--out", str(tmp_path / "out")]) == 2
+    assert f"[recover] {key}: range must increase" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("scenario", ["recover_small", "recover_fdtd_h64"])
 def test_too_few_recovery_angles_exit_2_before_synthesis(
         tmp_path, capsys, monkeypatch, scenario):

@@ -3,6 +3,7 @@
 import functools
 import tracemalloc
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -177,6 +178,66 @@ def test_a10_one_dimensional_matches_interleaved_points_bit_for_bit():
             got = a10_points(q, phi, CHI, V1, W1, 1.0, 0.5, 0.4, xp)
             want = pts_a10_points(q, phi, CHI, V1, W1, 1.0, 0.5, 0.4, xp)
             assert np.array_equal(got, want)
+
+
+def _ray_exponent_and_scalar_F_calls(*args, general=False):
+    """ray_exponent(*args) and how many integrand calls went through
+    scalar_F; general=True takes the scalar_F path on every call."""
+    with mock.patch.object(geoptics, "scalar_F",
+                           wraps=geoptics.scalar_F) as spy:
+        if general:
+            with mock.patch.object(geoptics, "_flat_slope",
+                                   return_value=None):
+                out = ray_exponent(*args)
+        else:
+            out = ray_exponent(*args)
+    return out, spy.call_count
+
+
+@settings(deadline=None, max_examples=40)
+@given(a=st.sampled_from([0.7, 1.0, 2.0]),
+       key=st.sampled_from(["radial_bump", "offset_bump"]),
+       angle=st.floats(0.0, np.pi), tilt=st.floats(-0.3, 0.3),
+       t=st.floats(1.0, 2.0), n=st.integers(1, 40),
+       seed=st.integers(0, 2**32 - 1))
+def test_reduced_ray_exponent_equals_scalar_F_path_bit_for_bit(
+        a, key, angle, tilt, t, n, seed):
+    # theta at angle + pi/2 + tilt; each line x' = s theta0 - t omega meets
+    # supp q at time tau = -omega.x, so its phases tau + theta.x stay
+    # within |omega.c| + |theta.c| + 2R < 1.5, the ramp's flat window.  A
+    # last line at offset 2 misses supp q; its phase at sigma = 0 is past
+    # the window and must not turn the reduced branch off.  A first line
+    # through the centre of supp q keeps the call from being empty
+    q = get_potential(key, 2)
+    phi = ramp(1.5, 0.5, a)
+    om, th0 = sweep_frame(angle)
+    th = np.array([np.cos(angle + np.pi / 2 + tilt),
+                   np.sin(angle + np.pi / 2 + tilt)])
+    V, W = LightVector(-1, tuple(th)), LightVector(-1, tuple(om))
+    offs = np.r_[th0 @ q.center,
+                 np.random.default_rng(seed).uniform(-0.8, 0.8, n), 2.0]
+    xp = offs[:, None] * th0 - t * om
+    got, calls = _ray_exponent_and_scalar_F_calls(q, phi, V, W, t, xp)
+    want, general = _ray_exponent_and_scalar_F_calls(q, phi, V, W, t, xp,
+                                                     general=True)
+    assert calls == 0 and general > 0
+    assert np.array_equal(got, want)
+    assert got[-1] == 0.0
+
+
+@pytest.mark.parametrize("key,phi,t", [
+    ("radial_bump", bump(2.0), 1.5),     # phi' not constant
+    ("bump_linear_u", PHI, 1.5),         # q depends on u
+    ("bump_t_xy", PHI, 1.5),             # q depends on t
+    ("radial_bump", PHI, 2.7)])          # the phases reach the taper
+def test_ray_exponent_keeps_scalar_F_path_off_the_reduced_configuration(
+        key, phi, t):
+    q = get_potential(key, 2)
+    om, th = sweep_frame(0.3)
+    V, W = _sweep_vectors((om, th))
+    xp = np.linspace(-0.3, 0.3, 7)[:, None] * th - 1.5 * om
+    got, calls = _ray_exponent_and_scalar_F_calls(q, phi, V, W, t, xp)
+    assert calls > 0 and np.all(got != 0.0)
 
 
 # ----------------------------------------------------------------------

@@ -548,6 +548,18 @@ def test_zero_sinogram_zero_reconstruction(method):
     assert np.all(rec.values == 0.0) and not np.any(np.signbit(rec.values))
 
 
+@pytest.mark.parametrize("method", ["fbp", "rls"])
+@pytest.mark.parametrize("offsets", [np.linspace(0.8, -0.8, 33),
+                                     np.full(33, 0.5)])
+def test_invert_rejects_decreasing_or_repeated_offsets(method, offsets):
+    sino = Sinogram(offsets, np.linspace(0, np.pi, 100, endpoint=False),
+                    np.ones((33, 100)))
+    ax = np.linspace(-0.8, 0.8, 17)
+    with pytest.raises(ConfigError, match="offsets must be uniform and "
+                                          "increasing"):
+        invert_xray_2d(sino, (ax, ax), method=method)
+
+
 def test_fbp_phantom_accuracy():
     q = get_potential("radial_bump", 2)
     offsets = np.linspace(-0.8, 0.8, 161)

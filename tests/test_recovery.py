@@ -114,6 +114,29 @@ def test_pruned_dft_demodulate_matches_full_fft(n, rows, h, ppw, with_bg,
     assert (got.h, got.Tprime) == (want.h, want.Tprime)
 
 
+def test_demodulate_alternating_windows_match_full_fft():
+    # a Richardson sweep alternates two (r, h) windows; a third slice
+    # shares the first one's r and h at another Tprime.  Every call
+    # matches the full FFT and repeats its first result exactly, and the
+    # shared basis arrays cannot be written to
+    s1, _ = _q0_slice(1 / 32)
+    s2, _ = _q0_slice(1 / 64)
+    s3 = dataclasses.replace(s1, Tprime=TP + 0.1)
+    first = {}
+    for _ in range(3):
+        for k, slc in enumerate((s1, s2, s3)):
+            got, want = demodulate(slc), fft_demodulate(slc)
+            scale = np.max(np.abs(want.values))
+            assert np.max(np.abs(got.values - want.values)) <= 1e-12 * scale
+            assert abs(got.fit_residual - want.fit_residual) <= 1e-12
+            assert np.array_equal(first.setdefault(k, got.values),
+                                  got.values)
+    for arr in recovery._kept_band_basis(s2.r.tobytes(), s2.h, s2.Tprime):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0, 0] = 0.0
+
+
 @pytest.mark.parametrize("name", ["u", "background"])
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_slice_rejects_non_finite_samples(name, bad):
