@@ -334,6 +334,26 @@ def test_backpropagate_roundtrip():
 # measurement providers
 
 
+class _TiltedBump(Potential):
+    """radial_bump times 1 + x1/2: centred at the origin like radial_bump,
+    but not rotation invariant, so its ansatz sweep takes the per-angle
+    path (one probe per angle)."""
+
+    key = "tilted_bump"
+    R = 0.5
+    center = (0.0, 0.0)
+    n = 2
+    u_degree = 0
+    _bump = get_potential("radial_bump", 2)
+
+    def q(self, t, xs, u):
+        return self._bump.q(t, xs, u) * (1.0 + 0.5 * xs[0])
+
+
+_PER_ANGLE_Q = {"tilted_bump": _TiltedBump(),
+                "offset_bump": get_potential("offset_bump", 2)}
+
+
 def test_ansatz_provider_zero_potential_slice():
     q = get_potential("zero", 2)
     offsets = np.linspace(-0.5, 0.5, 5)
@@ -359,12 +379,12 @@ def test_ansatz_provider_rejects_unreduced_config():
 
 
 @pytest.mark.parametrize("richardson", [False, True])
-@pytest.mark.parametrize("key", ["radial_bump", "offset_bump"])
+@pytest.mark.parametrize("key", ["tilted_bump", "offset_bump"])
 def test_ansatz_slices_match_per_angle_oracle_bit_for_bit(key, richardson):
     # every slice quantity formed once for the sweep, the amplitude on
     # coordinate planes: the bits of the per-angle loop on interleaved
     # points, for both carriers
-    q = get_potential(key, 2)
+    q = _PER_ANGLE_Q[key]
     offsets = np.linspace(-0.8, 0.8, 17)
     angles = np.linspace(0.0, np.pi, 36, endpoint=False)
     probes = ansatz_measurements(q, PHI, CHI, A, B, 1 / 32, offsets, angles,
@@ -382,6 +402,42 @@ def test_ansatz_slices_match_per_angle_oracle_bit_for_bit(key, richardson):
             assert (got.h, got.Tprime) == (ref.h, ref.Tprime)
             for name in ("u", "r", "background"):
                 assert np.array_equal(getattr(got, name), getattr(ref, name))
+
+
+@settings(deadline=None, max_examples=12)
+@given(scale=st.floats(0.9, 1.1),
+       offsets=st.lists(st.floats(-0.85, 0.85), min_size=1, max_size=9),
+       angles=st.lists(st.floats(-np.pi, 2 * np.pi), min_size=1,
+                       max_size=6),
+       h=st.sampled_from([1 / 16, 1 / 32, 1 / 64]), richardson=st.booleans())
+def test_radial_ansatz_sweep_is_one_probe(scale, offsets, angles, h,
+                                          richardson):
+    # probe invariance: for q radial about the origin every angle's slice
+    # is the slice at angle 0, so the sweep is one probe carrying every
+    # angle, with the bits of the per-angle oracle at angle 0 and within
+    # rounding of the oracle's slice at each drawn angle
+    q = get_potential("radial_bump", 2, amplitude=scale)
+    angles = np.array(angles)
+    (p,) = ansatz_measurements(q, PHI, CHI, A, B, h, offsets, angles, TP,
+                               richardson=richardson)
+    assert np.array_equal(p.angles, angles)
+    assert p.weight == xray_reduce(
+        q, PHI, *recovery._sweep_vectors(sweep_frame(0.0)))
+    got = (p.slc, p.slc_half)
+    (at0,) = ansatz_slices_by_angle(q, PHI, CHI, A, B, h, offsets, [0.0], TP,
+                                    richardson=richardson)
+    for slc, ref in zip(got, at0):
+        assert (slc is None) == (ref is None)
+        if ref is not None:
+            assert (slc.h, slc.Tprime) == (ref.h, ref.Tprime)
+            for name in ("u", "r", "background"):
+                assert np.array_equal(getattr(slc, name), getattr(ref, name))
+    for slices in ansatz_slices_by_angle(q, PHI, CHI, A, B, h, offsets,
+                                         angles, TP, richardson=richardson):
+        for slc, ref in zip(got, slices):
+            if ref is not None:
+                tol = 1e-12 * np.max(np.abs(ref.u - ref.background))
+                assert np.max(np.abs(slc.u - ref.u)) <= tol
 
 
 def test_ansatz_sweep_is_set_up_once():
@@ -444,7 +500,7 @@ def _sweeps_at(batch, q, offsets, angles):
 
 
 @settings(deadline=None, max_examples=25)
-@given(key=st.sampled_from(["radial_bump", "offset_bump"]),
+@given(key=st.sampled_from(sorted(_PER_ANGLE_Q)),
        n_off=st.integers(1, 9), n_ang=st.integers(1, 7),
        batch=st.integers(1, 70), start=st.floats(0.0, np.pi))
 def test_sweeps_do_not_depend_on_batch_size(key, n_off, n_ang, batch,
@@ -452,8 +508,9 @@ def test_sweeps_do_not_depend_on_batch_size(key, n_off, n_ang, batch,
     # a line's value does not depend on the lines sharing its quadrature
     # call: the same bits at one line per call (one angle per batch), at
     # any batch size whether or not it divides the sweep, and with the
-    # whole sweep in one call; and the per-angle loops to rounding
-    q = get_potential(key, 2)
+    # whole sweep in one call; and the per-angle loops to rounding.  Both
+    # potentials keep one ansatz probe per angle.
+    q = _PER_ANGLE_Q[key]
     offsets = np.linspace(-0.85, 0.85, n_off)
     angles = start + np.pi * np.arange(n_ang) / max(n_ang, 2)
     got = _sweeps_at(batch, q, offsets, angles)
@@ -461,6 +518,7 @@ def test_sweeps_do_not_depend_on_batch_size(key, n_off, n_ang, batch,
         for a, b in zip(got, _sweeps_at(other, q, offsets, angles)):
             assert np.array_equal(a, b)
     sino, slices = got
+    assert slices.shape[0] == n_ang
     want = pts_lightray_forward(q, PHI, LightVector(1, (0.6, 0.8)), offsets,
                                 angles).samples
     assert np.max(np.abs(sino - want)) <= 1e-15 * np.max(np.abs(want))
@@ -511,6 +569,22 @@ def test_quadrature_error_names_the_failing_line_of_a_batch(monkeypatch):
     assert str(exc.value).startswith(
         f"sweep angle {angles[1]!r}, offset {offsets[3]!r}: "
         f"ray quadrature at x'={xp} (t={TP}): ")
+
+
+def test_radial_check_reads_the_structure_of_q():
+    # _SpeckPotential is centred, static and u-independent, and zero
+    # wherever a check sampling a few radii would read it: the FDTD
+    # provider still rejects it, and the ansatz sweep keeps one probe per
+    # angle (its lines at the first and last angle miss the speck)
+    offsets, angles = _SPECK_SWEEP
+    with pytest.raises(ConfigError, match="fdtd_measurements: potential "
+                                          "is not radially symmetric"):
+        fdtd_measurements(_SpeckPotential(), PHI, CHI, A, B, 1 / 16,
+                          offsets, np.linspace(0, np.pi, 90, endpoint=False),
+                          1.2, -1.2)
+    probes = ansatz_measurements(_SpeckPotential(), PHI, CHI, A, B, 1 / 32,
+                                 offsets, angles[[0, 2]], TP)
+    assert [p.angles.tolist() for p in probes] == [[angles[0]], [angles[2]]]
 
 
 def test_fdtd_provider_validations():
@@ -574,7 +648,7 @@ def test_recover_ansatz_pipeline():
 def test_recover_richardson_pipeline(monkeypatch):
     # each probe is demodulated at h and h/2; the plain run reads the
     # same h slices without their h/2 partners
-    q = get_potential("radial_bump", 2)
+    q = _TiltedBump()
     offsets = np.linspace(-0.8, 0.8, 49)
     angles = np.linspace(0, np.pi, 90, endpoint=False)
     h = 1 / 32
@@ -600,7 +674,7 @@ def test_recover_richardson_pipeline(monkeypatch):
 
 
 def test_recover_drops_dead_angle_with_warning():
-    q = get_potential("radial_bump", 2)
+    q = _TiltedBump()
     offsets = np.linspace(-0.8, 0.8, 33)
     angles = np.linspace(0, np.pi, 91, endpoint=False)
     probes = ansatz_measurements(q, PHI, CHI, A, B, 1 / 32, offsets,
@@ -672,7 +746,7 @@ def test_recover_interpolates_a_missing_offset():
 def test_recover_band_average_over_ragged_valid_points(monkeypatch):
     # clear a random ragged subset of the valid points of every slice and
     # check each column against a per-row chi^2-weighted average
-    q = get_potential("radial_bump", 2)
+    q = _TiltedBump()
     offsets = np.linspace(-0.8, 0.8, 17)
     angles = np.linspace(0, np.pi, 90, endpoint=False)
     probes = ansatz_measurements(q, PHI, CHI, A, B, 1 / 32, offsets,
