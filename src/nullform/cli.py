@@ -104,14 +104,6 @@ class ScenarioConfig:
     def int(self, sec, key, default=_REQUIRED):
         return self._cast(sec, key, default, int, "an integer")
 
-    def bool(self, sec, key, default=_REQUIRED):
-        table = {"true": True, "yes": True, "1": True,
-                 "false": False, "no": False, "0": False}
-
-        def conv(s):
-            return table[s.strip().lower()]
-        return self._cast(sec, key, default, conv, "a boolean")
-
     def floats(self, sec, key, default=_REQUIRED):
         def conv(s):
             return tuple(_number(p) for p in s.split(","))
@@ -463,20 +455,29 @@ def run_recover(cfg, n, outdir, jobs):
             raise ConfigError(f"[recover] {key}: range must increase, got "
                               f"{v[0]!r} to {v[-1]!r}")
     angles = cfg.angles("recover", "angles", least=FBP_MIN_ANGLES)
+    if np.any(np.diff(angles) <= 0):
+        raise ConfigError("[recover] angles: the sweep must increase "
+                          f"strictly, got {angles[0]:.6g} to {angles[-1]:.6g}")
     method = cfg.str("recover", "method", "fbp")
     if method not in ("fbp", "rls"):
         raise ConfigError(f"[recover] method: unknown '{method}' "
                           "(have fbp, rls)")
+    if method == "fbp" and angles[-1] - angles[0] >= np.pi:
+        raise ConfigError("[recover] angles: fbp needs a sweep within "
+                          f"one half-turn, got {angles[0]:.6g} to "
+                          f"{angles[-1]:.6g}")
     reg = cfg.float("recover", "reg", 1e-8)
     if not (np.isfinite(reg) and reg >= 0):
         raise ConfigError(f"[recover] reg: must be finite and >= 0, "
                           f"got {reg!r}")
-    richardson = cfg.bool("recover", "richardson", False)
+    if ("recover", "richardson") in cfg.items:
+        raise ConfigError("[recover] richardson: the key was removed; each "
+                          "probe is one demodulated slice at h")
     Tp = cfg.float("time", "tprime")
     if provider == "ansatz":
         def build(ch):
             return ansatz_measurements(q, phi, chi, A, B, h, offsets, ch,
-                                       Tp, ppw=ppw, richardson=richardson)
+                                       Tp, ppw=ppw)
         if jobs > 1:
             chunks = [c for c in np.array_split(angles, jobs) if len(c)]
             with ThreadPoolExecutor(max_workers=jobs) as pool:
@@ -485,10 +486,6 @@ def run_recover(cfg, n, outdir, jobs):
         else:
             probes = build(angles)
     else:
-        if richardson:
-            raise ConfigError("[recover] richardson: not available with "
-                              "the fdtd provider (h-dependent model "
-                              "error is corrected by backpropagation)")
         T0 = cfg.float("time", "t0")
         probes = [fdtd_measurements(q, phi, chi, A, B, h, offsets, angles,
                                     Tp, T0, ppw=ppw)]

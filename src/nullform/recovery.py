@@ -167,7 +167,7 @@ def _kept_band_basis(r_bytes, h, Tprime):
     """demodulate's read-only pruned-DFT arrays for the r axis with bytes
     `r_bytes`: the real (n, 2 kept) view of the carrier-times-twiddle
     basis and the (kept, n) inverse map twiddle^H / (n h).  A sweep
-    demodulates every slice on one or two (r, h) windows."""
+    demodulates every slice on one (r, h) window."""
     r = np.frombuffer(r_bytes)
     n = r.size
     keep = np.flatnonzero(np.abs(np.fft.fftfreq(n, d=float(r[1] - r[0])))
@@ -177,24 +177,6 @@ def _kept_band_basis(r_bytes, h, Tprime):
     inverse = twiddle.conj().T / (n * h)
     basis.flags.writeable = inverse.flags.writeable = False
     return basis, inverse
-
-
-def richardson_extract(amp_h: ExtractedAmplitude,
-                       amp_half: ExtractedAmplitude) -> ExtractedAmplitude:
-    """Cancel the O(h) contamination using extractions at h and h/2.
-
-    The extracted amplitude satisfies Ahat(h) = A_{1,0} + h C + O(h^2)
-    (the C term collects A_{m,1} leakage), so 2 Ahat(h/2) - Ahat(h)
-    removes the linear term.
-    """
-    if abs(amp_half.h - 0.5 * amp_h.h) > 1e-12 * amp_h.h:
-        raise ConfigError("richardson_extract: need amplitudes at h, h/2")
-    if amp_half.r.size != amp_h.r.size or \
-            np.max(np.abs(amp_half.r - amp_h.r)) > 1e-12:
-        raise ConfigError("richardson_extract: r axes differ")
-    return ExtractedAmplitude(2.0 * amp_half.values - amp_h.values,
-                              amp_h.r, amp_h.h, amp_h.Tprime,
-                              max(amp_h.fit_residual, amp_half.fit_residual))
 
 
 def backpropagate_amplitude(amp: ExtractedAmplitude, offsets,
@@ -267,16 +249,14 @@ def log_recover_ray_data(amp: ExtractedAmplitude, chi: Profile,
 class Probe:
     """One measured slice and the sweep angles its column stands for.
 
-    The rows of `slc` (and of `slc_half`, the h/2 slice of the Richardson
-    step) run over the uniform `offsets`; `backpropagate` is the distance
-    of diffraction to undo, None for eikonal slices.
+    The rows of `slc` run over the uniform `offsets`; `backpropagate` is
+    the distance of diffraction to undo, None for eikonal slices.
     """
 
     angles: np.ndarray
     weight: float            # phi'(0) * <Vt,Wt>_M from the X-ray reduction
     offsets: np.ndarray
     slc: TimeSliceMeasurement
-    slc_half: Optional[TimeSliceMeasurement] = None
     backpropagate: Optional[float] = None
 
 
@@ -306,7 +286,7 @@ def _r_window(chi: Profile, Tprime: float, h: float, ppw: int):
 def ansatz_measurements(q: Potential, phi: Profile, chi: Profile,
                         A: float, B: float, h: float,
                         offsets, angles, Tprime: float,
-                        ppw: int = 20, richardson: bool = False):
+                        ppw: int = 20):
     """Synthetic slices u = phi_V + 2h Re(A_{1,0} e^{i psi/h}) per angle.
 
     Uses the closed-form leading amplitude (adaptive ray quadrature).
@@ -330,9 +310,7 @@ def ansatz_measurements(q: Potential, phi: Profile, chi: Profile,
     if chi0 == 0.0:
         raise ConfigError("ansatz_measurements: chi must not vanish at "
                           "the band center")
-    # a shared r grid must resolve the finest carrier in play
-    h_fine = 0.5 * h if richardson else h
-    r = _r_window(chi, Tprime, h_fine, ppw)
+    r = _r_window(chi, Tprime, h, ppw)
     psi = Tprime + r
     env = chi.f(psi) / chi0
     # phi_V is constant along r: s = -Tprime sign(V) + theta.x', and
@@ -340,8 +318,7 @@ def ansatz_measurements(q: Potential, phi: Profile, chi: Profile,
     # read-only view as its background
     bg = np.broadcast_to(phi.f(Tprime + offsets)[:, None],
                          (offsets.size, r.size))
-    hs = (h, 0.5 * h) if richardson else (h,)
-    carrier = {hh: np.exp(1j * psi / hh) for hh in hs}
+    carrier = np.exp(1j * psi / h)
     band_front = -Tprime + chi.support_radius + BAND_PAD
     angles = np.asarray(angles, dtype=float)
     frames = sweep_frames(angles)
@@ -359,14 +336,11 @@ def ansatz_measurements(q: Potential, phi: Profile, chi: Profile,
         return a10_points(q, phi, chi, V, W, A, B, Tprime,
                           ctr.reshape(-1, 2))
 
-    def slice_at(amp, hh):
-        osc = 2.0 * hh * np.real(amp * carrier[hh])
-        return TimeSliceMeasurement(bg + osc, r, hh, Tprime, bg)
-
     def probe(a_ctr, angs, weight):
         amp = a_ctr[:, None] * env[None, :]
-        half = slice_at(amp, 0.5 * h) if richardson else None
-        return Probe(angs, weight, offsets, slice_at(amp, h), half)
+        osc = 2.0 * h * np.real(amp * carrier)
+        return Probe(angs, weight, offsets,
+                     TimeSliceMeasurement(bg + osc, r, h, Tprime, bg))
 
     if _radial_failure(q) is None:
         frame0 = sweep_frames([0.0])
@@ -487,9 +461,8 @@ def recover_potential_2d(probes, axes, chi: Profile, A: float, B: float,
                          method: str = "fbp", reg: float = 1e-8, truth=None):
     """Reconstruct the spatial factor of q from a probe sweep.
 
-    Each probe's slice is demodulated (with the two-h Richardson step when
-    a half-wavelength slice is attached), backpropagated when it carries
-    a diffraction distance, turned into logarithmic ray data and averaged
+    Each probe's slice is demodulated, backpropagated when it carries a
+    diffraction distance, turned into logarithmic ray data and averaged
     over the valid band points per offset.  The column, divided by the
     reduction weight, enters the sinogram once for each of the probe's
     angles, and the sinogram is then inverted.
@@ -524,8 +497,6 @@ def recover_potential_2d(probes, axes, chi: Profile, A: float, B: float,
     # inline, as a helper freeing them per slice doubled the page faults.
     for p in probes:
         amp = demodulate(p.slc)
-        if p.slc_half is not None:
-            amp = richardson_extract(amp, demodulate(p.slc_half))
         if p.backpropagate is not None:
             amp = backpropagate_amplitude(amp, p.offsets, p.backpropagate)
         fit_residual = max(fit_residual, amp.fit_residual)

@@ -12,8 +12,9 @@ transport rows' ray defects from one shift per level, and the residual
 series of the ansatz hierarchy from eagerly built factor lists and with
 every t-factor formed again for each q-factor it meets, and the RLS
 X-ray matrix with each angle's duplicate samples summed by scipy's COO to
-CSR conversion.  It also holds the Minkowski pairing of component lists
-and the reader of Sinogram.to_csv, which only the tests use.
+CSR conversion.  It also holds the Minkowski pairing of component lists,
+the reader of Sinogram.to_csv and the error of recovered ray data against
+the X-ray transform of q, which only the tests use.
 """
 
 import functools
@@ -60,6 +61,18 @@ def xray_forward_2d(integrand, offsets, angles, support_center,
 
     return _sweep_by_angle(offsets, angles, support_center, support_R,
                            (-np.inf, np.inf), fvals)
+
+
+def sinogram_rel_error(sino: Sinogram, q) -> float:
+    """Relative l2 distance of a recovered sinogram from the X-ray
+    transform of q(0, x', 0) on the same lines: the ray data checked
+    before any inversion."""
+    def integrand(x1, x2):
+        return q.q(0.0, [x1, x2], 0.0)
+
+    ref = xray_forward_2d(integrand, sino.offsets, sino.angles, q.center,
+                          q.R).samples
+    return float(np.linalg.norm(sino.samples - ref) / np.linalg.norm(ref))
 
 
 def _recurrence_line_integral(at, length, simpson_only=False):
@@ -234,31 +247,25 @@ def pts_lightray_forward(q, phi, V, offsets, angles) -> Sinogram:
 
 
 def ansatz_slices_by_angle(q, phi, chi, A, B, h, offsets, angles, Tprime,
-                           ppw=20, richardson=False):
-    """(slice at h, slice at h/2 or None) per angle, as ansatz_measurements
-    makes them but with every slice quantity formed again at each angle
-    and the amplitude from pts_a10_points (no band check)."""
+                           ppw=20):
+    """One slice per angle, as ansatz_measurements makes them but with
+    every slice quantity formed again at each angle and the amplitude
+    from pts_a10_points (no band check)."""
     offsets = np.asarray(offsets, dtype=float)
     chi0 = float(chi.f(0.0))
-    h_fine = 0.5 * h if richardson else h
     slices = []
     for a in np.asarray(angles, dtype=float):
         om, th = sweep_frame(float(a))
         V, W = _sweep_vectors((om, th))
-        r = _r_window(chi, Tprime, h_fine, ppw)
+        r = _r_window(chi, Tprime, h, ppw)
         ctr = offsets[:, None] * th - Tprime * om
         a_ctr = pts_a10_points(q, phi, chi, V, W, A, B, Tprime, ctr)
         psi = Tprime + r
         amp = a_ctr[:, None] * (chi.f(psi) / chi0)[None, :]
         bg = np.broadcast_to(phi.f(-Tprime * V.sign + offsets)[:, None],
                              amp.shape).copy()
-
-        def slice_at(hh):
-            osc = 2.0 * hh * np.real(amp * np.exp(1j * psi / hh))
-            return TimeSliceMeasurement(bg + osc, r, hh, Tprime, bg)
-
-        half = slice_at(0.5 * h) if richardson else None
-        slices.append((slice_at(h), half))
+        osc = 2.0 * h * np.real(amp * np.exp(1j * psi / h))
+        slices.append(TimeSliceMeasurement(bg + osc, r, h, Tprime, bg))
     return slices
 
 

@@ -350,6 +350,51 @@ def test_too_few_recovery_angles_exit_2_before_synthesis(
     assert calls == []
 
 
+def _recover_variant(tmp_path, scenario, **edits):
+    parser = configparser.ConfigParser(interpolation=None)
+    parser.read(SCENARIOS / f"{scenario}.cfg")
+    for key, value in edits.items():
+        parser["recover"][key] = value
+    p = tmp_path / "scn.cfg"
+    with open(p, "w") as fh:
+        parser.write(fh)
+    return p
+
+
+@pytest.mark.parametrize("scenario,key,value,message", [
+    ("recover_small", "angles", "1:0:90", "the sweep must increase strictly"),
+    ("recover_small", "angles", "0:0:90", "the sweep must increase strictly"),
+    ("recover_small", "angles", "0:3.3:90", "fbp needs a sweep within"),
+    ("recover_fdtd_h64", "angles", "0:3.3:180", "fbp needs a sweep within"),
+    ("recover_small", "richardson", "true", "the key was removed"),
+    ("recover_fdtd_h64", "richardson", "false", "the key was removed")],
+    ids=["decreasing", "constant", "past-half-turn", "fdtd-past-half-turn",
+         "richardson", "fdtd-richardson"])
+def test_bad_recover_config_exits_2_before_synthesis(
+        tmp_path, capsys, monkeypatch, scenario, key, value, message):
+    # the sweep used to be checked only after every probe was synthesized
+    # (an FDTD solve at h = 1/64 takes ~25 s), by a message that did not
+    # name the key; a config setting the removed two-h step must not
+    # silently run the plain extraction
+    calls = []
+    for name in ("ansatz_measurements", "fdtd_measurements"):
+        monkeypatch.setattr(f"nullform.cli.{name}",
+                            lambda *a, name=name, **k: calls.append(name))
+    p = _recover_variant(tmp_path, scenario, **{key: value})
+    assert main(["run", str(p), "--out", str(tmp_path / "out")]) == 2
+    assert f"[recover] {key}: {message}" in capsys.readouterr().err
+    assert calls == []
+
+
+def test_rls_recovers_from_a_sweep_past_a_half_turn(tmp_path):
+    # only fbp needs the sweep within one half-turn
+    p = _recover_variant(tmp_path, "recover_small", method="rls",
+                         angles="0:3.3:90")
+    outdir = run_scenario(p, out_root=tmp_path / "out")
+    results = json.loads((outdir / "summary.json").read_text())["results"]
+    assert (results["method"], results["n_angles_used"]) == ("rls", 90)
+
+
 # ----------------------------------------------------------------------
 # compare
 

@@ -1,6 +1,6 @@
 """Source hygiene without a linter: no dead imports, no unread constants,
-no unread private functions or classes, no unread dataclass fields, no
-heavy scipy subpackage on the import path."""
+no unread private functions or classes, no unread dataclass fields or
+methods, no heavy scipy subpackage on the import path."""
 
 import ast
 import json
@@ -102,15 +102,19 @@ NDARRAY_NAMED_FIELDS = {
 }
 
 
+def _attributes_read():
+    """Every attribute name loaded anywhere in src/ or tests/."""
+    tests = sorted(Path(__file__).resolve().parent.glob("*.py"))
+    return {node.attr for path in MODULES + tests
+            for node in ast.walk(_tree(path))
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.ctx, ast.Load)}
+
+
 def test_every_dataclass_field_is_read():
     # a field written but never read as an attribute, in src/ or tests/,
     # is state nothing consumes
-    tests = sorted(Path(__file__).resolve().parent.glob("*.py"))
-    read = set()
-    for path in MODULES + tests:
-        read |= {node.attr for node in ast.walk(_tree(path))
-                 if isinstance(node, ast.Attribute)
-                 and isinstance(node.ctx, ast.Load)}
+    read = _attributes_read()
     fields = {f"{path.name}:{cls.name}.{stmt.target.id}": stmt.target.id
               for path in MODULES for cls in ast.walk(_tree(path))
               if isinstance(cls, ast.ClassDef) and _is_dataclass(cls)
@@ -124,6 +128,20 @@ def test_every_dataclass_field_is_read():
     stray = numpy_named ^ set(NDARRAY_NAMED_FIELDS)
     assert not stray, ("dataclass fields named like an np.ndarray attribute "
                        f"must be listed with their readers: {stray}")
+
+
+def test_every_method_is_read():
+    # a method never read as an attribute, in src/ or tests/, is code
+    # nothing calls (dunders are called by the language)
+    read = _attributes_read()
+    unread = [f"{path.name}:{cls.name}.{fn.name}"
+              for path in MODULES for cls in ast.walk(_tree(path))
+              if isinstance(cls, ast.ClassDef)
+              for fn in cls.body
+              if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+              and not (fn.name.startswith("__") and fn.name.endswith("__"))
+              and fn.name not in read]
+    assert not unread, f"methods nothing reads: {unread}"
 
 
 def test_cli_import_loads_no_heavy_scipy():
