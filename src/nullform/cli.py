@@ -453,7 +453,7 @@ def run_recover(cfg, n, outdir, jobs):
     for key, v in (("offsets", offsets), ("axes", ax)):
         if not v[-1] > v[0]:
             raise ConfigError(f"[recover] {key}: range must increase, got "
-                              f"{v[0]!r} to {v[-1]!r}")
+                              f"{float(v[0])!r} to {float(v[-1])!r}")
     angles = cfg.angles("recover", "angles", least=FBP_MIN_ANGLES)
     if np.any(np.diff(angles) <= 0):
         raise ConfigError("[recover] angles: the sweep must increase "

@@ -201,16 +201,21 @@ def _adaptive_line_integral(fvals, base, direction, lo, length):
         ray=int(act[np.argmax(update)]))
 
 
-def sweep_frame(a):
-    """omega = (cos a, sin a) and omega-perp = (-sin a, cos a) at the
-    sweep angle a; the line for (s, a) is s*omega-perp + nu*omega."""
-    c, s = np.cos(a), np.sin(a)
-    return np.array([c, s]), np.array([-s, c])
-
-
 def sweep_frames(angles):
-    """The sweep's frames stacked as (angles, (omega, omega-perp), 2)."""
-    return np.array([sweep_frame(a) for a in angles]).reshape(-1, 2, 2)
+    """The sweep's frames stacked as (angles, (omega, omega-perp), 2):
+    omega = (cos a, sin a) and omega-perp = (-sin a, cos a) at each sweep
+    angle a, from one np.cos and one np.sin over the sweep; the line for
+    (s, a) is s*omega-perp + nu*omega."""
+    a = np.asarray(angles, dtype=float)
+    c, s = np.cos(a), np.sin(a)
+    return np.stack([np.stack([c, s], axis=-1),
+                     np.stack([-s, c], axis=-1)], axis=-2)
+
+
+def sweep_frame(a):
+    """(omega, omega-perp) at the one sweep angle a: sweep_frames' case
+    of a single angle, as a (2, 2) array."""
+    return sweep_frames(a)
 
 
 def sweep_batches(angles, offsets, integrate):
@@ -320,7 +325,23 @@ def _check_uniform(v, what):
     return float(d[0])
 
 
+# most (angle, pixel) pairs in one block of _fbp's backprojection
+_FBP_BLOCK = 1 << 15
+
+
 def _fbp(sino: Sinogram, axes, ds) -> np.ndarray:
+    """Filtered backprojection in blocks of whole angles, at most
+    _FBP_BLOCK (angle, pixel) pairs or one angle a block.
+
+    Each block's projections are padded and ramp-filtered by one
+    rfft/irfft, and scaled by their angle weights.  A pixel x reads its
+    angle's filtered projection at the padded-offset coordinate
+    u = (omega-perp . x - s0)/ds, the sum of a term in x1 and one in x2,
+    clamped to the padded range, so a pixel beyond it reads the end
+    value; the read interpolates linearly between the two nearest
+    offsets, q[i0] + w*(q[i0 + 1] - q[i0]).  The block's reads are
+    summed over its angles into the image.
+    """
     n = sino.offsets.size
     # generous centered padding: the filtered projection's 1/s^2 tails
     # beyond the measured offsets matter for pixels near the box corners
@@ -333,8 +354,6 @@ def _fbp(sino: Sinogram, axes, ds) -> np.ndarray:
                    0.0)
     filt = np.abs(freqs) * win
     x1, x2 = axes
-    X1 = x1[:, None]
-    X2 = x2[None, :]
     out = np.zeros((x1.size, x2.size))
     s0 = sino.offsets[0] - pad0 * ds
     # midpoint quadrature weights over the pi-periodic angle sweep; for a
@@ -343,17 +362,35 @@ def _fbp(sino: Sinogram, axes, ds) -> np.ndarray:
     ang = sino.angles
     ext = np.concatenate(([ang[-1] - np.pi], ang, [ang[0] + np.pi]))
     wa = 0.5 * (ext[2:] - ext[:-2])
-    for ja, a in enumerate(ang):
-        _, perp = sweep_frame(a)
-        p = np.zeros(npad)
-        p[pad0:pad0 + n] = sino.samples[:, ja]
-        q = np.fft.irfft(np.fft.rfft(p) * filt, npad)
-        s = perp[0] * X1 + perp[1] * X2  # signed offset of each pixel
-        # linear interpolation of the filtered projection (incl. tails)
-        u = (s - s0) / ds
-        i0 = np.clip(np.floor(u).astype(int), 0, npad - 2)
-        w = np.clip(u - i0, 0.0, 1.0)
-        out += wa[ja] * ((1 - w) * q[i0] + w * q[i0 + 1])
+    perp = sweep_frames(ang)[:, 1]
+    a1 = (perp[:, 0, None] * x1 - s0) / ds
+    a2 = perp[:, 1, None] * x2 / ds
+    step = max(1, _FBP_BLOCK // out.size)
+    shape = (min(step, ang.size),) + out.shape
+    u, i0, v = np.empty(shape), np.empty(shape, np.intp), np.empty(shape)
+    row = npad * np.arange(shape[0])[:, None, None]  # each angle's q row
+    for j in range(0, ang.size, step):
+        nb = min(step, ang.size - j)
+        js = slice(j, j + nb)
+        p = np.zeros((nb, npad))
+        p[:, pad0:pad0 + n] = sino.samples[:, js].T
+        q = np.fft.irfft(np.fft.rfft(p) * filt, npad) * wa[js, None]
+        # forward differences, 0 after each angle's last offset, so that
+        # one flat index reads both q[i0] and q[i0 + 1] - q[i0]
+        dq = np.zeros_like(q)
+        dq[:, :-1] = q[:, 1:] - q[:, :-1]
+        ub, ib, vb = u[:nb], i0[:nb], v[:nb]
+        np.add(a1[js, :, None], a2[js, None, :], out=ub)
+        np.clip(ub, 0.0, npad - 1, out=ub)
+        ib[...] = ub  # truncates; ub >= 0, so this is its floor
+        ub -= ib  # the weight w
+        ib += row[:nb]
+        # every index is in range; mode="clip" skips the buffered copy
+        # that the default mode makes of `out`
+        np.take(dq, ib, out=vb, mode="clip")
+        vb *= ub
+        vb += np.take(q, ib, out=ub, mode="clip")
+        out += vb.sum(axis=0)
     return out
 
 
@@ -398,8 +435,7 @@ def _xray_matrix(sino: Sinogram, axes) -> sparse.csr_matrix:
     indices = np.empty(cap, itype)
     data = np.empty(cap)
     nnz = 0
-    for ja, a in enumerate(sino.angles):
-        om, perp = sweep_frame(a)
+    for ja, (om, perp) in enumerate(sweep_frames(sino.angles)):
         for r0 in range(0, noff, group):
             off = sino.offsets[r0:r0 + group, None]
             u = (nu * om[0] + off * perp[0] - x1[0]) / d1
@@ -467,9 +503,11 @@ def invert_xray_2d(sino: Sinogram, axes, method: str = "fbp",
     """Invert a 2-D parallel-beam sinogram on the pixel grid `axes`.
 
     Both methods need uniform increasing offsets (ConfigError otherwise).
-    fbp: apodized ramp filter + bilinear backprojection (needs >=
-    FBP_MIN_ANGLES angles, else falls back to rls with a warning; gaps in
-    the sweep are absorbed by midpoint quadrature weights).
+    fbp: apodized ramp filter, then backprojection that reads each
+    pixel's offset by linear interpolation in the offset alone, in blocks
+    of whole angles (needs >= FBP_MIN_ANGLES angles, else falls back to
+    rls with a warning; gaps in the sweep are absorbed by midpoint
+    quadrature weights).
     rls: conjugate gradients, at most 60 iterations, on the normal
     equations with Tikhonov weight `reg` (finite, >= 0) of the sparse
     ray-sampling matrix.

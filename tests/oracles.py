@@ -4,10 +4,11 @@ Each one recomputes a quantity by a second route that no pipeline runs:
 the closed-form leading amplitude on a whole grid, straight-line
 integrals of an arbitrary integrand, the ray quadrature, light-ray
 sinogram and ansatz slices on interleaved (lines, nodes, n) points with
-one evaluation per angle of everything in a slice, demodulation by a
-full FFT, the d'Alembertian from the one-axis 4th-order stencils, log
-ray data by the complex log, the linear leapfrog step on a CFL-checked
-state, the transport march with every shift made level by level, the
+one evaluation per angle of everything in a slice, filtered
+backprojection one angle at a time, demodulation by a full FFT, the
+d'Alembertian from the one-axis 4th-order stencils, log ray data by the
+complex log, the linear leapfrog step on a CFL-checked state, the
+transport march with every shift made level by level, the
 transport rows' ray defects from one shift per level, and the residual
 series of the ansatz hierarchy from eagerly built factor lists and with
 every t-factor formed again for each q-factor it meets, and the RLS
@@ -24,7 +25,8 @@ from typing import Dict, Tuple
 
 import numpy as np
 
-from nullform.constants import (CFL_LIMIT, CHI_FLOOR_FRACTION, PPW_MIN,
+from nullform.constants import (CFL_LIMIT, CHI_FLOOR_FRACTION,
+                                FBP_APODIZATION_NYQUIST, PPW_MIN,
                                 RAY_QUAD_ABS_TOL, RAY_QUAD_MAX_DOUBLINGS,
                                 RAY_QUAD_MAX_NODES)
 from nullform.errors import (CFLError, ConfigError, QuadratureError,
@@ -231,6 +233,39 @@ def xray_matrix_coo(sino: Sinogram, axes):
         blocks.append(sparse.csr_matrix((wts, (np.tile(rows, 4), cols)),
                                         shape=(off.size, n1 * n2)))
     return sparse.vstack(blocks, format="csr")
+
+
+def fbp_per_angle(sino: Sinogram, axes, ds) -> np.ndarray:
+    """raytransform._fbp one angle at a time: each projection padded and
+    ramp-filtered on its own, each pixel's offset formed as omega-perp.x,
+    read by clipped linear interpolation and weighted as it is summed."""
+    n = sino.offsets.size
+    npad = 1 << int(np.ceil(np.log2(4 * n)))
+    pad0 = (npad - n) // 2
+    freqs = np.fft.rfftfreq(npad, d=ds)
+    cut = FBP_APODIZATION_NYQUIST * (0.5 / ds)
+    win = np.where(freqs <= cut, 0.5 * (1 + np.cos(np.pi * freqs / cut)),
+                   0.0)
+    filt = np.abs(freqs) * win
+    x1, x2 = axes
+    X1 = x1[:, None]
+    X2 = x2[None, :]
+    out = np.zeros((x1.size, x2.size))
+    s0 = sino.offsets[0] - pad0 * ds
+    ang = sino.angles
+    ext = np.concatenate(([ang[-1] - np.pi], ang, [ang[0] + np.pi]))
+    wa = 0.5 * (ext[2:] - ext[:-2])
+    for ja, a in enumerate(ang):
+        perp = (-np.sin(a), np.cos(a))
+        p = np.zeros(npad)
+        p[pad0:pad0 + n] = sino.samples[:, ja]
+        q = np.fft.irfft(np.fft.rfft(p) * filt, npad)
+        s = perp[0] * X1 + perp[1] * X2
+        u = (s - s0) / ds
+        i0 = np.clip(np.floor(u).astype(int), 0, npad - 2)
+        w = np.clip(u - i0, 0.0, 1.0)
+        out += wa[ja] * ((1 - w) * q[i0] + w * q[i0 + 1])
+    return out
 
 
 def pts_lightray_forward(q, phi, V, offsets, angles) -> Sinogram:

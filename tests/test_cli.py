@@ -313,7 +313,8 @@ def test_recover_range_must_increase(tmp_path, capsys, monkeypatch, key,
                                      value):
     # a reversed range used to reconstruct nothing (error ~1.0, exit 0)
     # and a degenerate one to fail in the FFT; both exit 2 before any
-    # probe is synthesized
+    # probe is synthesized, with the ends as plain numbers, not as
+    # np.float64(...)
     def no_synthesis(*args, **kwargs):
         raise AssertionError("probe synthesis ran before validation")
 
@@ -326,7 +327,9 @@ def test_recover_range_must_increase(tmp_path, capsys, monkeypatch, key,
     with open(p, "w") as fh:
         parser.write(fh)
     assert main(["run", str(p), "--out", str(tmp_path / "out")]) == 2
-    assert f"[recover] {key}: range must increase" in capsys.readouterr().err
+    lo, hi = value.split(":")[:2]
+    assert (f"[recover] {key}: range must increase, got {lo} to {hi}"
+            in capsys.readouterr().err)
 
 
 @pytest.mark.parametrize("scenario", ["recover_small", "recover_fdtd_h64"])

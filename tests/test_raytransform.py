@@ -8,17 +8,19 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from nullform.constants import FBP_MIN_ANGLES
 from nullform.errors import ConfigError, QuadratureError
 from nullform.geoptics import ray_exponent
 from nullform.minkowski import LightVector
 from nullform.potential import Potential, get_potential, scalar_F
 from nullform.profiles import bump, ramp
 from nullform.raytransform import (
-    Sinogram, _adaptive_line_integral, _xray_matrix, invert_xray_2d,
+    Sinogram, _adaptive_line_integral, _fbp, _xray_matrix, invert_xray_2d,
     lightray_forward, sweep_frame, sweep_frames, xray_reduce,
 )
-from oracles import (pts_lightray_forward, simpson_line_integral,
-                     sinogram_from_csv, xray_forward_2d, xray_matrix_coo)
+from oracles import (fbp_per_angle, pts_lightray_forward,
+                     simpson_line_integral, sinogram_from_csv,
+                     xray_forward_2d, xray_matrix_coo)
 
 PHI = ramp(1.5, 0.5, 1.0)
 W0 = LightVector(-1, (1.0, 0.0))
@@ -720,6 +722,77 @@ def test_sweep_frame_is_the_sinogram_convention():
         om, perp = sweep_frame(a)
         assert np.array_equal(om, [np.cos(a), np.sin(a)])
         assert np.array_equal(perp, [-np.sin(a), np.cos(a)])
+
+
+def _sweep(n, lo, drop):
+    """n uniform angles over [lo, lo + pi) less those that `drop` marks."""
+    angles = lo + np.linspace(0.0, np.pi, n, endpoint=False)
+    return angles[~np.resize(np.asarray(drop, bool), n)]
+
+
+@settings(deadline=None, max_examples=60)
+@given(n=st.integers(1, 400), lo=st.sampled_from([0.0, 0.3]) | st.floats(
+    0.0, np.pi), drop=st.lists(st.booleans(), min_size=1, max_size=7))
+def test_sweep_frames_match_one_angle_frames(n, lo, drop):
+    # uniform (drop all False, lo 0), seed-rotated and gapped sweeps: the
+    # vectorised frames are the one-angle frames and the scalar cos/sin,
+    # bit for bit
+    angles = _sweep(n, lo, drop)
+    frames = sweep_frames(angles)
+    assert frames.shape == (angles.size, 2, 2)
+    for k, a in enumerate(angles):
+        c, s = np.cos(float(a)), np.sin(float(a))
+        assert np.array_equal(frames[k], sweep_frame(a))
+        assert np.array_equal(frames[k], [[c, s], [-s, c]])
+
+
+@settings(deadline=None, max_examples=40)
+@example(noff=81, nang=FBP_MIN_ANGLES + 7, lo=0.0, drop=[False], n1=190,
+         n2=181, reach=1.0, block=1 << 15, seed=0)  # one angle a block
+@example(noff=160, nang=FBP_MIN_ANGLES, lo=0.2, drop=[False, True], n1=9,
+         n2=12, reach=8.0, block=512, seed=1)  # corners clamped
+@given(noff=st.integers(5, 161), nang=st.integers(FBP_MIN_ANGLES, 181),
+       lo=st.floats(0.0, np.pi), drop=st.lists(st.booleans(), min_size=1,
+                                                max_size=7),
+       n1=st.integers(2, 40), n2=st.integers(2, 40),
+       reach=st.floats(0.2, 8.0),
+       block=st.sampled_from([1, 37, 512, 2000, 1 << 15]),
+       seed=st.integers(0, 2**32 - 1))
+def test_fbp_matches_per_angle_oracle(noff, nang, lo, drop, n1, n2, reach,
+                                      block, seed):
+    # blocks of whole angles, with angle counts the block does not divide,
+    # gapped sweeps (uneven angle weights), rectangular pixel grids and
+    # pixels beyond the padded offsets (from reach ~4 on at most offset
+    # counts), which read the end value
+    angles = _sweep(nang, lo, [False] + list(drop))  # keeps the first
+    offsets = np.linspace(-0.8, 0.8, noff)
+    rng = np.random.default_rng(seed)
+    sino = Sinogram(offsets, angles, rng.standard_normal((noff,
+                                                          angles.size)))
+    axes = (reach * np.linspace(-0.8, 0.8, n1),
+            reach * np.linspace(-0.7, 0.9, n2))
+    ds = offsets[1] - offsets[0]
+    want = fbp_per_angle(sino, axes, ds)
+    with mock.patch("nullform.raytransform._FBP_BLOCK", block):
+        got = _fbp(sino, axes, ds)
+    assert got.shape == (n1, n2)
+    assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+
+def test_fbp_memory():
+    # 81 offsets x 720 angles on 81^2 pixels: one block of all angles
+    # would hold (angle, pixel) arrays of >= 38 MB each; blocks of at
+    # most _FBP_BLOCK pairs keep the tracemalloc peak near 2 MB
+    x = np.linspace(-0.8, 0.8, 81)
+    angles = np.linspace(0.0, np.pi, 720, endpoint=False)
+    sino = Sinogram(x, angles, np.ones((81, 720)))
+    tracemalloc.start()
+    try:
+        _fbp(sino, (x, x), x[1] - x[0])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3e6
 
 
 def test_xray_matrix_keeps_edge_rays():
