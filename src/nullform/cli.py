@@ -15,8 +15,7 @@ Determinism: summaries contain only values computed with a fixed
 reduction order (contiguous numpy sums, no threading inside a
 reduction), no timestamps and no absolute paths, and are serialized
 with sorted keys -- two runs of the same config produce byte-identical
-``summary.json``.  The ``--jobs`` flag only parallelizes independent
-probe directions and reassembles them in sweep order.
+``summary.json``.
 """
 
 import argparse
@@ -25,12 +24,11 @@ import hashlib
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
 
-from .constants import FBP_MIN_ANGLES
+from .constants import FBP_MIN_ANGLES, PPW_MIN
 from .errors import ConfigError, NullformError
 from .fdtd import (WeightedNormSpec, check_energy_estimate, picard_iterate,
                    solve_semilinear)
@@ -130,15 +128,19 @@ class ScenarioConfig:
                                self._count(sec, key, n, least))
         return self._cast(sec, key, default, conv, "a 'lo:hi:n' range")
 
-    def intervals(self, sec, key, default=_REQUIRED):
-        """'lo:hi; lo:hi; ...' -> tuple of (lo, hi) pairs."""
+    def intervals(self, sec, key, default=_REQUIRED, count=1):
+        """'lo:hi; lo:hi; ...' -> tuple of `count` (lo, hi) pairs."""
         def conv(s):
             out = []
             for part in s.split(";"):
                 lo, _, hi = part.partition(":")
                 out.append((_number(lo), _number(hi)))
             return tuple(out)
-        return self._cast(sec, key, default, conv, "'lo:hi' intervals")
+        out = self._cast(sec, key, default, conv, "'lo:hi' intervals")
+        if len(out) != count:
+            raise ConfigError(f"[{sec}] {key}: expected {count} intervals, "
+                              f"got {len(out)}")
+        return out
 
     def positive(self, sec, key, default=_REQUIRED, kind="float", above=0):
         """The `kind` getter's value; it (or each entry) must be > above."""
@@ -258,10 +260,7 @@ def _ansatz_spec(cfg: ScenarioConfig, n: int, N: int, h_list=None):
     B = cfg.float("probe", "amp_sin", 0.5)
     hs = tuple(h_list if h_list is not None else cfg.floats("grid", "h_list"))
     dx = cfg.positive("grid", "dx")
-    xlim = cfg.intervals("grid", "xlim")
-    if len(xlim) != n:
-        raise ConfigError(f"[grid] xlim: expected {n} intervals, "
-                          f"got {len(xlim)}")
+    xlim = cfg.intervals("grid", "xlim", count=n)
     T0 = cfg.float("time", "t0")
     Tp = cfg.float("time", "tprime")
     T = cfg.float("time", "t_end")
@@ -275,7 +274,7 @@ def _ansatz_spec(cfg: ScenarioConfig, n: int, N: int, h_list=None):
 # pipelines: each returns (summary dict, artifact writer)
 
 
-def run_forward(cfg, n, outdir, jobs):
+def run_forward(cfg, n, outdir):
     q = _potential(cfg, n)
     phi = _profile(cfg, "phi")
     V = _light_vector(cfg, n, "v")
@@ -292,7 +291,7 @@ def run_forward(cfg, n, outdir, jobs):
     }
 
 
-def run_ansatz(cfg, n, outdir, jobs):
+def run_ansatz(cfg, n, outdir):
     q = _potential(cfg, n)
     N = cfg.int("grid", "n_terms", 1)
     spec = _ansatz_spec(cfg, n, N)
@@ -320,7 +319,7 @@ def run_ansatz(cfg, n, outdir, jobs):
     }
 
 
-def run_residual(cfg, n, outdir, jobs):
+def run_residual(cfg, n, outdir):
     q = _potential(cfg, n)
     N = cfg.int("grid", "n_terms", 1)
     spec = _ansatz_spec(cfg, n, N)
@@ -339,11 +338,11 @@ def run_residual(cfg, n, outdir, jobs):
     }
 
 
-def run_picard(cfg, n, outdir, jobs):
+def run_picard(cfg, n, outdir):
     q = _potential(cfg, n)
     h = cfg.positive("picard", "h")
     lam = cfg.positive("picard", "lam")
-    m = cfg.int("picard", "m", 2)
+    m = cfg.positive("picard", "m", 2, "int", above=-1)
     mu = cfg.positive("picard", "mu", 4.0)
     tol = cfg.float("picard", "tol", 1e-10)
     j_max = cfg.int("picard", "j_max", 12)
@@ -394,17 +393,20 @@ def _random_compact_data(rng, x, inner):
     return u0, v0
 
 
-def run_energy(cfg, n, outdir, jobs):
+def run_energy(cfg, n, outdir):
     q = _potential(cfg, n)
     if q.key != "zero":
         raise ConfigError("[potential] key: the energy pipeline checks "
                           "the homogeneous estimate; use 'zero'")
     cases = cfg.positive("energy", "cases", 20, "int")
     lams = cfg.positive("energy", "lams", (1.0, 2.0, 4.0, 8.0), "floats")
-    ms = tuple(int(v) for v in cfg.floats("energy", "m_values", (0.0, 1.0)))
+    ms = cfg.floats("energy", "m_values", (0.0, 1.0))
+    if not all(m >= 0 and m.is_integer() for m in ms):
+        raise ConfigError(f"[energy] m_values: must be integers >= 0, "
+                          f"got {ms!r}")
     seed = cfg.int("energy", "seed", 7)
     dx = cfg.positive("grid", "dx")
-    (xlo, xhi), = cfg.intervals("grid", "xlim")
+    (xlo, xhi), = cfg.intervals("grid", "xlim", count=n)
     t0 = cfg.float("time", "t0", 0.0)
     t_end = cfg.float("time", "t_end")
     span = t_end - t0
@@ -414,7 +416,7 @@ def run_energy(cfg, n, outdir, jobs):
                           "window (data would reach the boundary)")
     x = np.arange(xlo, xhi + 0.5 * dx, dx)
     rng = np.random.default_rng(seed)
-    combos = [(lam, m) for m in ms for lam in lams]
+    combos = [(lam, int(m)) for m in ms for lam in lams]
     rows, Cs = [], []
     for k in range(cases):
         lam, m = combos[k % len(combos)]
@@ -434,7 +436,7 @@ def run_energy(cfg, n, outdir, jobs):
     }
 
 
-def run_recover(cfg, n, outdir, jobs):
+def run_recover(cfg, n, outdir):
     q = _potential(cfg, n)
     phi = _profile(cfg, "phi")
     chi = _profile(cfg, "chi")
@@ -446,7 +448,7 @@ def run_recover(cfg, n, outdir, jobs):
                           "(have ansatz, fdtd)")
     h = cfg.positive("recover", "h")
     ppw = cfg.positive("recover", "ppw", 20 if provider == "ansatz" else 16,
-                       "int")
+                       "int", above=PPW_MIN - 1)
     # the sinogram and the pixel grid must be uniform: two samples each
     offsets = cfg.linspace("recover", "offsets", least=2)
     ax = cfg.linspace("recover", "axes", offsets, least=2)
@@ -475,16 +477,8 @@ def run_recover(cfg, n, outdir, jobs):
                           "probe is one demodulated slice at h")
     Tp = cfg.float("time", "tprime")
     if provider == "ansatz":
-        def build(ch):
-            return ansatz_measurements(q, phi, chi, A, B, h, offsets, ch,
-                                       Tp, ppw=ppw)
-        if jobs > 1:
-            chunks = [c for c in np.array_split(angles, jobs) if len(c)]
-            with ThreadPoolExecutor(max_workers=jobs) as pool:
-                parts = list(pool.map(build, chunks))
-            probes = [p for part in parts for p in part]
-        else:
-            probes = build(angles)
+        probes = ansatz_measurements(q, phi, chi, A, B, h, offsets, angles,
+                                     Tp, ppw=ppw)
     else:
         T0 = cfg.float("time", "t0")
         probes = [fdtd_measurements(q, phi, chi, A, B, h, offsets, angles,
@@ -512,7 +506,7 @@ def run_recover(cfg, n, outdir, jobs):
     }
 
 
-def run_certify(cfg, n, outdir, jobs):
+def run_certify(cfg, n, outdir):
     keys = cfg.strs("certify", "potentials")
     pts = cfg.positive("certify", "grid_points", 64, "int", above=1)
     n_prof = cfg.positive("certify", "n_profiles", 4, "int")
@@ -564,7 +558,13 @@ PIPELINE_RUNNERS = {
 
 
 def run_scenario(cfg_path, out_root=None, jobs=1, force=False):
-    """Execute a scenario file; returns the output directory path."""
+    """Execute a scenario file; returns the output directory path.
+
+    ``jobs`` must be 1; it goes once item 8's benchmark-only change (see
+    ROADMAP) stops ``perfbench/child.py`` passing it.
+    """
+    if jobs != 1:
+        raise ValueError(f"run_scenario: jobs must be 1, got {jobs!r}")
     cfg, canonical = load_scenario(cfg_path)
     name, pipeline, n = _scenario_header(cfg)
     digest = config_hash(canonical)
@@ -576,7 +576,7 @@ def run_scenario(cfg_path, out_root=None, jobs=1, force=False):
         return outdir
     outdir.mkdir(parents=True, exist_ok=True)
     (outdir / "config.cfg").write_text(canonical)
-    body = PIPELINE_RUNNERS[pipeline](cfg, n, outdir, max(1, jobs))
+    body = PIPELINE_RUNNERS[pipeline](cfg, n, outdir)
     summary = {
         "name": name,
         "pipeline": pipeline,
@@ -699,8 +699,6 @@ def main(argv=None):
     p_run.add_argument("config", help="scenario .cfg file")
     p_run.add_argument("--out", default=None,
                        help="output root (default: $NULLFORM_OUT or ./out)")
-    p_run.add_argument("--jobs", type=int, default=1,
-                       help="worker cap for independent probe directions")
     p_run.add_argument("--force", action="store_true",
                        help="recompute even if the output already exists")
 
@@ -713,8 +711,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         if args.command == "run":
-            run_scenario(args.config, out_root=args.out, jobs=args.jobs,
-                         force=args.force)
+            run_scenario(args.config, out_root=args.out, force=args.force)
             return 0
         if args.command == "compare":
             failures = compare_golden(args.out, args.golden)

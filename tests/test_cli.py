@@ -183,15 +183,29 @@ def test_nullform_out_env(tmp_path, monkeypatch):
     assert outdir.parent == tmp_path / "envout"
 
 
-def test_recover_jobs_do_not_change_output(tmp_path):
+def test_recover_summary_byte_identical_across_runs(tmp_path):
     p = _write(tmp_path, RECOVER_CFG)
-    d1 = run_scenario(p, out_root=tmp_path / "j1", jobs=1)
-    d4 = run_scenario(p, out_root=tmp_path / "j4", jobs=4)
+    d1 = run_scenario(p, out_root=tmp_path / "out1")
+    d2 = run_scenario(p, out_root=tmp_path / "out2")
     assert (d1 / "summary.json").read_bytes() \
-        == (d4 / "summary.json").read_bytes()
+        == (d2 / "summary.json").read_bytes()
     arrays, meta = read_bundle(d1 / "reconstruction.nfg")
     assert arrays["values"].shape == (25, 25)
     assert (d1 / "reconstruction.pgm").read_text().startswith("P2")
+
+
+def test_jobs_option_is_gone(tmp_path):
+    # --jobs split a sweep over threads that, for a radial q, each
+    # synthesized the same one-probe slice; a jobs other than 1 must not
+    # be silently ignored
+    p = _write(tmp_path, RECOVER_CFG)
+    with pytest.raises(SystemExit) as exc:
+        main(["run", str(p), "--out", str(tmp_path / "out"), "--jobs", "2"])
+    assert exc.value.code == 2
+    with pytest.raises(ValueError, match="jobs must be 1, got 2"):
+        run_scenario(p, out_root=tmp_path / "lib", jobs=2)
+    assert not (tmp_path / "out").exists()
+    assert not (tmp_path / "lib").exists()
 
 
 def test_recover_pgm_shows_x2_up(tmp_path):
@@ -258,6 +272,7 @@ SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
     ("energy_suite", "grid", "dx", "0"),
     ("residual_n0", "grid", "dx", "0"),
     ("picard_lam8", "picard", "lam", "-8"),
+    ("picard_lam8", "picard", "m", "-1"),
     ("recover_small", "recover", "h", "0"),
     ("recover_small", "recover", "h", "-1/32"),
     ("recover_small", "recover", "ppw", "0"),
@@ -370,15 +385,17 @@ def _recover_variant(tmp_path, scenario, **edits):
     ("recover_small", "angles", "0:3.3:90", "fbp needs a sweep within"),
     ("recover_fdtd_h64", "angles", "0:3.3:180", "fbp needs a sweep within"),
     ("recover_small", "richardson", "true", "the key was removed"),
-    ("recover_fdtd_h64", "richardson", "false", "the key was removed")],
+    ("recover_fdtd_h64", "richardson", "false", "the key was removed"),
+    ("recover_small", "ppw", "8", "must be > 15, got 8"),
+    ("recover_fdtd_h64", "ppw", "8", "must be > 15, got 8")],
     ids=["decreasing", "constant", "past-half-turn", "fdtd-past-half-turn",
-         "richardson", "fdtd-richardson"])
+         "richardson", "fdtd-richardson", "ppw", "fdtd-ppw"])
 def test_bad_recover_config_exits_2_before_synthesis(
         tmp_path, capsys, monkeypatch, scenario, key, value, message):
-    # the sweep used to be checked only after every probe was synthesized
-    # (an FDTD solve at h = 1/64 takes ~25 s), by a message that did not
-    # name the key; a config setting the removed two-h step must not
-    # silently run the plain extraction
+    # the sweep and ppw used to be checked only after every probe was
+    # synthesized (an FDTD solve at h = 1/64 takes ~25 s), by a message
+    # that did not name the key; a config setting the removed two-h step
+    # must not silently run the plain extraction
     calls = []
     for name in ("ansatz_measurements", "fdtd_measurements"):
         monkeypatch.setattr(f"nullform.cli.{name}",
@@ -387,6 +404,34 @@ def test_bad_recover_config_exits_2_before_synthesis(
     assert main(["run", str(p), "--out", str(tmp_path / "out")]) == 2
     assert f"[recover] {key}: {message}" in capsys.readouterr().err
     assert calls == []
+
+
+@pytest.mark.parametrize("scenario,section,key,value,message", [
+    ("energy_suite", "energy", "m_values", "0, 1.5",
+     "must be integers >= 0, got (0.0, 1.5)"),
+    ("energy_suite", "energy", "m_values", "-1",
+     "must be integers >= 0, got (-1.0,)"),
+    ("energy_suite", "grid", "xlim", "-4:4; -4:4",
+     "expected 1 intervals, got 2")],
+    ids=["m_values-fraction", "m_values-negative", "xlim"])
+def test_bad_energy_config_exits_2_before_solving(
+        tmp_path, capsys, monkeypatch, scenario, section, key, value,
+        message):
+    # m_values = 1.5 used to run at m = 1 and m_values = -1 to write C
+    # from an empty H^-1 sum; a second xlim interval raised a bare
+    # ValueError
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solve_semilinear ran before validation")
+
+    monkeypatch.setattr("nullform.cli.solve_semilinear", no_solve)
+    parser = configparser.ConfigParser(interpolation=None)
+    parser.read(SCENARIOS / f"{scenario}.cfg")
+    parser[section][key] = value
+    p = tmp_path / "scn.cfg"
+    with open(p, "w") as fh:
+        parser.write(fh)
+    assert main(["run", str(p), "--out", str(tmp_path / "out")]) == 2
+    assert f"[{section}] {key}: {message}" in capsys.readouterr().err
 
 
 def test_rls_recovers_from_a_sweep_past_a_half_turn(tmp_path):

@@ -193,7 +193,7 @@ def test_every_parameter_is_read():
                       + [v for v in (a.vararg, a.kwarg) if v]]
             if path.name == "cli.py" and fn.name in runners:
                 params = [p for p in params
-                          if p not in ("cfg", "n", "outdir", "jobs")]
+                          if p not in ("cfg", "n", "outdir")]
             read = set()
             for stmt in fn.body:
                 read |= _read_names(stmt)
