@@ -630,8 +630,10 @@ def dt_u_incident(spec: AnsatzSpec, h: float, t, xs):
     """Exact d_t of u_incident (d psi/dt = 1, d<x,V>/dt = -sign V)."""
     s = phase_arg(t, xs, spec.V)
     psi = phase_arg(t, xs, spec.W)
-    dosc = -spec.amp_cos * np.sin(psi / h) + spec.amp_sin * np.cos(psi / h)
-    osc = spec.amp_cos * np.cos(psi / h) + spec.amp_sin * np.sin(psi / h)
+    ph = psi / h
+    sn, cs = np.sin(ph), np.cos(ph)
+    dosc = -spec.amp_cos * sn + spec.amp_sin * cs
+    osc = spec.amp_cos * cs + spec.amp_sin * sn
     return (-spec.V.sign * spec.phi.df(s)
             + h * spec.chi.df(psi) * osc + spec.chi.f(psi) * dosc)
 

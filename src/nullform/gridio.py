@@ -81,12 +81,20 @@ _PGM_MAXVAL = 255  # grey levels 0 .. 255
 
 
 def write_pgm(path, array2d):
-    """ASCII PGM preview of a 2-D array (row 0 at top)."""
+    """ASCII PGM preview of a 2-D array (row 0 at top); ValueError, before
+    any write, on a non-finite pixel or a range 255 levels cannot span."""
     a = np.asarray(array2d, dtype=float)
+    bad = np.argwhere(~np.isfinite(a))
+    if bad.size:
+        idx = tuple(bad[0].tolist())
+        raise ValueError(f"write_pgm: non-finite pixel {a[idx]} at {idx}")
     lo, hi = float(a.min()), float(a.max())
     scale = (_PGM_MAXVAL / (hi - lo)) if hi > lo else 0.0
+    if not np.isfinite(scale * (hi - lo)):
+        raise ValueError(f"write_pgm: range [{lo!r}, {hi!r}] cannot be scaled")
     img = np.round((a - lo) * scale).astype(int)
-    lines = [f"P2", f"{a.shape[1]} {a.shape[0]}", f"{_PGM_MAXVAL}"]
-    for row in img:
-        lines.append(" ".join(str(v) for v in row))
+    # each pixel's text looked up in a table of the grey levels' texts
+    grey = np.array([str(v) for v in range(_PGM_MAXVAL + 1)], dtype=object)
+    lines = ["P2", f"{a.shape[1]} {a.shape[0]}", f"{_PGM_MAXVAL}"]
+    lines += [" ".join(r) for r in grey[img].tolist()]
     Path(path).write_text("\n".join(lines) + "\n")

@@ -333,14 +333,15 @@ def _fbp(sino: Sinogram, axes, ds) -> np.ndarray:
     """Filtered backprojection in blocks of whole angles, at most
     _FBP_BLOCK (angle, pixel) pairs or one angle a block.
 
-    Each block's projections are padded and ramp-filtered by one
-    rfft/irfft, and scaled by their angle weights.  A pixel x reads its
-    angle's filtered projection at the padded-offset coordinate
-    u = (omega-perp . x - s0)/ds, the sum of a term in x1 and one in x2,
-    clamped to the padded range, so a pixel beyond it reads the end
-    value; the read interpolates linearly between the two nearest
-    offsets, q[i0] + w*(q[i0 + 1] - q[i0]).  The block's reads are
-    summed over its angles into the image.
+    The projections of as many whole blocks as fit in _FBP_BLOCK // 4
+    padded samples, at least one block, are padded and ramp-filtered by
+    one rfft/irfft, and scaled by their angle weights.  A pixel x reads
+    its angle's filtered projection at the padded-offset coordinate
+    u = (omega-perp . x - s0)/ds, the sum of a term in x1 and one in x2;
+    only when some pixel lies beyond the padded range is u clamped to
+    it, so that such a pixel reads the end value.  The read interpolates
+    linearly between the two nearest offsets, q[i0] + w*(q[i0 + 1] -
+    q[i0]).  Each block's reads are summed over its angles into the image.
     """
     n = sino.offsets.size
     # generous centered padding: the filtered projection's 1/s^2 tails
@@ -365,32 +366,40 @@ def _fbp(sino: Sinogram, axes, ds) -> np.ndarray:
     perp = sweep_frames(ang)[:, 1]
     a1 = (perp[:, 0, None] * x1 - s0) / ds
     a2 = perp[:, 1, None] * x2 / ds
+    # rounding is monotone, so the row extremes bound every u exactly
+    clamp = (np.min(a1.min(1) + a2.min(1)) < 0
+             or np.max(a1.max(1) + a2.max(1)) > npad - 1)
     step = max(1, _FBP_BLOCK // out.size)
+    fstep = step * max(1, _FBP_BLOCK // 4 // (npad * step))
     shape = (min(step, ang.size),) + out.shape
     u, i0, v = np.empty(shape), np.empty(shape, np.intp), np.empty(shape)
     row = npad * np.arange(shape[0])[:, None, None]  # each angle's q row
-    for j in range(0, ang.size, step):
-        nb = min(step, ang.size - j)
-        js = slice(j, j + nb)
-        p = np.zeros((nb, npad))
-        p[:, pad0:pad0 + n] = sino.samples[:, js].T
-        q = np.fft.irfft(np.fft.rfft(p) * filt, npad) * wa[js, None]
+    p, dq = np.zeros((2, min(fstep, ang.size), npad))  # pad, differences
+    for f in range(0, ang.size, fstep):
+        nf = min(fstep, ang.size - f)
+        p[:nf, pad0:pad0 + n] = sino.samples[:, f:f + nf].T
+        q = np.fft.irfft(np.fft.rfft(p[:nf]) * filt, npad) * wa[f:f + nf, None]
         # forward differences, 0 after each angle's last offset, so that
         # one flat index reads both q[i0] and q[i0 + 1] - q[i0]
-        dq = np.zeros_like(q)
-        dq[:, :-1] = q[:, 1:] - q[:, :-1]
-        ub, ib, vb = u[:nb], i0[:nb], v[:nb]
-        np.add(a1[js, :, None], a2[js, None, :], out=ub)
-        np.clip(ub, 0.0, npad - 1, out=ub)
-        ib[...] = ub  # truncates; ub >= 0, so this is its floor
-        ub -= ib  # the weight w
-        ib += row[:nb]
-        # every index is in range; mode="clip" skips the buffered copy
-        # that the default mode makes of `out`
-        np.take(dq, ib, out=vb, mode="clip")
-        vb *= ub
-        vb += np.take(q, ib, out=ub, mode="clip")
-        out += vb.sum(axis=0)
+        np.subtract(q[:, 1:], q[:, :-1], out=dq[:nf, :-1])
+        for b in range(0, nf, step):
+            nb = min(step, nf - b)
+            js = slice(f + b, f + b + nb)
+            ub, ib, vb = u[:nb], i0[:nb], v[:nb]
+            ub[...] = a2[js, None, :]
+            ub += a1[js, :, None]  # faster than one broadcast add
+            if clamp:
+                np.clip(ub, 0.0, npad - 1, out=ub)
+            np.floor(ub, out=vb)
+            ib[...] = vb
+            ub -= vb  # the weight w
+            ib += row[:nb]
+            # every index is in range; mode="clip" skips the buffered
+            # copy that the default mode makes of `out`
+            np.take(dq[b:b + nb], ib, out=vb, mode="clip")
+            vb *= ub
+            vb += np.take(q[b:b + nb], ib, out=ub, mode="clip")
+            out += vb.sum(axis=0)
     return out
 
 

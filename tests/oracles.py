@@ -13,9 +13,10 @@ transport rows' ray defects from one shift per level, and the residual
 series of the ansatz hierarchy from eagerly built factor lists and with
 every t-factor formed again for each q-factor it meets, and the RLS
 X-ray matrix with each angle's duplicate samples summed by scipy's COO to
-CSR conversion.  It also holds the Minkowski pairing of component lists,
-the reader of Sinogram.to_csv and the error of recovered ray data against
-the X-ray transform of q, which only the tests use.
+CSR conversion, and the PGM preview text with each pixel formatted on its
+own.  It also holds the Minkowski pairing of component lists, the reader
+of Sinogram.to_csv and the error of recovered ray data against the X-ray
+transform of q, which only the tests use.
 """
 
 import functools
@@ -614,3 +615,19 @@ def sinogram_from_csv(text: str) -> Sinogram:
         offsets.append(vals[0])
         rows.append(vals[1:])
     return Sinogram(np.array(offsets), angles, np.array(rows))
+
+
+def pgm_text(array2d) -> str:
+    """gridio.write_pgm's text with every pixel's grey level formatted by
+    str() on its own.  Where the scaling is undefined (a non-finite pixel,
+    or a range that 255 levels cannot span) it writes whatever the integer
+    cast gives, as the writer once did."""
+    a = np.asarray(array2d, dtype=float)
+    lo, hi = float(a.min()), float(a.max())
+    scale = (255 / (hi - lo)) if hi > lo else 0.0
+    with np.errstate(all="ignore"):
+        img = np.round((a - lo) * scale).astype(int)
+    lines = ["P2", f"{a.shape[1]} {a.shape[0]}", "255"]
+    for row in img:
+        lines.append(" ".join(str(v) for v in row))
+    return "\n".join(lines) + "\n"

@@ -2,15 +2,16 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from nullform.grids import (
     SpacetimeGrid, diff1, diff2, grad1_2, grad1_4, l2_norm, laplacian2,
     laplacian4, shift,
 )
 from nullform.gridio import read_bundle, write_bundle, write_pgm
-from oracles import dalembertian
+from oracles import dalembertian, pgm_text
 
 
 def test_diff_orders_on_polynomial():
@@ -227,3 +228,65 @@ def test_pgm_preview(tmp_path):
     write_pgm(p, img)
     text = p.read_text().splitlines()
     assert text[0] == "P2" and text[1] == "5 4"
+
+
+@st.composite
+def _pgm_images(draw):
+    """1 x 1, 1 x n, n x 1 and m x n images: constant, of any finite
+    values, or of values in [-1, 1] scaled and shifted into a narrow,
+    negative or wide range."""
+    shape = tuple(draw(st.integers(1, 12)) if k is None else k for k in
+                  draw(st.sampled_from([(1, 1), (1, None), (None, 1),
+                                        (None, None)])))
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    kind = draw(st.sampled_from(["constant", "any", "scaled"]))
+    if kind == "constant":
+        return np.full(shape, draw(finite))
+    if kind == "any":
+        return draw(arrays(float, shape, elements=finite))
+    base = draw(arrays(float, shape, elements=st.floats(-1.0, 1.0)))
+    scale = draw(st.sampled_from([1e-300, 1e-6, 1.0, 1e6, 1e300]))
+    return base * scale + draw(st.floats(-1e300, 1e300))
+
+
+@settings(deadline=None, max_examples=150)
+@example(img=np.full((1, 1), -3.5))
+@example(img=np.array([[-1e300, 0.0, 1e300]]))
+@example(img=np.array([[0.0], [2.2250738585072014e-308]]))  # range too narrow
+@example(img=np.array([[-1.7e308, 1.7e308]]))  # range overflows
+@given(img=_pgm_images())
+def test_pgm_bytes_match_per_pixel_formatter(tmp_path_factory, img):
+    # the grey-level table writes the bytes that formatting each pixel
+    # with str() wrote; where it refuses an image, the per-pixel writer
+    # produced a level outside 0 .. 255, so that file was never valid
+    p = tmp_path_factory.mktemp("pgm") / "x.pgm"
+    want = pgm_text(img)
+    levels = [int(v) for ln in want.splitlines()[3:] for v in ln.split()]
+    try:
+        write_pgm(p, img)
+    except ValueError:
+        assert not all(0 <= v <= 255 for v in levels)
+        assert not p.exists()
+        return
+    assert p.read_bytes() == want.encode()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_pgm_rejects_non_finite_pixel(tmp_path, bad):
+    # one bad pixel once turned every pixel (NaN) or itself (inf) into
+    # -9223372036854775808 with only a RuntimeWarning
+    img = np.arange(6.0).reshape(2, 3)
+    img[1, 0] = img[1, 2] = bad
+    p = tmp_path / "x.pgm"
+    with pytest.raises(ValueError, match=r"non-finite pixel .* at \(1, 0\)"):
+        write_pgm(p, img)
+    assert not p.exists()
+
+
+@pytest.mark.parametrize("img", [[[0.0, 5e-310]], [[-1e308, 1e308]]])
+def test_pgm_rejects_unscalable_range(tmp_path, img):
+    # 255 / (hi - lo) overflows, or hi - lo itself does
+    p = tmp_path / "x.pgm"
+    with pytest.raises(ValueError, match="cannot be scaled"):
+        write_pgm(p, np.array(img))
+    assert not p.exists()

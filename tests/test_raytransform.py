@@ -748,33 +748,61 @@ def test_sweep_frames_match_one_angle_frames(n, lo, drop):
 
 @settings(deadline=None, max_examples=40)
 @example(noff=81, nang=FBP_MIN_ANGLES + 7, lo=0.0, drop=[False], n1=190,
-         n2=181, reach=1.0, block=1 << 15, seed=0)  # one angle a block
+         n2=181, reach=1.0, block=1 << 15, seed=0,
+         path=None)  # one angle a block
 @example(noff=160, nang=FBP_MIN_ANGLES, lo=0.2, drop=[False, True], n1=9,
-         n2=12, reach=8.0, block=512, seed=1)  # corners clamped
+         n2=12, reach=8.0, block=512, seed=1, path=None)  # corners clamped
+@example(noff=161, nang=FBP_MIN_ANGLES + 1, lo=0.0, drop=[False], n1=40,
+         n2=40, reach=1.0, block=1 << 15, seed=2,
+         path=None)  # 20-angle blocks of 1024 padded samples, one a call
+@example(noff=5, nang=FBP_MIN_ANGLES + 7, lo=0.0, drop=[False], n1=16,
+         n2=16, reach=1.0, block=2000, seed=3,
+         path=None)  # 7-angle blocks, 2 a call; the last call has 7 + 6
+@example(noff=40, nang=FBP_MIN_ANGLES, lo=0.0, drop=[False, False, True],
+         n1=7, n2=30, reach=1.0, block=37, seed=4, path="exact")
+@example(noff=7, nang=FBP_MIN_ANGLES, lo=0.3, drop=[False], n1=3, n2=2,
+         reach=1.0, block=1 << 15, seed=5, path="beyond")
 @given(noff=st.integers(5, 161), nang=st.integers(FBP_MIN_ANGLES, 181),
        lo=st.floats(0.0, np.pi), drop=st.lists(st.booleans(), min_size=1,
                                                 max_size=7),
        n1=st.integers(2, 40), n2=st.integers(2, 40),
        reach=st.floats(0.2, 8.0),
        block=st.sampled_from([1, 37, 512, 2000, 1 << 15]),
-       seed=st.integers(0, 2**32 - 1))
+       seed=st.integers(0, 2**32 - 1),
+       path=st.sampled_from([None, None, "exact", "beyond"]))
 def test_fbp_matches_per_angle_oracle(noff, nang, lo, drop, n1, n2, reach,
-                                      block, seed):
+                                      block, seed, path):
     # blocks of whole angles, with angle counts the block does not divide,
+    # filter calls of one or several blocks with a partial last call,
     # gapped sweeps (uneven angle weights), rectangular pixel grids and
     # pixels beyond the padded offsets (from reach ~4 on at most offset
-    # counts), which read the end value
+    # counts), which read the end value.  path "exact": offsets a unit
+    # apart and centred in the padding, an x1 axis too small to move any
+    # offset and an x2 axis whose ends, at angle 0, read exactly padded
+    # offsets 0 and npad - 1, so no read needs the clamp.  path "beyond":
+    # a box wider than the padded range at every angle, so the clamp runs
     angles = _sweep(nang, lo, [False] + list(drop))  # keeps the first
     offsets = np.linspace(-0.8, 0.8, noff)
+    reach = 12.0 if path == "beyond" else reach
+    axes = (reach * np.linspace(-0.8, 0.8, n1),
+            reach * np.linspace(-0.7, 0.9, n2))
+    if path == "exact":
+        noff += noff % 2  # even, so the padding is symmetric
+        npad = 1 << int(np.ceil(np.log2(4 * noff)))
+        angles = _sweep(nang, 0.0, [False] + list(drop))
+        offsets = np.arange(noff) - (noff - 1) / 2
+        axes = (1e-20 * np.linspace(-1, 1, n1),
+                np.linspace(-(npad - 1) / 2, (npad - 1) / 2, n2))
     rng = np.random.default_rng(seed)
     sino = Sinogram(offsets, angles, rng.standard_normal((noff,
                                                           angles.size)))
-    axes = (reach * np.linspace(-0.8, 0.8, n1),
-            reach * np.linspace(-0.7, 0.9, n2))
     ds = offsets[1] - offsets[0]
     want = fbp_per_angle(sino, axes, ds)
-    with mock.patch("nullform.raytransform._FBP_BLOCK", block):
+    with mock.patch("nullform.raytransform._FBP_BLOCK", block), \
+            mock.patch.object(np, "clip", wraps=np.clip) as clip:
         got = _fbp(sino, axes, ds)
+    if path is not None:
+        assert clip.called == (path == "beyond")
     assert got.shape == (n1, n2)
     assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
